@@ -6,6 +6,7 @@
 
 #include "cir/parser.hpp"
 #include "dock/dock.hpp"
+#include "dsl/runtime.hpp"
 #include "dsl/weaver.hpp"
 #include "nav/nav.hpp"
 #include "passes/pass_manager.hpp"
@@ -59,6 +60,51 @@ void BM_VmKernelCall(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_VmKernelCall)->Arg(16)->Arg(256);
+
+// Call overhead in the shape of the toolflow app (bench/perf): six loop
+// kernels and a helper, called from one entry, with a profile_args probe
+// woven before the calls to one kernel — 73 bytecode calls and 6 host
+// probe calls per entry call. Items are interpreted instructions.
+void BM_VmCallHeavy(benchmark::State& state) {
+  std::string src;
+  for (int k = 0; k < 6; ++k)
+    src += format(
+        "int k%d(int* a, int n) { int acc = %d;\n"
+        "  for (int i = 0; i < %d; i++) { int t = a[(i + %d) %% n] * 4 + %d;"
+        " acc = (acc + t) %% 9973; }\n"
+        "  return acc; }\n",
+        k, k + 1, 8 + k, 2 * k, 3 * k);
+  src += "int mix(int x, int y) { return (x * 31 + y) % 1000003; }\n"
+         "int app(int* a, int n, int reps) { int s = 0;\n"
+         "  for (int r = 0; r < reps; r++) {\n";
+  for (int k = 0; k < 6; ++k) src += format("    s = mix(s, k%d(a, n));\n", k);
+  src += "    a[r % n] = s % 97; }\n  return s; }\n";
+  auto m = cir::parse_module(src);
+  dsl::Weaver weaver(*m);
+  weaver.load_source(R"(
+    aspectdef P
+      input f end
+      select fCall end
+      apply
+        insert before %{profile_args('[[f]]', '[[$fCall.location]]', [[$fCall.argList]]);}%;
+      end
+      condition $fCall.name == f end
+    end
+  )");
+  weaver.run("P", {dsl::Val::str("k2")});
+  vm::Engine engine;
+  dsl::ProfileStore store;
+  store.install(engine);
+  engine.load_module(*m);
+  auto a = std::make_shared<std::vector<i64>>(16, 7);
+  for (auto _ : state) {
+    auto r = engine.call("app", {vm::Value::from_int_array(a), vm::Value::from_int(16),
+                                 vm::Value::from_int(6)});
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<i64>(engine.executed_instructions()));
+}
+BENCHMARK(BM_VmCallHeavy);
 
 void BM_AspectParse(benchmark::State& state) {
   constexpr const char* src = R"(

@@ -129,12 +129,12 @@ std::string metrics_json(const Registry& registry) {
   for (const auto& [name, h] : registry.histograms()) {
     Joiner buckets;
     for (std::size_t i = 0; i < h->bins(); ++i) buckets.add(num(h->bucket(i)));
+    const std::vector<double> q = h->approx_quantiles({0.50, 0.95, 0.99});
     histograms.add("\"" + json_escape(name) + "\":{\"lo\":" + num(h->lo()) +
                    ",\"hi\":" + num(h->hi()) + ",\"count\":" + num(h->count()) +
                    ",\"sum\":" + num(h->sum()) + ",\"mean\":" + num(h->mean()) +
-                   ",\"p50\":" + num(h->approx_quantile(0.50)) +
-                   ",\"p95\":" + num(h->approx_quantile(0.95)) +
-                   ",\"p99\":" + num(h->approx_quantile(0.99)) +
+                   ",\"p50\":" + num(q[0]) + ",\"p95\":" + num(q[1]) +
+                   ",\"p99\":" + num(q[2]) +
                    ",\"buckets\":[" + buckets.str() + "]}");
   }
 
@@ -180,12 +180,12 @@ Table summary_table(const Registry& registry) {
   for (const auto& [name, g] : registry.gauges())
     t.add_row({name, "gauge", num(g->updates()), format("%.4g", g->last()),
                "-", "-", format("max %.4g", g->max()), "-"});
-  for (const auto& [name, h] : registry.histograms())
+  for (const auto& [name, h] : registry.histograms()) {
+    const std::vector<double> q = h->approx_quantiles({0.50, 0.95, 0.99});
     t.add_row({name, "histogram", num(h->count()), format("%.4g", h->sum()),
-               format("%.4g", h->mean()),
-               format("%.4g", h->approx_quantile(0.50)),
-               format("%.4g", h->approx_quantile(0.95)),
-               format("%.4g", h->approx_quantile(0.99))});
+               format("%.4g", h->mean()), format("%.4g", q[0]),
+               format("%.4g", q[1]), format("%.4g", q[2])});
+  }
   for (const auto& [name, s] : registry.all_series()) {
     const bool has = !s->empty();
     t.add_row({name, "series", num(static_cast<u64>(s->count())),

@@ -54,27 +54,46 @@ double Histogram::approx_percentile(double p) const {
 }
 
 double Histogram::approx_quantile(double q) const {
-  ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0,
-                  "telemetry::Histogram: quantile outside [0,1]");
-  const u64 n = count();
-  if (n == 0) return 0.0;
-  const double target =
-      std::clamp(q * static_cast<double>(n), 0.0, static_cast<double>(n));
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double cum = 0.0;
+  return approx_quantiles({q}).front();
+}
+
+std::vector<double> Histogram::approx_quantiles(
+    std::initializer_list<double> qs) const {
+  std::vector<u64> snapshot(counts_.size());
+  u64 n = 0;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c =
-        static_cast<double>(counts_[i].load(std::memory_order_relaxed));
-    if (c <= 0.0) continue;
-    if (cum + c >= target) {
-      // Linear interpolation inside the bucket: the bucket's mass is assumed
-      // uniformly spread over its value range.
-      const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
-      return lo_ + (static_cast<double>(i) + frac) * width;
-    }
-    cum += c;
+    snapshot[i] = counts_[i].load(std::memory_order_relaxed);
+    n += snapshot[i];
   }
-  return hi_;
+  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (const double q : qs) {
+    ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0,
+                    "telemetry::Histogram: quantile outside [0,1]");
+    if (n == 0) {
+      out.push_back(0.0);
+      continue;
+    }
+    const double target =
+        std::clamp(q * static_cast<double>(n), 0.0, static_cast<double>(n));
+    double value = hi_;
+    double cum = 0.0;
+    for (std::size_t i = 0; i < snapshot.size(); ++i) {
+      const double c = static_cast<double>(snapshot[i]);
+      if (c <= 0.0) continue;
+      if (cum + c >= target) {
+        // Linear interpolation inside the bucket: the bucket's mass is
+        // assumed uniformly spread over its value range.
+        const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
+        value = lo_ + (static_cast<double>(i) + frac) * width;
+        break;
+      }
+      cum += c;
+    }
+    out.push_back(value);
+  }
+  return out;
 }
 
 void Histogram::reset() {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <atomic>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -115,9 +116,13 @@ class Histogram {
   /// Approximate percentile in [0,100]: midpoint of the nearest-rank bucket.
   double approx_percentile(double p) const;
   /// Approximate quantile in [0,1] with linear interpolation inside the
-  /// bucket (finer than approx_percentile for coarse histograms). This is
-  /// what the exporters publish as p50/p95/p99.
+  /// bucket (finer than approx_percentile for coarse histograms).
   double approx_quantile(double q) const;
+  /// Several approx_quantile() values read from one snapshot: the buckets
+  /// are copied once and the total is the sum of the copy, so the results
+  /// stay ordered by q even while writers keep adding. This is what the
+  /// exporters publish as p50/p95/p99.
+  std::vector<double> approx_quantiles(std::initializer_list<double> qs) const;
   void reset();
 
  private:

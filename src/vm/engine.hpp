@@ -8,6 +8,7 @@
 #pragma once
 
 #include <functional>
+#include <list>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -34,9 +35,16 @@ struct DispatchStats {
   u64 specialized_hits = 0; ///< calls served by a specialized variant
 };
 
+/// Execution model: every frame lives in one engine-owned value stack,
+/// addressed by base index — the frame's slots (arguments first, left in
+/// place by the caller) and then its operand cells, sized at load time from
+/// the deepest operand stack the bytecode can reach. Each original bytecode
+/// op counts as one instruction.
 class Engine {
  public:
-  Engine();
+  Engine() = default;
+  Engine(const Engine&) = delete;  // versions point into per_function_
+  Engine& operator=(const Engine&) = delete;
 
   // --- program loading ------------------------------------------------------
 
@@ -44,11 +52,15 @@ class Engine {
   /// entries, dropping their specializations).
   void load_module(const cir::Module& m);
 
-  /// Register a single compiled function (generic version).
+  /// Register a single compiled function (generic version). Throws if the
+  /// bytecode could underflow its operand stack, reaches one instruction at
+  /// two stack depths, or names a slot or pool entry that does not exist.
   void load_function(CompiledFunction f);
 
-  /// Register a native host function (math builtins are pre-registered;
-  /// instrumentation probes like `profile_args` are added by the DSL runtime).
+  /// Register a native host function. Math builtins and no-op
+  /// instrumentation probes are always available; a registered function of
+  /// the same name overrides them (the DSL runtime installs real
+  /// `profile_args` collectors this way).
   void register_host(const std::string& name, HostFunction fn);
   bool has_host(const std::string& name) const;
 
@@ -76,10 +88,7 @@ class Engine {
   /// engine's deterministic "cycle" counter: the performance metric used by
   /// iterative compilation and the autotuner when wall time would be noisy.
   u64 executed_instructions() const { return executed_; }
-  void reset_instruction_count() {
-    executed_ = 0;
-    per_function_.clear();
-  }
+  void reset_instruction_count();
 
   /// Guard against runaway programs (default: 2^40 instructions).
   void set_instruction_limit(u64 limit) { instruction_limit_ = limit; }
@@ -96,19 +105,33 @@ class Engine {
   void set_call_hook(CallHook hook) { call_hook_ = std::move(hook); }
 
  private:
+  /// One loaded body: the bytecode plus what the interpreter derives from
+  /// it once, at load time.
+  struct Version {
+    CompiledFunction fn;
+    std::vector<Value> strings;   ///< the string pool as ready-made values
+    u32 frame_size = 0;           ///< slots + deepest operand stack
+    u64* instructions = nullptr;  ///< this name's flat count in per_function_
+  };
   struct Entry {
-    CompiledFunction generic;
+    Version generic;
     int specialize_param = -1;
-    std::vector<std::pair<i64, CompiledFunction>> variants;
+    /// A list, so installing a variant from a call hook never moves one
+    /// that is running further up the stack.
+    std::list<std::pair<i64, Version>> variants;
     DispatchStats stats;
   };
 
-  Value execute(const CompiledFunction& f, std::vector<Value>& args);
+  Version prepare(CompiledFunction f);
+  const HostFunction* find_host(const std::string& name) const;
+  Value invoke(const std::string& name, std::size_t base, std::size_t argc);
   Value dispatch(const std::string& name, std::vector<Value>& args);
+  Value execute(const Version& v, std::size_t base, std::size_t argc);
 
   std::unordered_map<std::string, Entry> functions_;
-  std::unordered_map<std::string, HostFunction> host_;
-  std::unordered_map<std::string, u64> per_function_;
+  std::unordered_map<std::string, HostFunction> host_;  ///< overrides builtins
+  std::unordered_map<std::string, u64> per_function_;   ///< node-stable
+  std::vector<Value> stack_;  ///< every live frame, slots then operands
   CallHook call_hook_;
   bool in_hook_ = false;
   u64 executed_ = 0;

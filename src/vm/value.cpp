@@ -4,24 +4,10 @@
 
 namespace antarex::vm {
 
-Value Value::from_int(i64 v) {
-  Value out;
-  out.kind_ = Kind::Int;
-  out.i_ = v;
-  return out;
-}
-
-Value Value::from_float(double v) {
-  Value out;
-  out.kind_ = Kind::Float;
-  out.f_ = v;
-  return out;
-}
-
 Value Value::from_str(std::string v) {
   Value out;
   out.kind_ = Kind::Str;
-  out.s_ = std::make_shared<std::string>(std::move(v));
+  out.payload_ = std::make_shared<std::string>(std::move(v));
   return out;
 }
 
@@ -29,7 +15,7 @@ Value Value::from_int_array(std::shared_ptr<std::vector<i64>> v) {
   ANTAREX_REQUIRE(v != nullptr, "Value: null int array");
   Value out;
   out.kind_ = Kind::IntArr;
-  out.ia_ = std::move(v);
+  out.payload_ = std::move(v);
   return out;
 }
 
@@ -37,52 +23,25 @@ Value Value::from_float_array(std::shared_ptr<std::vector<double>> v) {
   ANTAREX_REQUIRE(v != nullptr, "Value: null float array");
   Value out;
   out.kind_ = Kind::FloatArr;
-  out.fa_ = std::move(v);
+  out.payload_ = std::move(v);
   return out;
 }
 
-i64 Value::as_int() const {
-  if (kind_ == Kind::Int) return i_;
-  if (kind_ == Kind::Float) return static_cast<i64>(f_);
-  throw Error("Value: not convertible to int: " + to_string());
+void Value::not_convertible(const char* to) const {
+  throw Error(std::string("Value: not convertible to ") + to + ": " + to_string());
 }
 
-double Value::as_float() const {
-  if (kind_ == Kind::Float) return f_;
-  if (kind_ == Kind::Int) return static_cast<double>(i_);
-  throw Error("Value: not convertible to float: " + to_string());
-}
-
-const std::string& Value::as_str() const {
-  ANTAREX_REQUIRE(kind_ == Kind::Str, "Value: not a string");
-  return *s_;
-}
-
-std::vector<i64>& Value::int_array() const {
-  ANTAREX_REQUIRE(kind_ == Kind::IntArr, "Value: not an int array");
-  return *ia_;
-}
-
-std::vector<double>& Value::float_array() const {
-  ANTAREX_REQUIRE(kind_ == Kind::FloatArr, "Value: not a float array");
-  return *fa_;
-}
-
-bool Value::truthy() const {
-  switch (kind_) {
-    case Kind::Int: return i_ != 0;
-    case Kind::Float: return f_ != 0.0;
-    default: return true;
-  }
+void Value::wrong_kind(const char* expected) {
+  throw Error(std::string("Value: not ") + expected);
 }
 
 std::string Value::to_string() const {
   switch (kind_) {
     case Kind::Int: return format("%lld", static_cast<long long>(i_));
     case Kind::Float: return format("%g", f_);
-    case Kind::Str: return *s_;
-    case Kind::IntArr: return format("int[%zu]", ia_->size());
-    case Kind::FloatArr: return format("double[%zu]", fa_->size());
+    case Kind::Str: return as_str();
+    case Kind::IntArr: return format("int[%zu]", int_array().size());
+    case Kind::FloatArr: return format("double[%zu]", float_array().size());
   }
   return "?";
 }

@@ -644,16 +644,17 @@ TEST_F(TelemetryTest, ConcurrentHammerKeepsExactTotals) {
 }
 
 TEST_F(TelemetryTest, HistogramQuantilesStaySaneUnderConcurrentAdds) {
-  // approx_quantile() walks the atomic buckets while writers keep adding:
-  // a snapshot may be mid-add (a bucket incremented before the total), but
-  // it must never tear — every quantile read has to come back inside the
-  // histogram's value range, ordered (p50 <= p95 <= p99), and finite.
+  // approx_quantiles() reads the atomic buckets while writers keep adding.
+  // A read may miss adds still in flight, but it comes from one snapshot:
+  // every quantile must land inside the histogram's value range, ordered
+  // (p50 <= p95 <= p99), and finite. Violations are recorded and asserted
+  // only after the writers are joined, so a failure reports instead of
+  // aborting the binary.
   constexpr int kWriters = 4;
   constexpr int kIters = 50000;
   constexpr double kLo = 0.0, kHi = 100.0;
 
   auto& h = Registry::global().histogram("hammer.quant", kLo, kHi, 20);
-  std::atomic<bool> done{false};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int t = 0; t < kWriters; ++t) {
@@ -663,24 +664,20 @@ TEST_F(TelemetryTest, HistogramQuantilesStaySaneUnderConcurrentAdds) {
     });
   }
 
-  u64 reads = 0;
-  while (!done.load(std::memory_order_relaxed)) {
-    const double p50 = h.approx_quantile(0.50);
-    const double p95 = h.approx_quantile(0.95);
-    const double p99 = h.approx_quantile(0.99);
-    for (const double q : {p50, p95, p99}) {
-      ASSERT_GE(q, kLo);
-      ASSERT_LE(q, kHi);
-      ASSERT_TRUE(std::isfinite(q));
-    }
-    ASSERT_LE(p50, p95);
-    ASSERT_LE(p95, p99);
+  u64 reads = 0, violations = 0;
+  std::string first_violation;
+  while (h.count() < static_cast<u64>(kWriters) * kIters) {
+    const std::vector<double> q = h.approx_quantiles({0.50, 0.95, 0.99});
+    bool sane = q[0] <= q[1] && q[1] <= q[2];
+    for (const double x : q) sane = sane && std::isfinite(x) && x >= kLo && x <= kHi;
+    if (!sane && violations++ == 0)
+      first_violation = format("p50 %g p95 %g p99 %g at read %llu", q[0], q[1], q[2],
+                               static_cast<unsigned long long>(reads));
     ++reads;
-    if (h.count() >= static_cast<u64>(kWriters) * kIters)
-      done.store(true, std::memory_order_relaxed);
   }
   for (auto& w : writers) w.join();
 
+  EXPECT_EQ(violations, 0u) << "first: " << first_violation;
   // Quiescent: totals exact, quantiles within one bin width (5.0) of the
   // true uniform-distribution quantiles over [0, 100].
   EXPECT_EQ(h.count(), static_cast<u64>(kWriters) * kIters);
