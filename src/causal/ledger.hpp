@@ -3,7 +3,7 @@
 //
 // The closed loop (monitor -> decide -> actuate) makes decisions in four
 // places — obs::PolicyEngine firings, govern actuator restrict/relax steps,
-// CapCoordinator budget renegotiations, and monitor::AnomalyDetector episode
+// cap-coordinator budget renegotiations, and monitor::AnomalyDetector episode
 // transitions. Each records a DecisionRecord at decision time (cause +
 // action, with the metric reading that triggered it) and later attaches the
 // *observed* effect via note_effect() — e.g. the next epoch's power mean

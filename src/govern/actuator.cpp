@@ -5,7 +5,7 @@
 
 #include "exec/pool.hpp"
 #include "nav/server.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::govern {
@@ -26,11 +26,11 @@ void note(const std::string& name, bool restricting, double level) {
 
 // ---------------------------------------------------------------- DvfsActuator
 
-DvfsActuator::DvfsActuator(rtrm::Cluster& cluster) : cluster_(cluster) {
+DvfsActuator::DvfsActuator(rtrm::ShardedCluster& cluster) : cluster_(cluster) {
   std::size_t deepest = 1;
-  for (const auto& node : cluster_.nodes())
-    for (const auto& dev : node.devices())
-      deepest = std::max(deepest, dev.num_ops());
+  for (std::size_t i = 0; i < cluster_.node_count(); ++i)
+    for (std::size_t d = 0; d < cluster_.node_device_count(i); ++d)
+      deepest = std::max(deepest, cluster_.device_spec(i, d).dvfs.size());
   max_steps_ = deepest - 1;
   steps_ = std::min(cluster_.op_step_down(), max_steps_);
 }

@@ -3,14 +3,14 @@
 // An Actuator is a stepped restriction knob over some part of the stack: each
 // restrict() moves it one notch away from nominal (less power / parallelism /
 // admission), each relax() moves it one notch back. Steps are discrete and
-// bounded, so an actuating policy or the CapCoordinator can walk the ladder
+// bounded, so an actuating policy or the cap coordinator can walk the ladder
 // without knowing what lies behind it, and level() reports where on the
 // ladder the knob currently sits.
 //
 // Concrete actuators:
-//  - DvfsActuator      global P-state step-down on an rtrm::Cluster (one
-//                      notch = every device clamped one more P-state below
-//                      its top; the classical power knob of paper Sec. V)
+//  - DvfsActuator      global P-state step-down on an rtrm::ShardedCluster
+//                      (one notch = every device clamped one more P-state
+//                      below its top; the classical power knob of Sec. V)
 //  - ExecActuator      exec::ThreadPool throttle: first parks workers down
 //                      to a floor, then doubles the parallel_for grain —
 //                      fewer active cores, then fewer scheduling points
@@ -28,7 +28,7 @@
 #include "support/common.hpp"
 
 namespace antarex::rtrm {
-class Cluster;
+class ShardedCluster;
 }
 namespace antarex::exec {
 class ThreadPool;
@@ -69,12 +69,12 @@ class Actuator {
   }
 };
 
-/// Cluster-wide DVFS stepping via rtrm::Cluster::set_op_step_down. max_steps
-/// is the deepest DVFS table across the cluster's devices minus one, frozen
-/// at construction.
+/// Cluster-wide DVFS stepping via rtrm::ShardedCluster::set_op_step_down.
+/// max_steps is the deepest DVFS table across the cluster's devices minus
+/// one, frozen at construction.
 class DvfsActuator final : public Actuator {
  public:
-  explicit DvfsActuator(rtrm::Cluster& cluster);
+  explicit DvfsActuator(rtrm::ShardedCluster& cluster);
 
   const std::string& name() const override { return name_; }
   bool restrict() override;
@@ -84,7 +84,7 @@ class DvfsActuator final : public Actuator {
 
  private:
   std::string name_ = "dvfs";
-  rtrm::Cluster& cluster_;
+  rtrm::ShardedCluster& cluster_;
   std::size_t steps_ = 0;
   std::size_t max_steps_;
 };

@@ -14,7 +14,7 @@
 // one corrective notch per interval instead of either a single fire or a
 // notch per tick — exactly the PolicyOptions::cooldown_s semantics.
 //
-// This is the lightweight alternative to the CapCoordinator: no budgets, no
+// This is the lightweight alternative to the cap coordinator: no budgets, no
 // per-node controllers, just gauge thresholds driving knobs. The two compose
 // (the coordinator holds the cap; the policies handle thermal/backpressure).
 #pragma once

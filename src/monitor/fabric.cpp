@@ -4,7 +4,7 @@
 #include <chrono>
 #include <sstream>
 
-#include "govern/coordinator.hpp"
+#include "govern/sharded_cap.hpp"
 #include "obs/policy.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/json.hpp"
@@ -301,7 +301,8 @@ std::string MonitorFabric::health_json() const {
   return os.str();
 }
 
-void feed_governance(MonitorFabric& fabric, govern::CapCoordinator& coordinator,
+void feed_governance(MonitorFabric& fabric,
+                     govern::ShardedCapCoordinator& coordinator,
                      double penalty) {
   ANTAREX_REQUIRE(penalty > 0.0 && penalty <= 1.0,
                   "feed_governance: penalty outside (0, 1]");

@@ -35,7 +35,7 @@ namespace antarex::obs {
 class PolicyEngine;
 }
 namespace antarex::govern {
-class CapCoordinator;
+class ShardedCapCoordinator;
 }
 namespace antarex::rtrm {
 class ShardedCluster;
@@ -127,7 +127,8 @@ class MonitorFabric {
 /// While an anomaly episode is open on a node, multiply its budget share in
 /// `coordinator` by `penalty` (< 1); restore 1.0 on close. Registers an
 /// episode listener — call after constructing both, before the run.
-void feed_governance(MonitorFabric& fabric, govern::CapCoordinator& coordinator,
+void feed_governance(MonitorFabric& fabric,
+                     govern::ShardedCapCoordinator& coordinator,
                      double penalty = 0.25);
 
 /// Thresholds for the monitor-driven obs policies.

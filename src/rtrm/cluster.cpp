@@ -64,16 +64,13 @@ void Cluster::control_step() {
       }
     }
   }
-  // Last word: the govern layer's cap clamp overrides every proposal above.
-  if (control_hook_) control_hook_(nodes_, clock_.now());
 }
 
 void Cluster::run_for(double duration_s, double dt_s) {
   ANTAREX_REQUIRE(duration_s >= 0.0 && dt_s > 0.0, "Cluster: bad run parameters");
   const double end = clock_.now() + duration_s;
   std::vector<std::vector<u64>> finished(nodes_.size());
-  std::vector<double>& node_power = last_node_power_w_;
-  node_power.resize(nodes_.size(), 0.0);
+  std::vector<double> node_power(nodes_.size(), 0.0);
   while (clock_.now() < end - 1e-12) {
     const double step = std::min(dt_s, end - clock_.now());
 
@@ -112,12 +109,6 @@ void Cluster::run_for(double duration_s, double dt_s) {
     // The signal the govern power-cap policies watch (same value, stable
     // name independent of the internal it_power naming).
     TELEMETRY_GAUGE("rtrm.power_draw_w", it_power);
-    if (trace_node_power_ && telemetry::enabled()) {
-      for (std::size_t i = 0; i < nodes_.size(); ++i)
-        telemetry::Registry::global()
-            .series("rtrm.node_power_w." + nodes_[i].name())
-            .push(node_power[i]);
-    }
     telemetry_.time_s = clock_.now();
     telemetry_.it_energy_j += it_power * step;
     telemetry_.facility_energy_j +=

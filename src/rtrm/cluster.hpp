@@ -67,16 +67,8 @@ class Cluster {
   /// Bring node i back online; it accepts work again on the next place().
   void repair_node(std::size_t i);
   /// O(1): maintained on fail/repair instead of rescanning every node — the
-  /// fault injector and cap coordinator poll this every step.
+  /// fault injector polls this every step.
   std::size_t nodes_down() const { return down_count_; }
-
-  /// Per-node power committed by the most recent simulation step, in node
-  /// order (empty before the first step). Lets per-step consumers (the cap
-  /// coordinator's energy ledger) reuse the stepper's own evaluations
-  /// instead of re-walking every device model per tick.
-  const std::vector<double>& last_node_power_w() const {
-    return last_node_power_w_;
-  }
 
   /// Step the plant's nodes on a thread pool (grain = one node per task).
   /// Completions are still committed serially in node-index order, so the
@@ -92,26 +84,12 @@ class Cluster {
   /// Returns true if everything completed.
   bool run_until_idle(double max_s = 1e7, double dt_s = 0.25);
 
-  /// Power-authority hook running inside every control step, *after* the
-  /// governor proposals, thermal guard, and built-in power manager: the
-  /// govern layer's cap coordinator clamps P-states here so a cap holds
-  /// before the next plant step draws any power. fn(nodes, now_s). Pass
-  /// nullptr to detach.
-  void set_control_hook(std::function<void(std::vector<Node>&, double)> fn) {
-    control_hook_ = std::move(fn);
-  }
-
-  /// Global DVFS actuation (govern::DvfsActuator): clamp every device to
+  /// Global DVFS actuation: clamp every device to
   /// (num_ops - 1 - steps) at each control step, i.e. `steps` P-states below
   /// its top. 0 restores nominal. Composes with per-device ceilings — the
   /// lower clamp wins.
   void set_op_step_down(std::size_t steps) { op_step_down_ = steps; }
   std::size_t op_step_down() const { return op_step_down_; }
-
-  /// Also publish a per-node rtrm.node_power_w.<name> telemetry series every
-  /// step (trace-grade volume; benches enable it under --telemetry=trace so
-  /// cap decisions are visible per node in reports).
-  void set_trace_node_power(bool enabled) { trace_node_power_ = enabled; }
 
   /// Observe every simulation step after it lands:
   /// fn(now_s, it_power_w, dt_s). Lets the obs layer drive energy sampling
@@ -149,12 +127,9 @@ class Cluster {
   double next_control_s_ = 0.0;
   ClusterTelemetry telemetry_;
   std::vector<std::function<void(double, double, double)>> step_observers_;
-  std::function<void(std::vector<Node>&, double)> control_hook_;
   std::size_t op_step_down_ = 0;
-  bool trace_node_power_ = false;
   exec::ThreadPool* pool_ = nullptr;
   std::size_t down_count_ = 0;
-  std::vector<double> last_node_power_w_;
 };
 
 }  // namespace antarex::rtrm

@@ -23,12 +23,6 @@ void NodePowerController::ensure_sized(const Node& node) {
   sized_ = true;
 }
 
-void NodePowerController::set_device_weights(std::vector<double> weights) {
-  for (double w : weights)
-    ANTAREX_REQUIRE(w > 0.0, "NodePowerController: non-positive weight");
-  weight_ = std::move(weights);
-}
-
 std::size_t NodePowerController::ceiling(std::size_t device_index) const {
   ANTAREX_REQUIRE(device_index < ceiling_.size(),
                   "NodePowerController: device index out of range");
@@ -56,8 +50,7 @@ bool NodePowerController::step(Node& node) {
     double worst = 0.0;
     for (std::size_t i = 0; i < node.device_count(); ++i) {
       if (ceiling_[i] == 0) continue;
-      const double w = i < weight_.size() ? weight_[i] : 1.0;
-      const double dp = node.device(i).power_w() / w;
+      const double dp = node.device(i).power_w();
       if (dp > worst) {
         worst = dp;
         victim = i;

@@ -41,18 +41,11 @@ class NodePowerController {
   /// Current ceiling for a device index (defaults to the top P-state).
   std::size_t ceiling(std::size_t device_index) const;
 
-  /// Priority weighting for victim selection (govern job priorities): when
-  /// over budget the controller lowers the device maximizing power/weight, so
-  /// a device running a weight-2 job is clamped only after an equal-power
-  /// weight-1 neighbour. Empty (default) weighs everything 1.
-  void set_device_weights(std::vector<double> weights);
-
  private:
   void ensure_sized(const Node& node);
 
   double budget_w_;
   std::vector<std::size_t> ceiling_;
-  std::vector<double> weight_;
   bool sized_ = false;
 };
 

@@ -322,16 +322,12 @@ std::size_t ShardedCluster::add_node(
 void ShardedCluster::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  const std::size_t n = node_count();
-  std::size_t s_count = std::min(config_.shards, std::max<std::size_t>(n, 1));
-  if (s_count == 0) s_count = 1;
-  config_.shards = s_count;
-  shards_.resize(s_count);
-  const std::size_t per = n == 0 ? 1 : (n + s_count - 1) / s_count;
-  for (std::size_t s = 0; s < s_count; ++s) {
+  shards_.resize(shard_count());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     Shard& sh = shards_[s];
-    sh.begin_node = static_cast<u32>(std::min(n, s * per));
-    sh.end_node = static_cast<u32>(std::min(n, (s + 1) * per));
+    const auto [first, last] = shard_node_range(s);
+    sh.begin_node = static_cast<u32>(first);
+    sh.end_node = static_cast<u32>(last);
     sh.parked_max_c = kNoParkedTemp;
     sh.step_max_c = kNoParkedTemp;
     sh.active.reserve(sh.end_node - sh.begin_node);
@@ -347,10 +343,21 @@ void ShardedCluster::finalize() {
   }
 }
 
+std::size_t ShardedCluster::shard_count() const {
+  return std::min(config_.shards, std::max<std::size_t>(node_count(), 1));
+}
+
+std::size_t ShardedCluster::shard_span() const {
+  return std::max<std::size_t>(
+      1, (node_count() + shard_count() - 1) / shard_count());
+}
+
 std::pair<std::size_t, std::size_t> ShardedCluster::shard_node_range(
     std::size_t s) const {
-  ANTAREX_REQUIRE(s < shards_.size(), "ShardedCluster: shard out of range");
-  return {shards_[s].begin_node, shards_[s].end_node};
+  ANTAREX_REQUIRE(s < shard_count(), "ShardedCluster: shard out of range");
+  const std::size_t n = node_count();
+  const std::size_t per = shard_span();
+  return {std::min(n, s * per), std::min(n, (s + 1) * per)};
 }
 
 void ShardedCluster::free_insert(u32 d) {
@@ -652,7 +659,8 @@ void ShardedCluster::pm_clamp(std::size_t node) {
     if (dev_op_[d] > dev_pm_ceil_[d]) set_dev_op(d, dev_pm_ceil_[d]);
 }
 
-bool ShardedCluster::node_controller_step(std::size_t node) {
+bool ShardedCluster::node_controller_step(
+    std::size_t node, const std::vector<double>* device_weight) {
   pm_clamp(node);
   const double p = fresh_node_power_w(node);
   const double budget = node_budget_w_[node];
@@ -660,12 +668,14 @@ bool ShardedCluster::node_controller_step(std::size_t node) {
   const u32 end = begin + node_dev_count_[node];
   bool changed = false;
   if (p > budget) {
-    // Over budget: lower the ceiling of the hungriest device with room.
+    // Over budget: lower the ceiling of the hungriest (per unit weight)
+    // device with room.
     u32 victim = ShardedDispatcher::kInvalidDevice;
     double worst = 0.0;
     for (u32 d = begin; d < end; ++d) {
       if (dev_pm_ceil_[d] == 0) continue;
-      const double dp = fresh_device_power_w(d);
+      const double w = device_weight ? (*device_weight)[d] : 1.0;
+      const double dp = fresh_device_power_w(d) / w;
       if (dp > worst) {
         worst = dp;
         victim = d;
@@ -728,22 +738,24 @@ void ShardedCluster::power_manager_step() {
                              : 1.0 / static_cast<double>(n);
     const double alloc = pm_floor_[i] + distributable * share;
     node_budget_w_[i] = std::max(alloc, 1.0);
-    node_controller_step(i);
+    node_controller_step(i, nullptr);
   }
 }
 
-void ShardedCluster::apply_node_budget(std::size_t node, double budget_w) {
+void ShardedCluster::apply_node_budget(
+    std::size_t node, double budget_w,
+    const std::vector<double>* device_weight) {
   ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
   ANTAREX_REQUIRE(budget_w > 0.0, "ShardedCluster: non-positive node budget");
   node_budget_w_[node] = std::max(budget_w, 1.0);
-  if (!node_controller_step(node)) return;
+  if (!node_controller_step(node, device_weight)) return;
   // Keep notching down until the node fits or the ceilings bottom out.
   std::size_t notches = 0;
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
   for (u32 d = begin; d < end; ++d) notches += specs_[dev_spec_[d]].dvfs.size();
   while (notches-- > 0 && fresh_node_power_w(node) > budget_w &&
-         node_controller_step(node)) {
+         node_controller_step(node, device_weight)) {
   }
 }
 

@@ -116,6 +116,9 @@ struct ShardedClusterConfig {
 class ShardedCluster {
  public:
   explicit ShardedCluster(ShardedClusterConfig config = {});
+  // The dispatcher points back at its cluster: copies would share it.
+  ShardedCluster(const ShardedCluster&) = delete;
+  ShardedCluster& operator=(const ShardedCluster&) = delete;
 
   // --- topology (frozen at the first run call) ------------------------------
   /// Register a device SKU shared by many device instances; returns its id.
@@ -133,9 +136,14 @@ class ShardedCluster {
   std::size_t node_device_count(std::size_t node) const {
     return node_dev_count_[node];
   }
-  std::size_t shard_count() const { return config_.shards; }
+  /// Shard layout: min(configured shards, nodes) contiguous node ranges of
+  /// equal span (the last may be short). It follows the nodes added so far,
+  /// so it is valid before the first run, and freezes with the topology.
+  std::size_t shard_count() const;
   /// Shard owning node i, and the node range [first, last) of shard s.
-  std::size_t shard_of_node(std::size_t node) const { return node_shard_[node]; }
+  std::size_t shard_of_node(std::size_t node) const {
+    return node / shard_span();
+  }
   std::pair<std::size_t, std::size_t> shard_node_range(std::size_t s) const;
 
   // --- jobs -----------------------------------------------------------------
@@ -179,9 +187,13 @@ class ShardedCluster {
 
   // --- power-cap actuation (govern::ShardedCapCoordinator) ------------------
   /// Run the node's persistent power controller against `budget_w` until the
-  /// node fits (bounded by the total P-state notches), exactly as the legacy
-  /// CapCoordinator drives NodePowerController on its control hook.
-  void apply_node_budget(std::size_t node, double budget_w);
+  /// node fits (bounded by the total P-state notches). When over budget the
+  /// controller lowers the device maximizing power / weight, so a device
+  /// running a weight-2 job is clamped only after an equal-power weight-1
+  /// neighbour; `device_weight` is indexed by global device index, and null
+  /// weighs every device 1.
+  void apply_node_budget(std::size_t node, double budget_w,
+                         const std::vector<double>* device_weight = nullptr);
   /// Node power floor: base + every device idle at its lowest P-state (the
   /// same floor the facility power manager computes).
   double node_floor_w(std::size_t node) const;
@@ -225,7 +237,16 @@ class ShardedCluster {
   u64 device_interrupted_jobs(std::size_t node, std::size_t dev) const {
     return dev_interrupted_[dev_index(node, dev)];
   }
+  const power::DeviceSpec& device_spec(std::size_t node, std::size_t dev) const {
+    return specs_[dev_spec_[dev_index(node, dev)]];
+  }
   double device_progress_rate_ups(std::size_t node, std::size_t dev) const;
+  /// Node and current power of a device by global index (the index
+  /// ShardedDispatcher::device_of reports for a running job).
+  std::size_t node_of_device(u32 device) const { return dev_node_[device]; }
+  double device_power_w(u32 device) const {
+    return fresh_device_power_w(device);
+  }
   double device_energy_j(std::size_t node, std::size_t dev);
   /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
   /// power::RaplDomain::counter_uj.
@@ -270,13 +291,15 @@ class ShardedCluster {
   double fresh_device_power_w(u32 d) const;
   double fresh_node_power_w(std::size_t node) const;
 
+  std::size_t shard_span() const;  ///< nodes per shard
   void finalize();
   void step_shard(std::size_t s, double dt_s);
   void control_step();
   void governor_step(u32 d, GovernorPolicy policy, double base_share);
   void guard_step(u32 d);
   void power_manager_step();
-  bool node_controller_step(std::size_t node);
+  bool node_controller_step(std::size_t node,
+                            const std::vector<double>* device_weight);
   void pm_clamp(std::size_t node);
   void set_dev_op(u32 d, std::size_t op);
   void assign_device(u32 d, const power::WorkloadModel& w, double units,
@@ -347,7 +370,7 @@ class ShardedCluster {
   std::vector<u8> node_parked_;
   std::vector<u8> node_quiet_;  ///< control loop provably a no-op
   std::vector<u64> node_upto_;
-  std::vector<u32> node_shard_;
+  std::vector<u32> node_shard_;  ///< shard_of_node, cached at finalize()
 
   std::vector<Shard> shards_;
   std::size_t down_count_ = 0;

@@ -1,8 +1,9 @@
 // Shared property-based invariant suite for antarex::govern.
 //
-// Each seed builds a randomized cluster under a randomized cluster cap (with
-// fault injection on half the seeds), runs it to drain with a CapCoordinator
-// attached, and checks the governance invariants:
+// Each seed builds a randomized cluster of one or more shards under a
+// randomized cluster cap (with fault injection on half the seeds), runs it to
+// drain with a ShardedCapCoordinator attached, and checks the governance
+// invariants:
 //   1. Cap adherence — zero epoch violations, zero overshoot: with the
 //      control period equal to the plant step the coordinator clamps before
 //      any power is drawn, caps or crashes notwithstanding.
@@ -28,6 +29,7 @@
 #include <string>
 
 #include "fault/fault.hpp"
+#include "fault/shard_driver.hpp"
 #include "govern/govern.hpp"
 #include "support/rng.hpp"
 #include "telemetry/telemetry.hpp"
@@ -44,7 +46,7 @@ struct CapScenarioResult {
   double it_energy_j = 0.0;
   double consumed_j = 0.0;       ///< coordinator's own integration
   double ledger_j = 0.0;         ///< per-job attribution total
-  CapStats stats;
+  ShardedCapStats stats;
   double worst_budget_sum_w = 0.0;  ///< max over steps of sum(node budgets)
   bool faults = false;
 };
@@ -53,18 +55,15 @@ inline CapScenarioResult run_cap_scenario(u64 seed) {
   telemetry::Registry::global().reset();
   Rng rng(seed * 0x9e3779b9ULL + 17);
 
-  rtrm::ClusterConfig cfg;
-  cfg.backfill = rng.bernoulli(0.5);
-  cfg.control_period_s = 0.25;  // == dt: clamp before every plant step
-  rtrm::Cluster cluster(cfg);
-
+  rtrm::ShardedClusterConfig cfg;
+  cfg.base.backfill = rng.bernoulli(0.5);
+  cfg.base.control_period_s = 0.25;  // == dt: clamp before every plant step
   const std::size_t n_nodes = 2 + rng.index(3);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  cfg.shards = 1 + rng.index(n_nodes);
+  rtrm::ShardedCluster cluster(cfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
 
   const std::size_t n_jobs = 6 + rng.index(8);
   for (std::size_t j = 0; j < n_jobs; ++j) {
@@ -90,14 +89,13 @@ inline CapScenarioResult run_cap_scenario(u64 seed) {
   // (base 40 W + idle at the lowest P-state) sits well below the low end.
   res.cap_w = static_cast<double>(n_nodes) * (90.0 + 60.0 * rng.uniform());
 
-  CapCoordinatorConfig gc;
+  ShardedCapConfig gc;
   gc.cluster_cap_w = res.cap_w;
   gc.epoch_s = 1.0;
   gc.guard_fraction = 0.02 + 0.08 * rng.uniform();
   gc.fairness_alpha = 0.5 + rng.uniform();
-  gc.use_priority = rng.bernoulli(0.75);
   res.eff_cap_w = res.cap_w * (1.0 - gc.guard_fraction);
-  CapCoordinator coordinator(cluster, gc);
+  ShardedCapCoordinator coordinator(cluster, gc);
   coordinator.add_actuator(std::make_shared<DvfsActuator>(cluster));
   coordinator.attach();
 
@@ -105,19 +103,20 @@ inline CapScenarioResult run_cap_scenario(u64 seed) {
   // budgets every step: their sum must never exceed the effective cap.
   cluster.add_step_observer([&](double, double, double) {
     double sum = 0.0;
-    for (double b : coordinator.node_budgets_w()) sum += b;
+    for (std::size_t i = 0; i < n_nodes; ++i)
+      sum += coordinator.node_budget_w(i);
     res.worst_budget_sum_w = std::max(res.worst_budget_sum_w, sum);
   });
 
   res.faults = rng.bernoulli(0.5);
-  std::unique_ptr<fault::FaultInjector> injector;
+  std::unique_ptr<fault::ShardFaultDriver> injector;
   const double horizon_s = 40.0;
   if (res.faults) {
     fault::FaultModel model;
     model.crash_mtbf_s = 20.0 + 40.0 * rng.uniform();
     model.crash_weibull_shape = 1.2;
     model.repair_mean_s = 4.0 + 8.0 * rng.uniform();
-    injector = std::make_unique<fault::FaultInjector>(
+    injector = std::make_unique<fault::ShardFaultDriver>(
         cluster, fault::generate_schedule(model, static_cast<u32>(n_nodes), 1,
                                           horizon_s, seed));
     cluster.run_for(horizon_s, 0.25);

@@ -11,7 +11,7 @@
 
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
-#include "govern/coordinator.hpp"
+#include "govern/sharded_cap.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/policy.hpp"
 #include "support/strings.hpp"
@@ -690,10 +690,12 @@ TEST(Fabric, DownedNodesStopPublishing) {
 // --------------------------------------------------------------------------
 
 TEST(Fabric, FeedGovernanceShavesAndRestoresNodeWeight) {
-  rtrm::Cluster cluster = make_cluster(2);
-  govern::CapCoordinatorConfig gcfg;
+  rtrm::ShardedCluster cluster;
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (int i = 0; i < 2; ++i) cluster.add_node(40.0, {{cpu, {}}});
+  govern::ShardedCapConfig gcfg;
   gcfg.cluster_cap_w = 500.0;
-  govern::CapCoordinator coordinator(cluster, gcfg);
+  govern::ShardedCapCoordinator coordinator(cluster, gcfg);
 
   FabricConfig cfg;
   cfg.shards = 1;
