@@ -246,6 +246,23 @@ void BM_DockScorePose(benchmark::State& state) {
 }
 BENCHMARK(BM_DockScorePose);
 
+// One global dock of a 40-atom ligand with default DockParams (24 rotations
+// x 64 translations, pruned); items are the poses it scored.
+void BM_DockLigand(benchmark::State& state) {
+  Rng rng(9);
+  const dock::AffinityGrid grid = dock::AffinityGrid::synthetic_pocket(rng, 24);
+  const dock::Molecule mol = dock::random_ligand(rng, 40, 40);
+  i64 poses = 0;
+  for (auto _ : state) {
+    Rng r(11);
+    const dock::DockResult res = dock::dock_ligand(grid, mol, {}, r);
+    poses += static_cast<i64>(res.poses_evaluated);
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetItemsProcessed(poses);
+}
+BENCHMARK(BM_DockLigand);
+
 // Per-tick cluster stepping cost, legacy AoS vs sharded SoA. The sharded
 // variants are pre-settled (one long warm-up run) so the calendar holds only
 // parked nodes: the steady-state tick is what an exascale-length run pays

@@ -50,26 +50,38 @@ double AffinityGrid::sample(double x, double y, double z) const {
   const double fx = x / spacing_;
   const double fy = y / spacing_;
   const double fz = z / spacing_;
-  if (fx < 0.0 || fy < 0.0 || fz < 0.0 ||
-      fx > static_cast<double>(nx_ - 1) || fy > static_cast<double>(ny_ - 1) ||
-      fz > static_cast<double>(nz_ - 1))
+  // Written as "not inside" so that a NaN, which fails every comparison,
+  // lands here instead of in the index casts below.
+  if (!(fx >= 0.0 && fy >= 0.0 && fz >= 0.0 &&
+        fx <= static_cast<double>(nx_ - 1) && fy <= static_cast<double>(ny_ - 1) &&
+        fz <= static_cast<double>(nz_ - 1))) {
+    ANTAREX_REQUIRE(!std::isnan(fx) && !std::isnan(fy) && !std::isnan(fz),
+                    "AffinityGrid::sample: NaN coordinate");
     return kOutOfBoxPenalty;
+  }
 
-  const auto i0 = static_cast<std::size_t>(fx);
-  const auto j0 = static_cast<std::size_t>(fy);
-  const auto k0 = static_cast<std::size_t>(fz);
-  const std::size_t i1 = std::min(i0 + 1, nx_ - 1);
-  const std::size_t j1 = std::min(j0 + 1, ny_ - 1);
-  const std::size_t k1 = std::min(k0 + 1, nz_ - 1);
+  // The box test bounds every index, so the corners are read directly. The
+  // casts go through i64: x86-64 converts signed integers in one instruction
+  // and unsigned ones in a branchy sequence, and in range both agree.
+  const auto i0 = static_cast<i64>(fx);
+  const auto j0 = static_cast<i64>(fy);
+  const auto k0 = static_cast<i64>(fz);
+  const i64 i1 = std::min(i0 + 1, static_cast<i64>(nx_ - 1));
+  const i64 j1 = std::min(j0 + 1, static_cast<i64>(ny_ - 1));
+  const i64 k1 = std::min(k0 + 1, static_cast<i64>(nz_ - 1));
   const double dx = fx - static_cast<double>(i0);
   const double dy = fy - static_cast<double>(j0);
   const double dz = fz - static_cast<double>(k0);
 
+  const double* v = values_.data();
+  const auto nx = static_cast<i64>(nx_);
+  const auto ny = static_cast<i64>(ny_);
+  auto val = [&](i64 i, i64 j, i64 k) { return v[(k * ny + j) * nx + i]; };
   auto lerp = [](double a, double b, double t) { return a + (b - a) * t; };
-  const double c00 = lerp(at(i0, j0, k0), at(i1, j0, k0), dx);
-  const double c10 = lerp(at(i0, j1, k0), at(i1, j1, k0), dx);
-  const double c01 = lerp(at(i0, j0, k1), at(i1, j0, k1), dx);
-  const double c11 = lerp(at(i0, j1, k1), at(i1, j1, k1), dx);
+  const double c00 = lerp(val(i0, j0, k0), val(i1, j0, k0), dx);
+  const double c10 = lerp(val(i0, j1, k0), val(i1, j1, k0), dx);
+  const double c01 = lerp(val(i0, j0, k1), val(i1, j0, k1), dx);
+  const double c11 = lerp(val(i0, j1, k1), val(i1, j1, k1), dx);
   return lerp(lerp(c00, c10, dy), lerp(c01, c11, dy), dz);
 }
 
@@ -112,31 +124,91 @@ AffinityGrid AffinityGrid::synthetic_pocket(Rng& rng, std::size_t n,
   return g;
 }
 
+namespace {
+
+/// A pose's ZYX Euler rotation with its six cosines and sines computed once,
+/// so scoring a pose costs six trig calls rather than six per atom.
+struct Rotation {
+  double cx, sx, cy, sy, cz, sz;
+
+  explicit Rotation(const Pose& pose)
+      : cx(std::cos(pose.rx)),
+        sx(std::sin(pose.rx)),
+        cy(std::cos(pose.ry)),
+        sy(std::sin(pose.ry)),
+        cz(std::cos(pose.rz)),
+        sz(std::sin(pose.rz)) {}
+
+  /// Rz * Ry * Rx applied to (x, y, z); the caller adds the translation.
+  std::array<double, 3> apply(const Atom& a) const {
+    const double x1 = a.x;
+    const double y1 = a.y * cx - a.z * sx;
+    const double z1 = a.y * sx + a.z * cx;
+
+    const double x2 = x1 * cy + z1 * sy;
+    const double y2 = y1;
+    const double z2 = -x1 * sy + z1 * cy;
+
+    const double x3 = x2 * cz - y2 * sz;
+    const double y3 = x2 * sz + y2 * cz;
+    return {x3, y3, z2};
+  }
+};
+
+/// A ligand's atoms under one rotation, stored structure-of-arrays. Every
+/// translation of that orientation then costs three adds and one grid sample
+/// per atom. Each docking call owns its own, so pool workers share nothing.
+class RotatedLigand {
+ public:
+  explicit RotatedLigand(const Molecule& mol)
+      : mol_(mol),
+        x_(mol.atoms.size()),
+        y_(mol.atoms.size()),
+        z_(mol.atoms.size()) {}
+
+  void rotate(const Pose& pose) {
+    const Rotation rot(pose);
+    for (std::size_t i = 0; i < mol_.atoms.size(); ++i) {
+      const auto p = rot.apply(mol_.atoms[i]);
+      x_[i] = p[0];
+      y_[i] = p[1];
+      z_[i] = p[2];
+    }
+  }
+
+  /// score_pose for the last rotated orientation translated by `pose`.
+  double score(const AffinityGrid& grid, const Pose& pose) const {
+    double s = 0.0;
+    for (std::size_t i = 0; i < x_.size(); ++i)
+      s += grid.sample(x_[i] + pose.tx, y_[i] + pose.ty, z_[i] + pose.tz) *
+           mol_.atoms[i].radius;
+    return s;
+  }
+
+  void swap(RotatedLigand& other) {
+    x_.swap(other.x_);
+    y_.swap(other.y_);
+    z_.swap(other.z_);
+  }
+
+ private:
+  const Molecule& mol_;
+  std::vector<double> x_, y_, z_;
+};
+
+}  // namespace
+
 std::array<double, 3> transform(const Pose& pose, const Atom& a) {
-  // ZYX Euler rotation.
-  const double cz = std::cos(pose.rz), sz = std::sin(pose.rz);
-  const double cy = std::cos(pose.ry), sy = std::sin(pose.ry);
-  const double cx = std::cos(pose.rx), sx = std::sin(pose.rx);
-
-  // Rz * Ry * Rx applied to (x, y, z).
-  const double x1 = a.x;
-  const double y1 = a.y * cx - a.z * sx;
-  const double z1 = a.y * sx + a.z * cx;
-
-  const double x2 = x1 * cy + z1 * sy;
-  const double y2 = y1;
-  const double z2 = -x1 * sy + z1 * cy;
-
-  const double x3 = x2 * cz - y2 * sz;
-  const double y3 = x2 * sz + y2 * cz;
-  return {x3 + pose.tx, y3 + pose.ty, z2 + pose.tz};
+  const auto p = Rotation(pose).apply(a);
+  return {p[0] + pose.tx, p[1] + pose.ty, p[2] + pose.tz};
 }
 
 double score_pose(const AffinityGrid& grid, const Molecule& mol, const Pose& pose) {
+  const Rotation rot(pose);
   double s = 0.0;
   for (const auto& atom : mol.atoms) {
-    const auto p = transform(pose, atom);
-    s += grid.sample(p[0], p[1], p[2]) * atom.radius;
+    const auto p = rot.apply(atom);
+    s += grid.sample(p[0] + pose.tx, p[1] + pose.ty, p[2] + pose.tz) * atom.radius;
   }
   return s;
 }
@@ -149,16 +221,18 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
   result.best_score = 1e300;
 
   const double ext = grid.extent_x();
+  RotatedLigand rotated(mol);
   for (int r = 0; r < params.rotations; ++r) {
     Pose pose;
     pose.rx = rng.uniform(0.0, 6.283185307);
     pose.ry = rng.uniform(0.0, 6.283185307);
     pose.rz = rng.uniform(0.0, 6.283185307);
+    rotated.rotate(pose);
     for (int t = 0; t < params.translations; ++t) {
       pose.tx = rng.uniform(0.2 * ext, 0.8 * ext);
       pose.ty = rng.uniform(0.2 * ext, 0.8 * ext);
       pose.tz = rng.uniform(0.2 * ext, 0.8 * ext);
-      const double s = score_pose(grid, mol, pose);
+      const double s = rotated.score(grid, pose);
       ++result.poses_evaluated;
       if (s < result.best_score) {
         result.best_score = s;
@@ -182,7 +256,12 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
 
   DockResult result;
   Pose current = start;
-  double current_score = score_pose(grid, mol, current);
+  // `current_atoms` holds the current orientation; a rotation proposal is
+  // rotated into `proposed_atoms`, and the two swap when it is accepted.
+  RotatedLigand current_atoms(mol);
+  RotatedLigand proposed_atoms(mol);
+  current_atoms.rotate(current);
+  double current_score = current_atoms.score(grid, current);
   result.best_pose = current;
   result.best_score = current_score;
 
@@ -193,7 +272,8 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
   for (int step = 0; step < params.steps; ++step) {
     Pose proposal = current;
     // Perturb one degree of freedom at a time (better acceptance at low T).
-    switch (rng.uniform_int(0, 5)) {
+    const i64 move = rng.uniform_int(0, 5);
+    switch (move) {
       case 0: proposal.tx += rng.uniform(-params.max_translate, params.max_translate); break;
       case 1: proposal.ty += rng.uniform(-params.max_translate, params.max_translate); break;
       case 2: proposal.tz += rng.uniform(-params.max_translate, params.max_translate); break;
@@ -201,12 +281,15 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
       case 4: proposal.ry += rng.uniform(-params.max_rotate, params.max_rotate); break;
       default: proposal.rz += rng.uniform(-params.max_rotate, params.max_rotate); break;
     }
-    const double s = score_pose(grid, mol, proposal);
+    const bool rotates = move >= 3;
+    if (rotates) proposed_atoms.rotate(proposal);
+    const double s = (rotates ? proposed_atoms : current_atoms).score(grid, proposal);
     ++result.poses_evaluated;
     const double delta = s - current_score;
     if (delta <= 0.0 || rng.bernoulli(std::exp(-delta / temperature))) {
       current = proposal;
       current_score = s;
+      if (rotates) current_atoms.swap(proposed_atoms);
       if (s < result.best_score) {
         result.best_score = s;
         result.best_pose = proposal;

@@ -3,11 +3,16 @@
 // static-vs-dynamic load-balancing simulators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "dock/dock.hpp"
 #include "dock/parallel.hpp"
 #include "support/stats.hpp"
+#include "support/strings.hpp"
 
 namespace antarex::dock {
 namespace {
@@ -77,6 +82,18 @@ TEST(Grid, OutOfBoxIsPenalized) {
   EXPECT_GT(g.sample(1.0, 1.0, 99.0), 10.0);
 }
 
+TEST(Grid, NaNCoordinateOnAnyAxisThrows) {
+  AffinityGrid g(4, 4, 4, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(g.sample(nan, 1.0, 1.0), Error);
+  EXPECT_THROW(g.sample(1.0, nan, 1.0), Error);
+  EXPECT_THROW(g.sample(1.0, 1.0, nan), Error);
+  // Infinities are ordinary out-of-box points.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_GT(g.sample(inf, 1.0, 1.0), 10.0);
+  EXPECT_GT(g.sample(1.0, -inf, 1.0), 10.0);
+}
+
 TEST(Grid, SyntheticPocketHasAttractiveWells) {
   Rng rng(11);
   const AffinityGrid g = AffinityGrid::synthetic_pocket(rng, 24, 1.0, 3);
@@ -102,6 +119,18 @@ class DockTest : public ::testing::Test {
   }
   std::unique_ptr<AffinityGrid> grid_;
 };
+
+TEST_F(DockTest, NaNPoseThrows) {
+  Rng rng(1);
+  const Molecule lig = random_ligand(rng, 10, 40);
+  Pose pose;
+  pose.tx = pose.ty = pose.tz = 9.0;
+  pose.ry = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(score_pose(*grid_, lig, pose), Error);
+  pose.ry = 0.0;
+  pose.tz = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(score_pose(*grid_, lig, pose), Error);
+}
 
 TEST_F(DockTest, FindsFavourablePose) {
   Rng rng(1);
@@ -134,6 +163,18 @@ TEST_F(DockTest, MorePosesNeverWorse) {
   const double s_few = dock_ligand(*grid_, lig, few, p1).best_score;
   const double s_many = dock_ligand(*grid_, lig, many, p2).best_score;
   EXPECT_LE(s_many, s_few + 1e-9);
+}
+
+TEST_F(DockTest, BestScoreIsTheScoreOfTheBestPose) {
+  // dock_ligand scores translations of atoms it rotated once per
+  // orientation; score_pose rotates per call. They must agree exactly.
+  Rng lib(77);
+  for (int i = 0; i < 200; ++i) {
+    const Molecule lig = random_ligand(lib, 8, 120);
+    Rng pose_rng(static_cast<u64>(i));
+    const DockResult r = dock_ligand(*grid_, lig, {}, pose_rng);
+    EXPECT_EQ(score_pose(*grid_, lig, r.best_pose), r.best_score) << "ligand " << i;
+  }
 }
 
 TEST_F(DockTest, RefinementNeverWorsensAndUsuallyImproves) {
@@ -172,6 +213,70 @@ TEST_F(DockTest, RefinementValidatesParams) {
   bad = {};
   bad.t_end = 0.0;
   EXPECT_THROW(refine_pose(*grid_, lig, start, bad, rng), Error);
+}
+
+// --------------------------------------------------------------------------
+// Golden fixture: tests/golden/dock_scores.txt was recorded from the
+// per-atom scoring kernel that computed the rotation's trig for every atom.
+// Every later kernel must reproduce it byte for byte.
+// --------------------------------------------------------------------------
+
+void pose_fields(std::string& out, const Pose& p) {
+  out += format(" pose=%.17g,%.17g,%.17g,%.17g,%.17g,%.17g", p.rx, p.ry, p.rz,
+                p.tx, p.ty, p.tz);
+}
+
+/// 48 seeded ligands of 8 to 400 atoms (ligand 0 has exactly 8, the last
+/// exactly 400), each on two pockets, one with unit spacing and one with
+/// 0.8 (so x / spacing is inexact): dock_ligand's best score, pose count and
+/// pose, refine_pose from that pose, and score_pose at fixed poses, two of
+/// them partly out of the box and one wholly out of it.
+std::string dock_golden() {
+  Rng grid_rng(2016);
+  std::vector<AffinityGrid> grids;
+  grids.push_back(AffinityGrid::synthetic_pocket(grid_rng, 24, 1.0, 3));
+  grids.push_back(AffinityGrid::synthetic_pocket(grid_rng, 28, 0.8, 2));
+
+  Rng lib_rng(4242);
+  std::string doc;
+  for (int i = 0; i < 48; ++i) {
+    const int lo = std::min(400, 8 + 9 * i);
+    const Molecule mol = random_ligand(lib_rng, lo, i % 4 == 0 ? lo : 400);
+    doc += format("ligand %d atoms=%zu\n", i, mol.atoms.size());
+    for (std::size_t g = 0; g < grids.size(); ++g) {
+      const AffinityGrid& grid = grids[g];
+      const double mid = 0.5 * grid.extent_x();
+      const Pose fixed[] = {{0.3, 1.1, 2.5, mid, mid, mid},
+                            {0.0, 0.0, 0.0, mid, mid, mid},
+                            {4.0, 0.7, 5.9, 1.5, mid, grid.extent_z() - 2.0},
+                            {1.0, 2.0, 3.0, -50.0, mid, mid}};
+      Rng dock_rng(1000 + static_cast<u64>(i));
+      const DockResult d = dock_ligand(grid, mol, DockParams{}, dock_rng);
+      Rng refine_rng(2000 + static_cast<u64>(i));
+      const DockResult r =
+          refine_pose(grid, mol, d.best_pose, RefineParams{}, refine_rng);
+
+      doc += format("  grid %zu dock best=%.17g poses=%llu", g, d.best_score,
+                    static_cast<unsigned long long>(d.poses_evaluated));
+      pose_fields(doc, d.best_pose);
+      doc += format("\n  grid %zu refine best=%.17g poses=%llu", g, r.best_score,
+                    static_cast<unsigned long long>(r.poses_evaluated));
+      pose_fields(doc, r.best_pose);
+      doc += format("\n  grid %zu score", g);
+      for (const Pose& p : fixed) doc += format(" %.17g", score_pose(grid, mol, p));
+      doc += "\n";
+    }
+  }
+  return doc;
+}
+
+TEST(DockGolden, ScoresMatchFixture) {
+  const std::string path = std::string(ANTAREX_GOLDEN_DIR) + "/dock_scores.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream fixture;
+  fixture << in.rdbuf();
+  ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
+  EXPECT_EQ(dock_golden(), fixture.str());
 }
 
 TEST(LigandGen, HeavyTailedSizes) {
