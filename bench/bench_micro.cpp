@@ -203,20 +203,6 @@ void BM_RoutingQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RoutingQuery)->Arg(0)->Arg(1);
 
-void BM_RoutingQueryAlt(benchmark::State& state) {
-  Rng rng(5);
-  const nav::RoadGraph city = nav::RoadGraph::grid_city(rng, 32, 32);
-  nav::SpeedProfiles profiles;
-  Rng lrng(6);
-  const nav::Landmarks lm(city, 8, lrng);
-  nav::QueryOptions opts{true, 1.0, &lm};
-  for (auto _ : state) {
-    auto r = nav::shortest_path_td(city, profiles, 0, 1023, 8.5 * 3600, opts);
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_RoutingQueryAlt);
-
 void BM_DockRefinePose(benchmark::State& state) {
   Rng rng(9);
   const dock::AffinityGrid grid = dock::AffinityGrid::synthetic_pocket(rng, 20);

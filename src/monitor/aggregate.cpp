@@ -1,58 +1,8 @@
 #include "monitor/aggregate.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace antarex::monitor {
-
-// --- QuantileSketch ---------------------------------------------------------
-
-QuantileSketch::QuantileSketch(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), bins_(bins, 0) {
-  ANTAREX_REQUIRE(bins > 0, "QuantileSketch: need at least one bin");
-  ANTAREX_REQUIRE(hi > lo, "QuantileSketch: empty value range");
-}
-
-void QuantileSketch::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      std::floor(frac * static_cast<double>(bins_.size())));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(bins_.size()) - 1);
-  ++bins_[static_cast<std::size_t>(idx)];
-  ++count_;
-}
-
-double QuantileSketch::approx_quantile(double q) const {
-  ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0, "QuantileSketch: q outside [0,1]");
-  if (count_ == 0) return 0.0;
-  const double target =
-      std::clamp(q * static_cast<double>(count_), 0.0, static_cast<double>(count_));
-  const double width = (hi_ - lo_) / static_cast<double>(bins_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < bins_.size(); ++i) {
-    const double c = static_cast<double>(bins_[i]);
-    if (c <= 0.0) continue;
-    if (cum + c >= target) {
-      const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
-      return lo_ + (static_cast<double>(i) + frac) * width;
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
-void QuantileSketch::merge(const QuantileSketch& o) {
-  ANTAREX_REQUIRE(o.bins_.size() == bins_.size() && o.lo_ == lo_ && o.hi_ == hi_,
-                  "QuantileSketch: merging incompatible sketches");
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += o.bins_[i];
-  count_ += o.count_;
-}
-
-void QuantileSketch::clear() {
-  std::fill(bins_.begin(), bins_.end(), u64{0});
-  count_ = 0;
-}
 
 // --- RetentionRing ----------------------------------------------------------
 
@@ -170,22 +120,17 @@ const StreamStat& ShardAggregator::shard_stat(std::size_t shard,
   return cell(shard, m).stat;
 }
 
-const QuantileSketch& ShardAggregator::shard_sketch(std::size_t shard,
-                                                    Metric m) const {
-  ANTAREX_REQUIRE(shard < shards_, "ShardAggregator: shard out of range");
-  return cell(shard, m).sketch;
-}
-
 StreamStat ShardAggregator::cluster_stat(Metric m) const {
   StreamStat out;
   for (std::size_t s = 0; s < shards_; ++s) out.merge(cell(s, m).stat);
   return out;
 }
 
-double ShardAggregator::cluster_quantile(Metric m, double q) const {
-  QuantileSketch merged(0.0, metric_hi(cfg_, m), cfg_.sketch_bins);
+std::vector<double> ShardAggregator::cluster_quantiles(
+    Metric m, std::initializer_list<double> qs) const {
+  Histogram merged(0.0, metric_hi(cfg_, m), cfg_.sketch_bins);
   for (std::size_t s = 0; s < shards_; ++s) merged.merge(cell(s, m).sketch);
-  return merged.approx_quantile(q);
+  return merged.approx_quantiles(qs);
 }
 
 const RetentionRing& ShardAggregator::ring(Metric m) const {

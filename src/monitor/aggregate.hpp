@@ -5,16 +5,16 @@
 // count. Three pieces compose:
 //
 //   StreamStat      count/sum/min/max over one (shard, metric) stream
-//   QuantileSketch  fixed-bin histogram over a configured value range;
-//                   approx_quantile() interpolates inside the bin, so the
-//                   error is bounded by one bin width
+//   Histogram       antarex::Histogram (support/stats) over a configured
+//                   value range; quantiles interpolate inside the bin, so
+//                   the error is bounded by one bin width
 //   RetentionRing   RRD-style multi-resolution history: three rings at 1x,
 //                   10x, and 100x step resolution. Every step pushes into the
 //                   fine ring; every 10th (100th) completed group folds its
 //                   mean into the coarser ring. Old data ages into coarser
 //                   resolution instead of growing memory.
 //
-// ShardAggregator owns one StreamStat + QuantileSketch per (shard, metric)
+// ShardAggregator owns one StreamStat + Histogram per (shard, metric)
 // and one RetentionRing per metric at cluster scope, plus a TopK of outlier
 // nodes — total memory O(shards * metrics + K).
 //
@@ -23,11 +23,13 @@
 #pragma once
 
 #include <array>
+#include <initializer_list>
 #include <vector>
 
 #include "monitor/topic.hpp"
 #include "monitor/topk.hpp"
 #include "support/common.hpp"
+#include "support/stats.hpp"
 
 namespace antarex::monitor {
 
@@ -61,28 +63,6 @@ struct StreamStat {
   }
   double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
   void clear() { *this = StreamStat{}; }
-};
-
-/// Fixed-bin quantile sketch: values clamp to [lo, hi], quantiles interpolate
-/// within the owning bin. Single-writer (sim thread), so plain u64 bins.
-class QuantileSketch {
- public:
-  QuantileSketch(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  u64 count() const { return count_; }
-  /// q in [0,1]; 0 with no samples. Error bound: one bin width.
-  double approx_quantile(double q) const;
-  void merge(const QuantileSketch& o);
-  void clear();
-  std::size_t approx_bytes() const {
-    return sizeof(*this) + bins_.size() * sizeof(u64);
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<u64> bins_;
-  u64 count_ = 0;
 };
 
 /// One fixed-capacity ring of (mean, min, max) cells.
@@ -138,7 +118,7 @@ struct AggregatorConfig {
   std::size_t sketch_bins = 64;
   std::size_t ring_capacity = 128;
   std::size_t top_k = 16;
-  /// Sketch value ranges per metric (clamped beyond them).
+  /// Histogram value ranges per metric (clamped beyond them).
   double power_hi_w = 1000.0;
   double temp_hi_c = 150.0;
   double progress_hi_ups = 50.0;
@@ -160,9 +140,10 @@ class ShardAggregator {
 
   u64 frames() const { return frames_; }
   const StreamStat& shard_stat(std::size_t shard, Metric m) const;
-  const QuantileSketch& shard_sketch(std::size_t shard, Metric m) const;
   StreamStat cluster_stat(Metric m) const;  ///< merged over shards
-  double cluster_quantile(Metric m, double q) const;
+  /// Quantiles (q in [0,1]) from one merge of the shard histograms.
+  std::vector<double> cluster_quantiles(Metric m,
+                                        std::initializer_list<double> qs) const;
   const RetentionRing& ring(Metric m) const;
   const TopK& hot_nodes() const { return hot_nodes_; }
 
@@ -174,7 +155,7 @@ class ShardAggregator {
  private:
   struct Cell {
     StreamStat stat;
-    QuantileSketch sketch;
+    Histogram sketch;
     Cell(double lo, double hi, std::size_t bins) : sketch(lo, hi, bins) {}
   };
   Cell& cell(std::size_t shard, Metric m) {

@@ -245,8 +245,9 @@ std::string MonitorFabric::health_json() const {
     os << ",\"mean\":" << s.mean();
     os << ",\"min\":" << s.min;
     os << ",\"max\":" << s.max;
-    os << ",\"p50\":" << aggregator_.cluster_quantile(metric, 0.5);
-    os << ",\"p95\":" << aggregator_.cluster_quantile(metric, 0.95);
+    const std::vector<double> q = aggregator_.cluster_quantiles(metric, {0.5, 0.95});
+    os << ",\"p50\":" << q[0];
+    os << ",\"p95\":" << q[1];
     os << "}";
   }
   os << "}";

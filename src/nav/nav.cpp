@@ -108,70 +108,6 @@ double edge_travel_time_s(const RoadGraph::Edge& e, const SpeedProfiles& profile
 
 namespace {
 
-/// Free-flow (no congestion) single-source travel times.
-std::vector<double> free_flow_times(const RoadGraph& g, u32 source) {
-  std::vector<double> dist(g.num_nodes(), std::numeric_limits<double>::infinity());
-  using Item = std::pair<double, u32>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> open;
-  dist[source] = 0.0;
-  open.push({0.0, source});
-  while (!open.empty()) {
-    const auto [d, v] = open.top();
-    open.pop();
-    if (d > dist[v]) continue;
-    for (const auto& e : g.adj[v]) {
-      const double nd = d + e.length_m / e.free_speed_mps;
-      if (nd < dist[e.to]) {
-        dist[e.to] = nd;
-        open.push({nd, e.to});
-      }
-    }
-  }
-  return dist;
-}
-
-}  // namespace
-
-Landmarks::Landmarks(const RoadGraph& g, int count, Rng& rng) {
-  ANTAREX_REQUIRE(count >= 1, "Landmarks: need at least one landmark");
-  ANTAREX_REQUIRE(g.num_nodes() > 0, "Landmarks: empty graph");
-
-  // Farthest-point selection: start random, then repeatedly pick the node
-  // farthest (in free-flow time) from the current landmark set.
-  std::vector<u32> picks;
-  picks.push_back(static_cast<u32>(rng.index(g.num_nodes())));
-  dist_.push_back(free_flow_times(g, picks.back()));
-  while (static_cast<int>(picks.size()) < count) {
-    u32 farthest = picks[0];
-    double best = -1.0;
-    for (u32 v = 0; v < g.num_nodes(); ++v) {
-      double nearest = std::numeric_limits<double>::infinity();
-      for (const auto& d : dist_) nearest = std::min(nearest, d[v]);
-      if (std::isfinite(nearest) && nearest > best) {
-        best = nearest;
-        farthest = v;
-      }
-    }
-    picks.push_back(farthest);
-    dist_.push_back(free_flow_times(g, farthest));
-  }
-}
-
-double Landmarks::lower_bound_s(u32 from, u32 to) const {
-  // Triangle inequality on free-flow distances (the network is symmetric):
-  // t(from, to) >= |d(L, to) - d(L, from)| for every landmark L.
-  double bound = 0.0;
-  for (const auto& d : dist_) {
-    const double a = d[from];
-    const double b = d[to];
-    if (!std::isfinite(a) || !std::isfinite(b)) continue;
-    bound = std::max(bound, std::fabs(b - a));
-  }
-  return bound;
-}
-
-namespace {
-
 struct Label {
   double f;  // priority (arrival + heuristic)
   double arrival;
@@ -193,7 +129,6 @@ Route run_search(const RoadGraph& g, const SpeedProfiles& profiles, u32 from,
   const double vmax = g.max_speed_mps();
   auto heuristic = [&](u32 v) {
     if (!opts.astar) return 0.0;
-    if (opts.landmarks) return opts.epsilon * opts.landmarks->lower_bound_s(v, to);
     const auto [x0, y0] = g.coords[v];
     const auto [x1, y1] = g.coords[to];
     const double d = std::hypot(x1 - x0, y1 - y0);

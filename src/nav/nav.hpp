@@ -67,34 +67,11 @@ struct Route {
   bool found() const { return !nodes.empty(); }
 };
 
-/// ALT (A*, Landmarks, Triangle inequality) preprocessing: free-flow travel
-/// times from a set of landmark nodes give admissible lower bounds that are
-/// much tighter than the euclidean/max-speed bound, especially around
-/// obstacles (removed streets). Free-flow times lower-bound congested times,
-/// so the heuristic stays admissible at any time of day.
-class Landmarks {
- public:
-  /// Picks `count` landmarks (farthest-point heuristic) and precomputes
-  /// free-flow distances from each to every node.
-  Landmarks(const RoadGraph& g, int count, Rng& rng);
-
-  /// Admissible lower bound on travel time from `from` to `to`.
-  double lower_bound_s(u32 from, u32 to) const;
-
-  std::size_t count() const { return dist_.size(); }
-
- private:
-  std::vector<std::vector<double>> dist_;  ///< [landmark][node] free-flow s
-};
-
 struct QueryOptions {
   bool astar = true;
   /// Heuristic inflation: 1.0 = admissible (optimal); >1 trades quality for
   /// fewer expansions — the server's main "precision" knob.
   double epsilon = 1.0;
-  /// Optional ALT landmarks (must outlive the query). When set and astar is
-  /// true, the landmark bound replaces the euclidean one.
-  const Landmarks* landmarks = nullptr;
 };
 
 /// Time-dependent shortest path (label-setting; correct for FIFO networks).

@@ -88,19 +88,35 @@ double SlidingWindow::percentile(double p) const {
   return ::antarex::percentile(buf_, p);
 }
 
+std::vector<double> SlidingWindow::percentiles(std::initializer_list<double> ps) const {
+  ANTAREX_REQUIRE(!buf_.empty(), "SlidingWindow::percentile: empty window");
+  return ::antarex::percentiles(buf_, ps);
+}
+
 void SlidingWindow::clear() {
   buf_.clear();
   head_ = 0;
 }
 
 double percentile(std::vector<double> xs, double p) {
+  return percentiles(std::move(xs), {p}).front();
+}
+
+std::vector<double> percentiles(std::vector<double> xs,
+                                std::initializer_list<double> ps) {
   ANTAREX_REQUIRE(!xs.empty(), "percentile: empty sample");
-  ANTAREX_REQUIRE(p >= 0.0 && p <= 100.0, "percentile: p outside [0, 100]");
+  for (const double p : ps)
+    ANTAREX_REQUIRE(p >= 0.0 && p <= 100.0, "percentile: p outside [0, 100]");
   std::sort(xs.begin(), xs.end());
-  if (p <= 0.0) return xs.front();
-  const std::size_t rank =
-      static_cast<std::size_t>(std::ceil(p / 100.0 * static_cast<double>(xs.size())));
-  return xs[std::min(xs.size() - 1, rank == 0 ? 0 : rank - 1)];
+  const double n = static_cast<double>(xs.size());
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (const double p : ps) {
+    // Rank 0 (p == 0) reads the minimum, like rank 1.
+    const auto rank = static_cast<std::size_t>(std::ceil(p / 100.0 * n));
+    out.push_back(xs[std::min(xs.size() - 1, rank == 0 ? 0 : rank - 1)]);
+  }
+  return out;
 }
 
 double mean(const std::vector<double>& xs) {
@@ -122,27 +138,62 @@ double geometric_mean(const std::vector<double>& xs) {
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
-  ANTAREX_REQUIRE(hi > lo, "Histogram: hi must be > lo");
   ANTAREX_REQUIRE(bins > 0, "Histogram: need at least one bin");
+  ANTAREX_REQUIRE(hi > lo && std::isfinite(hi - lo),
+                  "Histogram: value range must be finite and non-empty");
 }
 
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
+void Histogram::add_to_bin(std::size_t i, u64 n) {
+  ANTAREX_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
+  counts_[i] += n;
+  count_ += n;
 }
 
-std::size_t Histogram::bin_count(std::size_t i) const {
+void Histogram::merge(const Histogram& other) {
+  ANTAREX_REQUIRE(lo_ == other.lo_ && hi_ == other.hi_ && bins() == other.bins(),
+                  "Histogram: merging incompatible histograms");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+}
+
+void Histogram::clear() {
+  std::fill(counts_.begin(), counts_.end(), u64{0});
+  count_ = 0;
+}
+
+u64 Histogram::bin_count(std::size_t i) const {
   ANTAREX_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
   return counts_[i];
 }
 
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
+std::vector<double> Histogram::approx_quantiles(
+    std::initializer_list<double> qs) const {
+  const double n = static_cast<double>(count_);
+  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (const double q : qs) {
+    ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0, "Histogram: quantile outside [0,1]");
+    if (count_ == 0) {
+      out.push_back(0.0);
+      continue;
+    }
+    const double target = std::clamp(q * n, 0.0, n);
+    double value = hi_;
+    double cum = 0.0;
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      const double c = static_cast<double>(counts_[i]);
+      if (c <= 0.0) continue;
+      if (cum + c >= target) {
+        const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
+        value = lo_ + (static_cast<double>(i) + frac) * width;
+        break;
+      }
+      cum += c;
+    }
+    out.push_back(value);
+  }
+  return out;
 }
-
-double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
 
 }  // namespace antarex

@@ -1,7 +1,9 @@
 // Streaming and batch statistics used by monitors, benches and models.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 #include "support/common.hpp"
@@ -64,6 +66,8 @@ class SlidingWindow {
   double mean() const;
   /// Percentile in [0,100] by nearest-rank on a sorted copy.
   double percentile(double p) const;
+  /// Several percentile() values from one sorted copy.
+  std::vector<double> percentiles(std::initializer_list<double> ps) const;
   void clear();
 
  private:
@@ -74,6 +78,9 @@ class SlidingWindow {
 
 /// Nearest-rank percentile of an arbitrary sample (copies + sorts).
 double percentile(std::vector<double> xs, double p);
+/// Several nearest-rank percentiles of one sample, sorted once.
+std::vector<double> percentiles(std::vector<double> xs,
+                                std::initializer_list<double> ps);
 
 /// Arithmetic mean; 0 for empty input.
 double mean(const std::vector<double>& xs);
@@ -81,22 +88,58 @@ double mean(const std::vector<double>& xs);
 /// Geometric mean; requires all-positive values.
 double geometric_mean(const std::vector<double>& xs);
 
-/// Fixed-range histogram used by the workload analyses.
+/// The binning rule of every fixed-bin histogram in the stack: x falls in bin
+/// floor((x - lo) / (hi - lo) * bins), clamped to [0, bins - 1]. The clamp is
+/// taken on the double, so +-inf and huge finite values land in the edge bins
+/// instead of reaching an out-of-range float-to-integer cast. NaN has no bin
+/// and throws antarex::Error. Inline: the monitor runs it per metric per frame.
+inline std::size_t histogram_bin(double x, double lo, double hi, std::size_t bins) {
+  const double pos = std::floor((x - lo) / (hi - lo) * static_cast<double>(bins));
+  // "Not at or above 0" also catches NaN, which fails every comparison.
+  if (!(pos >= 0.0)) {
+    ANTAREX_REQUIRE(!std::isnan(pos), "Histogram: NaN sample has no bin");
+    return 0;
+  }
+  const double last = static_cast<double>(bins - 1);
+  // Through i64: x86-64 converts to a signed integer in one instruction.
+  return static_cast<std::size_t>(static_cast<i64>(pos < last ? pos : last));
+}
+
+/// Fixed-range, fixed-bin histogram: the one binned summary behind the
+/// monitor's per-shard sketches and telemetry's histogram snapshots.
+/// Out-of-range values clamp to the edge bins (histogram_bin). Quantiles
+/// interpolate linearly inside the owning bin, so their error is bounded by
+/// one bin width. Single-writer.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x);  ///< out-of-range values are clamped to edge bins
-  std::size_t bin_count(std::size_t i) const;
+  void add(double x) {
+    ++counts_[histogram_bin(x, lo_, hi_, counts_.size())];
+    ++count_;
+  }
+  /// Add `n` samples straight into bin i (rebuilding a bucket snapshot).
+  void add_to_bin(std::size_t i, u64 n);
+  void merge(const Histogram& other);  ///< same lo/hi/bins required
+  void clear();
+
   std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
+  u64 bin_count(std::size_t i) const;
+  u64 count() const { return count_; }
+
+  /// Quantiles, q in [0,1], in the order given; 0 with no samples. The
+  /// sample at rank q * count is found by cumulative bin counts and placed
+  /// inside its bin as if the bin's mass were spread evenly over its range.
+  std::vector<double> approx_quantiles(std::initializer_list<double> qs) const;
+
+  std::size_t approx_bytes() const {
+    return sizeof(*this) + counts_.size() * sizeof(u64);
+  }
 
  private:
   double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
+  std::vector<u64> counts_;
+  u64 count_ = 0;
 };
 
 }  // namespace antarex

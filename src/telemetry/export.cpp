@@ -141,13 +141,14 @@ std::string metrics_json(const Registry& registry) {
   Joiner series;
   for (const auto& [name, s] : registry.all_series()) {
     const bool has = !s->empty();
+    const std::vector<double> p =
+        has ? s->window_percentiles({50, 95, 99}) : std::vector<double>(3, 0.0);
     series.add("\"" + json_escape(name) +
                "\":{\"count\":" + num(static_cast<u64>(s->count())) +
                ",\"last\":" + num(has ? s->last() : 0.0) +
                ",\"mean\":" + num(has ? s->window_mean() : 0.0) +
-               ",\"p50\":" + num(has ? s->window_percentile(50) : 0.0) +
-               ",\"p95\":" + num(has ? s->window_percentile(95) : 0.0) +
-               ",\"p99\":" + num(has ? s->window_percentile(99) : 0.0) +
+               ",\"p50\":" + num(p[0]) + ",\"p95\":" + num(p[1]) +
+               ",\"p99\":" + num(p[2]) +
                ",\"ewma\":" + num(has ? s->ewma() : 0.0) + "}");
   }
 
@@ -188,12 +189,13 @@ Table summary_table(const Registry& registry) {
   }
   for (const auto& [name, s] : registry.all_series()) {
     const bool has = !s->empty();
+    const std::vector<double> p =
+        has ? s->window_percentiles({50, 95, 99}) : std::vector<double>(3, 0.0);
     t.add_row({name, "series", num(static_cast<u64>(s->count())),
                format("%.4g", has ? s->last() : 0.0),
                format("%.4g", has ? s->window_mean() : 0.0),
-               format("%.4g", has ? s->window_percentile(50) : 0.0),
-               format("%.4g", has ? s->window_percentile(95) : 0.0),
-               format("%.4g", has ? s->window_percentile(99) : 0.0)});
+               format("%.4g", p[0]), format("%.4g", p[1]),
+               format("%.4g", p[2])});
   }
   return t;
 }

@@ -28,9 +28,10 @@ std::string chrome_trace_json(const Registry& registry = Registry::global());
 /// v3 adds the "drops" section: the trace ring's drop count plus every
 /// counter registered through Registry::drop_counter(), so any bounded
 /// buffer that silently discarded data shows up in one place.
-/// Histogram quantiles are approx_quantile() estimates (interpolated);
-/// series quantiles are exact over the rolling window. Keys are emitted in
-/// sorted order, so the layout is deterministic.
+/// Histogram quantiles are approx_quantiles() estimates (interpolated);
+/// series quantiles are exact (nearest rank) over the rolling window. Each
+/// metric's p50/p95/p99 come from one snapshot, so they never cross. Keys
+/// are emitted in sorted order, so the layout is deterministic.
 std::string metrics_json(const Registry& registry = Registry::global());
 
 /// One row per metric (name, kind, count, value, mean, p50, p95, p99) via

@@ -1,6 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace antarex::telemetry {
@@ -10,17 +9,14 @@ namespace antarex::telemetry {
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins) {
   ANTAREX_REQUIRE(bins > 0, "telemetry::Histogram: need at least one bucket");
-  ANTAREX_REQUIRE(hi > lo, "telemetry::Histogram: empty value range");
+  ANTAREX_REQUIRE(hi > lo && std::isfinite(hi - lo),
+                  "telemetry::Histogram: value range must be finite and non-empty");
 }
 
 void Histogram::add(double x) {
   if (!enabled()) return;
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      std::floor(frac * static_cast<double>(counts_.size())));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)].fetch_add(1, std::memory_order_relaxed);
+  const std::size_t i = histogram_bin(x, lo_, hi_, counts_.size());
+  counts_[i].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   // CAS loop: fetch_add on atomic<double> needs C++20 library support that
   // not every baked-in toolchain ships; this is portable and contention here
@@ -35,65 +31,12 @@ u64 Histogram::bucket(std::size_t i) const {
   return counts_[i].load(std::memory_order_relaxed);
 }
 
-double Histogram::approx_percentile(double p) const {
-  ANTAREX_REQUIRE(p >= 0.0 && p <= 100.0,
-                  "telemetry::Histogram: percentile outside [0,100]");
-  const u64 n = count();
-  if (n == 0) return 0.0;
-  const u64 rank = std::max<u64>(
-      1, static_cast<u64>(std::ceil(p / 100.0 * static_cast<double>(n))));
-  u64 seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-      return lo_ + (static_cast<double>(i) + 0.5) * width;
-    }
-  }
-  return hi_;
-}
-
-double Histogram::approx_quantile(double q) const {
-  return approx_quantiles({q}).front();
-}
-
 std::vector<double> Histogram::approx_quantiles(
     std::initializer_list<double> qs) const {
-  std::vector<u64> snapshot(counts_.size());
-  u64 n = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    snapshot[i] = counts_[i].load(std::memory_order_relaxed);
-    n += snapshot[i];
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const double q : qs) {
-    ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0,
-                    "telemetry::Histogram: quantile outside [0,1]");
-    if (n == 0) {
-      out.push_back(0.0);
-      continue;
-    }
-    const double target =
-        std::clamp(q * static_cast<double>(n), 0.0, static_cast<double>(n));
-    double value = hi_;
-    double cum = 0.0;
-    for (std::size_t i = 0; i < snapshot.size(); ++i) {
-      const double c = static_cast<double>(snapshot[i]);
-      if (c <= 0.0) continue;
-      if (cum + c >= target) {
-        // Linear interpolation inside the bucket: the bucket's mass is
-        // assumed uniformly spread over its value range.
-        const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
-        value = lo_ + (static_cast<double>(i) + frac) * width;
-        break;
-      }
-      cum += c;
-    }
-    out.push_back(value);
-  }
-  return out;
+  antarex::Histogram snapshot(lo_, hi_, counts_.size());
+  for (std::size_t i = 0; i < counts_.size(); ++i)
+    snapshot.add_to_bin(i, counts_[i].load(std::memory_order_relaxed));
+  return snapshot.approx_quantiles(qs);
 }
 
 void Histogram::reset() {
@@ -133,6 +76,11 @@ double Series::window_mean() const {
 double Series::window_percentile(double p) const {
   std::lock_guard<std::mutex> lock(mu_);
   return window_.percentile(p);
+}
+
+std::vector<double> Series::window_percentiles(std::initializer_list<double> ps) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return window_.percentiles(ps);
 }
 
 double Series::ewma() const {

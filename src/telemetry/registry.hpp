@@ -92,9 +92,9 @@ class Gauge {
   std::atomic<u64> updates_{0};
 };
 
-/// Fixed-range, fixed-bucket histogram (out-of-range values clamp to the
-/// edge buckets). Tracks sum/count for exact means; percentiles are bucket
-/// approximations (nearest-rank over bucket midpoints). Buckets and totals
+/// Fixed-range, fixed-bucket histogram: antarex::Histogram's binning and
+/// quantile rules over atomic buckets. Out-of-range values clamp to the edge
+/// buckets; NaN throws. Tracks sum/count for exact means. Buckets and totals
 /// are atomics, so concurrent add() never tears; a snapshot taken mid-add
 /// may see the bucket before the total (observability skew, not corruption).
 class Histogram {
@@ -113,15 +113,10 @@ class Histogram {
     const u64 n = count();
     return n ? sum() / static_cast<double>(n) : 0.0;
   }
-  /// Approximate percentile in [0,100]: midpoint of the nearest-rank bucket.
-  double approx_percentile(double p) const;
-  /// Approximate quantile in [0,1] with linear interpolation inside the
-  /// bucket (finer than approx_percentile for coarse histograms).
-  double approx_quantile(double q) const;
-  /// Several approx_quantile() values read from one snapshot: the buckets
-  /// are copied once and the total is the sum of the copy, so the results
-  /// stay ordered by q even while writers keep adding. This is what the
-  /// exporters publish as p50/p95/p99.
+  /// Approximate quantiles, q in [0,1], read from one snapshot: the buckets
+  /// are copied once into an antarex::Histogram, whose total is the sum of
+  /// the copy, so the results stay ordered by q even while writers keep
+  /// adding. This is what the exporters publish as p50/p95/p99.
   std::vector<double> approx_quantiles(std::initializer_list<double> qs) const;
   void reset();
 
@@ -149,6 +144,9 @@ class Series {
   double last() const;
   double window_mean() const;
   double window_percentile(double p) const;
+  /// Several window percentiles from one locked, sorted copy of the window,
+  /// so they stay ordered by p while writers keep pushing.
+  std::vector<double> window_percentiles(std::initializer_list<double> ps) const;
   double ewma() const;
   std::size_t window_capacity() const;
 

@@ -1,19 +1,25 @@
 // Tests for antarex::monitor: the topic grammar, the sharded broker's
 // delivery order and drop accounting, the bounded-memory aggregation pieces
-// (sketch, retention ring, space-saving top-K), the anomaly detector's
-// per-kind semantics on synthetic frames, ground-truth evaluation, and the
-// assembled fabric end-to-end on a small faulted cluster.
+// (retention ring, space-saving top-K, per-shard histograms), the anomaly
+// detector's per-kind semantics on synthetic frames, ground-truth evaluation,
+// and the assembled fabric end-to-end on a small faulted cluster, pinned by
+// a golden health fixture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
+#include "fault/shard_driver.hpp"
 #include "govern/sharded_cap.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/policy.hpp"
+#include "rtrm/sharded_cluster.hpp"
+#include "support/rng.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -185,33 +191,8 @@ TEST(TopK, HeavyHitterAlwaysSurvives) {
 }
 
 // --------------------------------------------------------------------------
-// QuantileSketch / RetentionRing
+// RetentionRing
 // --------------------------------------------------------------------------
-
-TEST(Sketch, QuantilesWithinOneBinWidth) {
-  QuantileSketch sketch(0.0, 100.0, 20);  // 5-unit bins
-  for (int i = 0; i < 100; ++i) sketch.add(i + 0.5);
-  EXPECT_EQ(sketch.count(), 100u);
-  EXPECT_NEAR(sketch.approx_quantile(0.5), 50.0, 5.0);
-  EXPECT_NEAR(sketch.approx_quantile(0.95), 95.0, 5.0);
-  EXPECT_LE(sketch.approx_quantile(0.5), sketch.approx_quantile(0.95));
-  // Clamping: out-of-range samples land in the edge bins, never lost.
-  sketch.add(-10.0);
-  sketch.add(500.0);
-  EXPECT_EQ(sketch.count(), 102u);
-  EXPECT_GE(sketch.approx_quantile(0.0), 0.0);
-  EXPECT_LE(sketch.approx_quantile(1.0), 100.0);
-}
-
-TEST(Sketch, MergeCombinesPopulations) {
-  QuantileSketch a(0.0, 10.0, 10), b(0.0, 10.0, 10);
-  for (int i = 0; i < 50; ++i) a.add(2.0);
-  for (int i = 0; i < 50; ++i) b.add(8.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 100u);
-  EXPECT_NEAR(a.approx_quantile(0.25), 2.5, 1.0);
-  EXPECT_NEAR(a.approx_quantile(0.75), 8.5, 1.0);
-}
 
 TEST(Ring, FoldsTenPushesIntoTheCoarserLevel) {
   RetentionRing ring(4);
@@ -273,9 +254,22 @@ TEST(Aggregator, ShardStatsRollUpToClusterStats) {
     shard_sum += agg.shard_stat(s, Metric::PowerW).sum;
   EXPECT_DOUBLE_EQ(shard_sum, cluster.sum);
 
-  const double p50 = agg.cluster_quantile(Metric::PowerW, 0.5);
-  EXPECT_GE(p50, 100.0);
-  EXPECT_LE(p50, 300.0);
+  const std::vector<double> q =
+      agg.cluster_quantiles(Metric::PowerW, {0.0, 0.5, 0.95, 1.0});
+  EXPECT_GE(q[1], 100.0);
+  EXPECT_LE(q[1], 300.0);
+  EXPECT_TRUE(std::is_sorted(q.begin(), q.end()));
+  // One merge serves every quantile: a single read agrees with it.
+  EXPECT_EQ(agg.cluster_quantiles(Metric::PowerW, {0.95}).front(), q[2]);
+}
+
+TEST(Aggregator, InfiniteReadingsClampIntoTheEdgeBins) {
+  ShardAggregator agg(1);
+  agg.ingest(make_frame(1.0, 0, 0, INFINITY, 50, 1, 1));
+  agg.ingest(make_frame(1.0, 1, 0, -INFINITY, 50, 1, 1));
+  EXPECT_EQ(agg.cluster_quantiles(Metric::PowerW, {0.0, 1.0}),
+            (std::vector<double>{0.0, agg.config().power_hi_w}));
+  EXPECT_THROW(agg.ingest(make_frame(1.0, 2, 0, NAN, 50, 1, 1)), Error);
 }
 
 TEST(Aggregator, RollStepFeedsRingsAndHotNodesTrackOutliers) {
@@ -683,6 +677,95 @@ TEST(Fabric, DownedNodesStopPublishing) {
   // Node 0 was silent for ~10 of ~29 sampling sweeps.
   EXPECT_LT(fabric.broker().published(), 4 * fabric.samples());
   EXPECT_GT(fabric.broker().published(), 3 * fabric.samples());
+}
+
+// --------------------------------------------------------------------------
+// Golden fixture: tests/golden/monitor_health.txt was recorded when the
+// monitor's quantile sketch and telemetry's histogram each carried their own
+// binning and quantile code. Every later version must reproduce it byte for
+// byte.
+// --------------------------------------------------------------------------
+
+/// A faulted 12-node run on the sharded engine (3 plant shards, 4 topic
+/// shards) long enough to wrap ring level 1, with value ranges narrow enough
+/// that the glitch frames clamp into the top bin: the health JSON, then every
+/// metric's cluster quantiles at full precision. Then telemetry histograms
+/// over seeded samples with out-of-range values on both sides: buckets and
+/// approx_quantiles at full precision.
+std::string monitor_golden() {
+  constexpr double kHorizonS = 130.0;
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = 3;
+  rtrm::ShardedCluster cluster(ccfg);
+  const u32 cpu = cluster.add_spec(DeviceSpec::xeon_haswell());
+  Rng var_rng(15);
+  for (int i = 0; i < 12; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability::sample(var_rng, 0.1)}});
+  for (u64 j = 1; j <= 12; ++j) {
+    rtrm::Job job;
+    job.id = j;
+    job.name = "job" + std::to_string(j);
+    job.units = 500.0;
+    job.profiles[DeviceType::Cpu] = cpu_work();
+    cluster.submit(std::move(job));
+  }
+
+  FabricConfig cfg;
+  cfg.shards = 4;
+  cfg.time_self = false;
+  cfg.aggregator.sketch_bins = 32;
+  cfg.aggregator.ring_capacity = 8;
+  cfg.aggregator.power_hi_w = 400.0;
+  cfg.aggregator.progress_hi_ups = 1.0;
+  MonitorFabric fabric(cfg);
+  fabric.attach(cluster);
+  fault::ShardFaultDriver driver(cluster, faulted_schedule(kHorizonS));
+  cluster.run_for(kHorizonS, 0.25);
+
+  std::string doc = "health " + fabric.health_json() + "\n";
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    const auto metric = static_cast<Metric>(m);
+    doc += format("cluster %s", metric_name(metric));
+    for (const double v : fabric.aggregator().cluster_quantiles(
+             metric, {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}))
+      doc += format(" %.17g", v);
+    doc += "\n";
+  }
+
+  const telemetry::ScopedEnable on(true);
+  for (const u64 seed : {1, 2, 3}) {
+    Rng rng(seed);
+    const double lo = rng.uniform(-10.0, 10.0);
+    const double hi = lo + rng.uniform(1.0, 100.0);
+    const std::size_t bins = 3 + rng.index(30);
+    telemetry::Histogram h(lo, hi, bins);
+    const double span = hi - lo;
+    for (int i = 0; i < 200; ++i) h.add(rng.normal(lo + 0.6 * span, 0.4 * span));
+    h.add(lo - 1e6);
+    h.add(hi + 1e6);
+    h.add(hi);
+    h.add(lo);
+    doc += format("telemetry seed=%llu lo=%.17g hi=%.17g bins=%zu count=%llu buckets",
+                  static_cast<unsigned long long>(seed), lo, hi, bins,
+                  static_cast<unsigned long long>(h.count()));
+    for (std::size_t b = 0; b < h.bins(); ++b)
+      doc += format(" %llu", static_cast<unsigned long long>(h.bucket(b)));
+    doc += " quantiles";
+    for (const double v : h.approx_quantiles({0.0, 0.5, 0.95, 0.99, 1.0}))
+      doc += format(" %.17g", v);
+    doc += "\n";
+  }
+  return doc;
+}
+
+TEST(MonitorGolden, HealthAndQuantilesMatchFixture) {
+  const std::string path =
+      std::string(ANTAREX_GOLDEN_DIR) + "/monitor_health.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream fixture;
+  fixture << in.rdbuf();
+  ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
+  EXPECT_EQ(monitor_golden(), fixture.str());
 }
 
 // --------------------------------------------------------------------------

@@ -162,61 +162,6 @@ TEST(Routing, RejectsBadArguments) {
 }
 
 // --------------------------------------------------------------------------
-// ALT landmarks
-// --------------------------------------------------------------------------
-
-TEST(Alt, LowerBoundIsAdmissible) {
-  const RoadGraph g = test_city(7, 24, 24);
-  SpeedProfiles p;
-  Rng lrng(41);
-  const Landmarks lm(g, 6, lrng);
-  Rng qrng(42);
-  for (int q = 0; q < 30; ++q) {
-    const u32 a = static_cast<u32>(qrng.index(g.num_nodes()));
-    const u32 b = static_cast<u32>(qrng.index(g.num_nodes()));
-    const double depart = qrng.uniform(0.0, 86400.0);
-    const Route exact = shortest_path_td(g, p, a, b, depart, {false, 1.0});
-    if (!exact.found()) continue;
-    EXPECT_LE(lm.lower_bound_s(a, b), exact.travel_time_s + 1e-9)
-        << a << "->" << b;
-  }
-  EXPECT_DOUBLE_EQ(lm.lower_bound_s(3, 3), 0.0);
-}
-
-TEST(Alt, PreservesOptimalityAndCutsExpansions) {
-  const RoadGraph g = test_city(7, 40, 40);
-  SpeedProfiles p;
-  Rng lrng(43);
-  const Landmarks lm(g, 8, lrng);
-
-  QueryOptions plain{true, 1.0, nullptr};
-  QueryOptions alt{true, 1.0, &lm};
-
-  Rng qrng(44);
-  u64 plain_exp = 0, alt_exp = 0;
-  for (int q = 0; q < 15; ++q) {
-    const u32 a = static_cast<u32>(qrng.index(g.num_nodes()));
-    const u32 b = static_cast<u32>(qrng.index(g.num_nodes()));
-    const double depart = qrng.uniform(0.0, 86400.0);
-    const Route r1 = shortest_path_td(g, p, a, b, depart, plain);
-    const Route r2 = shortest_path_td(g, p, a, b, depart, alt);
-    ASSERT_EQ(r1.found(), r2.found());
-    if (!r1.found()) continue;
-    EXPECT_NEAR(r1.travel_time_s, r2.travel_time_s, 1e-6);
-    plain_exp += r1.expanded;
-    alt_exp += r2.expanded;
-  }
-  // Landmark bounds dominate euclidean/max-speed bounds on this network.
-  EXPECT_LT(alt_exp, plain_exp);
-}
-
-TEST(Alt, RejectsBadConfig) {
-  const RoadGraph g = test_city();
-  Rng rng(1);
-  EXPECT_THROW(Landmarks(g, 0, rng), Error);
-}
-
-// --------------------------------------------------------------------------
 // K alternatives
 // --------------------------------------------------------------------------
 

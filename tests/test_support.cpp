@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -233,6 +235,19 @@ TEST(Percentile, NearestRankSemantics) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 50.0);
 }
 
+TEST(Percentile, MultiRankReadMatchesSingleReads) {
+  const std::vector<double> xs{40, 15, 50, 20, 35};
+  EXPECT_EQ(percentiles(xs, {0, 30, 50, 100}),
+            (std::vector<double>{15.0, 20.0, 35.0, 50.0}));
+  SlidingWindow w(4);
+  for (double x : {9.0, 1.0, 5.0, 3.0, 7.0}) w.add(x);  // 9 evicted
+  EXPECT_EQ(w.percentiles({25, 50, 100}),
+            (std::vector<double>{w.percentile(25), w.percentile(50),
+                                 w.percentile(100)}));
+  EXPECT_THROW(percentiles(xs, {50, 101}), Error);
+  EXPECT_THROW(SlidingWindow(2).percentiles({50}), Error);
+}
+
 TEST(Percentile, ThrowsOnEmptyOrBadP) {
   EXPECT_THROW(percentile({}, 50), Error);
   EXPECT_THROW(percentile({1.0}, 101), Error);
@@ -251,9 +266,87 @@ TEST(Histogram, BinningAndClamping) {
   h.add(100.0);  // clamps to last bin
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(9), 10.0);
+  EXPECT_EQ(h.count(), 4u);
+}
+
+TEST(Histogram, QuantilesWithinOneBinWidth) {
+  Histogram h(0.0, 100.0, 20);  // 5-unit bins
+  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
+  EXPECT_EQ(h.count(), 100u);
+  const std::vector<double> q = h.approx_quantiles({0.5, 0.95});
+  EXPECT_NEAR(q[0], 50.0, 5.0);
+  EXPECT_NEAR(q[1], 95.0, 5.0);
+  // Clamping: out-of-range samples land in the edge bins, never lost.
+  h.add(-10.0);
+  h.add(500.0);
+  EXPECT_EQ(h.count(), 102u);
+  const std::vector<double> ends = h.approx_quantiles({0.0, 1.0});
+  EXPECT_GE(ends[0], 0.0);
+  EXPECT_LE(ends[1], 100.0);
+  EXPECT_EQ(Histogram(0.0, 1.0, 4).approx_quantiles({0.5}),
+            std::vector<double>{0.0});
+  EXPECT_THROW(h.approx_quantiles({0.5, 1.5}), Error);
+}
+
+TEST(Histogram, MergeCombinesPopulations) {
+  Histogram a(0.0, 10.0, 10), b(0.0, 10.0, 10);
+  for (int i = 0; i < 50; ++i) a.add(2.0);
+  for (int i = 0; i < 50; ++i) b.add(8.0);
+  a.merge(b);
+  EXPECT_EQ(a.count(), 100u);
+  const std::vector<double> q = a.approx_quantiles({0.25, 0.75});
+  EXPECT_NEAR(q[0], 2.5, 1.0);
+  EXPECT_NEAR(q[1], 8.5, 1.0);
+  EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 5)), Error);
+  a.clear();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_EQ(a.bin_count(2), 0u);
+}
+
+TEST(Histogram, MultiQuantileReadIsOrderedAndMatchesSingleReads) {
+  Histogram h(0.0, 1.0, 16);
+  Rng rng(31);
+  for (int i = 0; i < 1000; ++i) h.add(rng.uniform() * rng.uniform());
+  const std::vector<double> qs = {0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0};
+  const std::vector<double> v =
+      h.approx_quantiles({0.0, 0.1, 0.5, 0.9, 0.95, 0.99, 1.0});
+  ASSERT_EQ(v.size(), qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_EQ(v[i], h.approx_quantiles({qs[i]}).front());
+    if (i > 0) {
+      EXPECT_LE(v[i - 1], v[i]);
+    }
+  }
+}
+
+TEST(Histogram, InfinitiesAndHugeValuesLandInEdgeBins) {
+  Histogram h(0.0, 10.0, 10);
+  h.add(INFINITY);
+  h.add(1e300);
+  h.add(std::numeric_limits<double>::max());
+  h.add(-INFINITY);
+  h.add(-1e300);
+  h.add(std::numeric_limits<double>::lowest());
+  EXPECT_EQ(h.bin_count(9), 3u);
+  EXPECT_EQ(h.bin_count(0), 3u);
+  EXPECT_EQ(h.count(), 6u);
+  EXPECT_EQ(histogram_bin(INFINITY, 0.0, 10.0, 10), 9u);
+  EXPECT_EQ(histogram_bin(-INFINITY, 0.0, 10.0, 10), 0u);
+}
+
+TEST(Histogram, NaNSampleThrowsAndIsNotCounted) {
+  Histogram h(0.0, 10.0, 10);
+  h.add(5.0);
+  EXPECT_THROW(h.add(std::nan("")), Error);
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_THROW(histogram_bin(std::nan(""), 0.0, 10.0, 10), Error);
+}
+
+TEST(Histogram, RejectsEmptyOrInfiniteRange) {
+  EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
+  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
+  EXPECT_THROW(Histogram(0.0, INFINITY, 4), Error);
+  EXPECT_THROW(Histogram(-1e308, 1e308, 4), Error);  // width overflows
 }
 
 // --------------------------------------------------------------------------

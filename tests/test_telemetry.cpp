@@ -211,7 +211,26 @@ TEST_F(TelemetryTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(h.bucket(1), 2u);
   EXPECT_EQ(h.bucket(9), 2u);  // 9.5 and the clamped 42.0
   EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.5 + 1.5 + 9.5 + 42.0 - 3.0);
-  EXPECT_DOUBLE_EQ(h.approx_percentile(50), 1.5);  // midpoint of bucket 1
+  // Rank 3 of 6 falls halfway through bucket 1's two samples.
+  EXPECT_EQ(h.approx_quantiles({0.5}), std::vector<double>{1.5});
+}
+
+TEST_F(TelemetryTest, HistogramClampsInfinitiesAndRejectsNaN) {
+  auto& h = Registry::global().histogram("t.hist_edges", 0.0, 10.0, 10);
+  h.add(INFINITY);
+  h.add(1e300);
+  h.add(-INFINITY);
+  h.add(-1e300);
+  EXPECT_EQ(h.bucket(9), 2u);
+  EXPECT_EQ(h.bucket(0), 2u);
+  EXPECT_EQ(h.count(), 4u);
+  EXPECT_THROW(h.add(std::nan("")), Error);
+  EXPECT_EQ(h.count(), 4u);
+  // Disabled telemetry drops every sample before it is binned.
+  telemetry::set_enabled(false);
+  h.add(std::nan(""));
+  telemetry::set_enabled(true);
+  EXPECT_EQ(h.count(), 4u);
 }
 
 TEST_F(TelemetryTest, DisabledRegistryLeavesCountersUntouched) {
@@ -430,14 +449,15 @@ TEST_F(TelemetryTest, HistogramQuantilesInterpolateWithinBuckets) {
   // 100 samples spread uniformly: one per unit value midpoint.
   for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
   // Uniform mass: quantiles land on q*range exactly.
-  EXPECT_NEAR(h.approx_quantile(0.50), 50.0, 1e-9);
-  EXPECT_NEAR(h.approx_quantile(0.95), 95.0, 1e-9);
-  EXPECT_NEAR(h.approx_quantile(0.99), 99.0, 1e-9);
-  EXPECT_NEAR(h.approx_quantile(0.0), 0.0, 1e-9);
-  EXPECT_NEAR(h.approx_quantile(1.0), 100.0, 1e-9);
+  const std::vector<double> q = h.approx_quantiles({0.50, 0.95, 0.99, 0.0, 1.0});
+  EXPECT_NEAR(q[0], 50.0, 1e-9);
+  EXPECT_NEAR(q[1], 95.0, 1e-9);
+  EXPECT_NEAR(q[2], 99.0, 1e-9);
+  EXPECT_NEAR(q[3], 0.0, 1e-9);
+  EXPECT_NEAR(q[4], 100.0, 1e-9);
 
   auto& empty = Registry::global().histogram("t.quant_empty", 0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(empty.approx_quantile(0.5), 0.0);
+  EXPECT_EQ(empty.approx_quantiles({0.5}), std::vector<double>{0.0});
 
   // Quantiles surface in the summary table header.
   const std::string rendered = telemetry::summary_table().render();
@@ -681,9 +701,48 @@ TEST_F(TelemetryTest, HistogramQuantilesStaySaneUnderConcurrentAdds) {
   // Quiescent: totals exact, quantiles within one bin width (5.0) of the
   // true uniform-distribution quantiles over [0, 100].
   EXPECT_EQ(h.count(), static_cast<u64>(kWriters) * kIters);
-  EXPECT_NEAR(h.approx_quantile(0.50), 50.0, 5.0);
-  EXPECT_NEAR(h.approx_quantile(0.95), 95.0, 5.0);
+  const std::vector<double> q = h.approx_quantiles({0.50, 0.95});
+  EXPECT_NEAR(q[0], 50.0, 5.0);
+  EXPECT_NEAR(q[1], 95.0, 5.0);
   EXPECT_GE(reads, 1u);
+}
+
+TEST_F(TelemetryTest, SeriesPercentilesStayOrderedUnderConcurrentPushes) {
+  // window_percentiles() sorts one locked copy of the window, so p50 <= p95
+  // <= p99 holds for every read even while writers swing the window between
+  // small and large values. Violations are asserted after the join.
+  constexpr int kWriters = 4;
+  constexpr int kIters = 20000;
+  auto& s = Registry::global().series("hammer.series_pct", 16);
+  std::atomic<int> done{0};
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([t, &s, &done] {
+      for (int i = 0; i < kIters; ++i)
+        s.push(((i / 64 + t) % 2 == 0) ? static_cast<double>(i % 7)
+                                        : 1000.0 + static_cast<double>(i % 13));
+      done.fetch_add(1);
+    });
+  }
+
+  u64 reads = 0, violations = 0;
+  std::string first_violation;
+  while (done.load() < kWriters) {
+    if (s.empty()) continue;
+    const std::vector<double> p = s.window_percentiles({50, 95, 99});
+    if (!(p[0] <= p[1] && p[1] <= p[2]) && violations++ == 0)
+      first_violation = format("p50 %g p95 %g p99 %g at read %llu", p[0], p[1], p[2],
+                               static_cast<unsigned long long>(reads));
+    ++reads;
+  }
+  for (auto& w : writers) w.join();
+
+  EXPECT_EQ(violations, 0u) << "first: " << first_violation;
+  EXPECT_EQ(s.count(), static_cast<std::size_t>(kWriters) * kIters);
+  EXPECT_EQ(s.window_percentiles({50, 95, 99}),
+            (std::vector<double>{s.window_percentile(50), s.window_percentile(95),
+                                 s.window_percentile(99)}));
 }
 
 TEST_F(TelemetryTest, ConcurrentResetNeverCorrupts) {
