@@ -3,7 +3,8 @@
 // (retention ring, space-saving top-K, per-shard histograms), the anomaly
 // detector's per-kind semantics on synthetic frames, ground-truth evaluation,
 // and the assembled fabric end-to-end on a small faulted cluster, pinned by
-// a golden health fixture.
+// a golden health fixture; a second fixture pins every alert open/close
+// transition of the policy engine, the detector and the SLO tracker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "causal/ledger.hpp"
+#include "causal/slo.hpp"
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "fault/shard_driver.hpp"
@@ -766,6 +769,234 @@ TEST(MonitorGolden, HealthAndQuantilesMatchFixture) {
   fixture << in.rdbuf();
   ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
   EXPECT_EQ(monitor_golden(), fixture.str());
+}
+
+// --------------------------------------------------------------------------
+// Golden fixture: tests/golden/alert_transitions.txt was recorded when the
+// policy engine, the detector's episodes and the SLO tracker each carried
+// their own open/close state machine. Every later version must reproduce it
+// byte for byte.
+// --------------------------------------------------------------------------
+
+std::string episode_line(const Episode& e) {
+  return format("episode node=%u shard=%u kind=%s open_t=%.17g close_t=%.17g "
+                "peak_z=%.17g samples=%u open=%d\n",
+                e.node, static_cast<unsigned>(e.shard),
+                anomaly_kind_name(e.kind), e.open_t_s, e.close_t_s, e.peak_z,
+                e.samples, e.open ? 1 : 0);
+}
+
+std::string detector_counters(const AnomalyDetector& det) {
+  return format("detector active=%zu flagged=%llu tracked_overflow=%llu "
+                "closed_overflow=%llu closed=%zu\n",
+                det.active(),
+                static_cast<unsigned long long>(det.flagged_samples()),
+                static_cast<unsigned long long>(det.tracked_overflow()),
+                static_cast<unsigned long long>(det.closed_overflow()),
+                det.closed().size());
+}
+
+/// A policy engine ticked over a scripted gauge sequence: a plain policy with
+/// on_clear, an actuating policy with cause/effect metrics, and the built-ins.
+std::string policy_transitions() {
+  auto& reg = telemetry::Registry::global();
+  obs::PolicyEngine engine;
+  u64 clears = 0;
+  const int plain = engine.add(
+      "golden.plain",
+      [](const obs::PolicyContext& ctx) {
+        const telemetry::Gauge& g = ctx.registry->gauge("golden.signal");
+        return g.updates() > 0 && g.last() > 10.0;
+      },
+      [](const obs::PolicyContext&) {},
+      [&clears](const obs::PolicyContext&) { ++clears; });
+  obs::PolicyOptions opts;
+  opts.cause_metric = "golden.signal";
+  opts.effect_metric = "golden.effect";
+  const int act = engine.add_actuating(
+      "golden.actuate",
+      [](const obs::PolicyContext& ctx) {
+        const telemetry::Gauge& g = ctx.registry->gauge("golden.signal");
+        return g.updates() > 0 && (g.last() > 10.0 || g.last() < 5.0);
+      },
+      [](const obs::PolicyContext& ctx) {
+        const double v = ctx.registry->gauge("golden.signal").last();
+        if (v > 10.0) return obs::PolicyAction::Restrict;
+        if (v < 5.0) return obs::PolicyAction::Relax;
+        return obs::PolicyAction::None;
+      },
+      opts);
+  obs::install_builtin_policies(engine);
+
+  struct Tick {
+    double signal, effect, headroom_c, queue_depth;
+    u64 phase_bumps;
+  };
+  const Tick script[] = {
+      {7.0, 0.0, 30.0, 10.0, 0},  {12.0, 1.0, 30.0, 10.0, 0},
+      {15.0, 2.0, 9.0, 47.0, 1},  {15.0, 3.0, 7.5, 48.0, 0},
+      {8.0, 4.0, 7.5, 60.0, 0},   {3.0, 5.0, 8.0, 30.0, 2},
+      {2.0, 6.0, 12.0, 30.0, 0},  {11.0, 7.0, 3.0, 48.0, 0},
+      {4.0, 8.0, 3.0, 47.9, 1},   {7.0, 9.0, 30.0, 50.0, 0},
+      {7.0, 10.0, 30.0, 50.0, 0}, {20.0, 11.0, 1.0, 0.0, 0},
+  };
+  std::string doc;
+  double t = 0.0;
+  for (const Tick& s : script) {
+    reg.gauge("golden.signal").set(s.signal);
+    reg.gauge("golden.effect").set(s.effect);
+    reg.gauge("rtrm.thermal_headroom_c").set(s.headroom_c);
+    reg.gauge("nav.queue_depth").set(s.queue_depth);
+    if (s.phase_bumps > 0) reg.counter("tuner.phase_changes").add(s.phase_bumps);
+    engine.tick(t);
+    doc += format(
+        "tick t=%g plain=%llu clears=%llu actuate=%llu restricts=%llu "
+        "relaxes=%llu thermal=%llu phase=%llu backpressure=%llu "
+        "backpressure_gauge=%g evaluations=%llu\n",
+        t, static_cast<unsigned long long>(engine.fires(plain)),
+        static_cast<unsigned long long>(clears),
+        static_cast<unsigned long long>(engine.fires(act)),
+        static_cast<unsigned long long>(engine.restricts(act)),
+        static_cast<unsigned long long>(engine.relaxes(act)),
+        static_cast<unsigned long long>(engine.fires("thermal.throttle_alert")),
+        static_cast<unsigned long long>(engine.fires("tuner.phase_change")),
+        static_cast<unsigned long long>(engine.fires("nav.backpressure")),
+        reg.gauge("nav.backpressure").last(),
+        static_cast<unsigned long long>(engine.evaluations()));
+    t += 1.0;
+  }
+  return doc;
+}
+
+/// A two-shard detector fed hand-built frames covering every episode shape,
+/// then a one-shard detector pushed one node past the tracked-node cap.
+std::string detector_transitions() {
+  std::string doc;
+  AnomalyDetector det(2);
+  double t = 0.0;
+  // Shard 1 warms up on absurd readings: nothing is judged yet.
+  for (int i = 0; i < 4; ++i)
+    det.observe(make_frame(t++, 1, 1, 900.0f, 120.0f, 1.0f, 0.01f));
+  doc += detector_counters(det);
+  warm_up(det, &t);
+  auto feed = [&](u32 node, float p, float temp, float g) {
+    det.observe(make_frame(t++, node, 0, p, temp, 1.0f, g));
+  };
+  // One-sample power spike, closed by three quiet samples.
+  feed(2, 600.0f, kT, kG);
+  for (int i = 0; i < 3; ++i) feed(2, kP, kT, kG);
+  // Throttle and slow-node episodes.
+  for (int i = 0; i < 4; ++i) feed(3, 55.0f, kT, 0.3f);
+  for (int i = 0; i < 3; ++i) feed(3, kP, kT, kG);
+  for (int i = 0; i < 3; ++i) feed(4, kP, kT, 0.3f);
+  for (int i = 0; i < 3; ++i) feed(4, kP, kT, kG);
+  doc += detector_counters(det);
+  // A flag run interrupted by a quiet sample restarts its count.
+  feed(5, kP, 95.0f, kG);
+  feed(5, kP, kT, kG);
+  feed(5, kP, 96.0f, kG);
+  doc += detector_counters(det);
+  feed(5, kP, 97.0f, kG);
+  // A quiet run interrupted by a flag restarts the close count.
+  feed(5, kP, kT, kG);
+  feed(5, kP, kT, kG);
+  feed(5, kP, 98.0f, kG);
+  feed(5, kP, kT, kG);
+  feed(5, kP, kT, kG);
+  doc += detector_counters(det);
+  feed(5, kP, kT, kG);
+  // Re-open after a close; the second episode stays open.
+  feed(7, 650.0f, kT, kG);
+  for (int i = 0; i < 3; ++i) feed(7, kP, kT, kG);
+  feed(7, 700.0f, kT, kG);
+  feed(7, 720.0f, kT, kG);
+  // Idle samples count as quiet.
+  feed(8, 610.0f, kT, kG);
+  for (int i = 0; i < 3; ++i)
+    det.observe(make_frame(t++, 8, 0, 0.0f, 30.0f, 0.0f, 0.0f));
+  doc += detector_counters(det);
+  for (const Episode& e : det.episodes()) doc += episode_line(e);
+  doc += "ledger " + causal::DecisionLedger::global().json() + "\n";
+  causal::DecisionLedger::global().clear();
+
+  // 1,025 flagged nodes against the 1,024-node tracked cap.
+  AnomalyDetector capped(1);
+  double tc = 0.0;
+  warm_up(capped, &tc);
+  for (u32 n = 100; n < 100 + 1025; ++n)
+    capped.observe(make_frame(tc, n, 0, 600.0f, kT, 1.0f, kG));
+  tc += 1.0;
+  doc += detector_counters(capped);
+  for (int i = 0; i < 3; ++i, tc += 1.0)
+    for (u32 n = 100; n < 100 + 1025; ++n)
+      capped.observe(make_frame(tc, n, 0, kP, kT, 1.0f, kG));
+  doc += detector_counters(capped);
+  capped.observe(make_frame(tc, 100 + 1024, 0, 640.0f, kT, 1.0f, kG));
+  doc += detector_counters(capped);
+  const std::vector<Episode> eps = capped.episodes();
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}, eps.size() - 2,
+                              eps.size() - 1})
+    doc += episode_line(eps[i]);
+  causal::DecisionLedger::global().clear();
+  return doc;
+}
+
+/// An SLO tracker's burn alerts across publishes, one of them with telemetry
+/// off (no state change).
+std::string slo_transitions() {
+  causal::SloTracker slo({{"fast", 0.1, 0.1}, {"slow", 1.0, 0.25}}, 8);
+  auto& reg = telemetry::Registry::global();
+  struct Batch {
+    int fast_ok, fast_bad, slow_ok, slow_bad;
+    bool enabled;
+  };
+  const Batch script[] = {
+      {8, 0, 8, 0, true}, {6, 2, 8, 0, true}, {8, 0, 6, 2, true},
+      {0, 3, 0, 3, true}, {0, 1, 0, 1, true}, {8, 0, 8, 0, true},
+      {0, 2, 8, 0, false}, {0, 0, 0, 0, true}, {8, 0, 0, 8, true},
+      {1, 1, 2, 2, true},
+  };
+  std::string doc;
+  for (const Batch& b : script) {
+    for (int i = 0; i < b.fast_ok; ++i) slo.observe(0, 0.05);
+    for (int i = 0; i < b.fast_bad; ++i) slo.observe(0, 0.5);
+    for (int i = 0; i < b.slow_ok; ++i) slo.observe(1, 0.5);
+    for (int i = 0; i < b.slow_bad; ++i) slo.observe(1, 5.0);
+    {
+      const telemetry::ScopedEnable gate(b.enabled);
+      slo.publish();
+    }
+    doc += format("publish enabled=%d alerts=%llu fast_burn=%.17g "
+                  "slow_burn=%.17g\n",
+                  b.enabled ? 1 : 0,
+                  static_cast<unsigned long long>(
+                      reg.counter("causal.slo.alerts").value()),
+                  slo.status(0).burn_rate, slo.status(1).burn_rate);
+  }
+  return doc;
+}
+
+std::string alert_golden() {
+  const telemetry::ScopedEnable on(true);
+  telemetry::Registry::global().reset();
+  causal::DecisionLedger::global().clear();
+  std::string doc = policy_transitions();
+  doc += "ledger " + causal::DecisionLedger::global().json() + "\n";
+  causal::DecisionLedger::global().clear();
+  doc += detector_transitions();
+  doc += slo_transitions();
+  telemetry::Registry::global().reset();
+  return doc;
+}
+
+TEST(AlertGolden, TransitionsMatchFixture) {
+  const std::string path =
+      std::string(ANTAREX_GOLDEN_DIR) + "/alert_transitions.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream fixture;
+  fixture << in.rdbuf();
+  ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
+  EXPECT_EQ(alert_golden(), fixture.str());
 }
 
 // --------------------------------------------------------------------------
