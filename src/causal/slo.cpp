@@ -5,6 +5,11 @@
 
 namespace antarex::causal {
 
+namespace {
+// One alert per onset of burn; the tier re-arms once it stops burning.
+constexpr TriggerRule kBurnRule{1, 1};
+}  // namespace
+
 SloTracker::SloTracker(std::vector<SloTier> tiers, std::size_t window)
     : tiers_(std::move(tiers)), states_(tiers_.size()), window_(window) {
   ANTAREX_REQUIRE(!tiers_.empty(), "SloTracker: need at least one tier");
@@ -69,9 +74,8 @@ void SloTracker::publish() {
     reg.gauge(prefix + ".attainment").set(st.attainment);
     reg.gauge(prefix + ".budget_remaining").set(st.budget_remaining);
     reg.gauge(prefix + ".burn_rate").set(st.burn_rate);
-    if (st.burning && !states_[i].alerting)
+    if (states_[i].burn.step(kBurnRule, st.burning).opened)
       reg.counter("causal.slo.alerts").add(1);
-    states_[i].alerting = st.burning;
   }
 }
 

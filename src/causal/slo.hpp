@@ -8,7 +8,8 @@
 // accrues (the standard SRE alerting signal). publish() mirrors everything
 // into causal.slo.<tier>.* telemetry gauges, where obs::PolicyEngine
 // predicates can act on it, and counts transitions into burn as
-// causal.slo.alerts.
+// causal.slo.alerts (the stack's one alert rule, support/trigger.hpp, at
+// {1,1}: one alert per onset of burn, re-armed when the tier stops burning).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "support/common.hpp"
+#include "support/trigger.hpp"
 
 namespace antarex::causal {
 
@@ -60,7 +62,7 @@ class SloTracker {
     u64 violations = 0;
     std::deque<bool> window;  ///< recent outcomes (true = violation)
     u64 window_violations = 0;
-    bool alerting = false;  ///< burning as of the last publish()
+    Trigger burn;  ///< stepped with `burning` on every publish()
   };
 
   std::vector<SloTier> tiers_;

@@ -3,8 +3,8 @@
 // An Actuator is a stepped restriction knob over some part of the stack: each
 // restrict() moves it one notch away from nominal (less power / parallelism /
 // admission), each relax() moves it one notch back. Steps are discrete and
-// bounded, so an actuating policy or the cap coordinator can walk the ladder
-// without knowing what lies behind it, and level() reports where on the
+// bounded, so the cap coordinator's escalation ladder can walk them without
+// knowing what lies behind each rung, and level() reports where on the
 // ladder the knob currently sits.
 //
 // Concrete actuators:

@@ -2,20 +2,16 @@
 //
 // The layer that turns the stack's observables (antarex::obs) into actions
 // on its knobs: DVFS step-down (rtrm), worker/grain throttling (exec),
-// admission shrinking (nav). Two entry points:
+// admission shrinking (nav). The entry point is ShardedCapCoordinator
+// (sharded_cap.hpp): a facility watt budget enforced top-down — per-shard
+// and per-node budgets renegotiated every epoch from measured demand,
+// per-device ceilings clamped every control period, and an escalation
+// ladder it walks itself (walk_ladder) when budgets are not enough.
+// Fault-aware: node crashes redistribute the budget to survivors.
 //
-//  - ShardedCapCoordinator (sharded_cap.hpp): a facility watt budget
-//    enforced top-down — per-shard and per-node budgets renegotiated every
-//    epoch from measured demand, per-device ceilings clamped every control
-//    period, an actuator escalation ladder for when budgets are not enough.
-//    Fault-aware: node crashes redistribute the budget to survivors.
-//  - install_actuating_policies (policies.hpp): threshold-triggered knob
-//    walking through the obs::PolicyEngine, for plants that need reflexes
-//    rather than accounting.
-//
-// Both act through the same Actuator interface (actuator.hpp).
+// The ladder's rungs are Actuators (actuator.hpp); a caller may also step
+// one directly, e.g. from an obs::PolicyEngine actuating policy.
 #pragma once
 
 #include "govern/actuator.hpp"     // IWYU pragma: export
-#include "govern/policies.hpp"     // IWYU pragma: export
 #include "govern/sharded_cap.hpp"  // IWYU pragma: export

@@ -9,6 +9,27 @@
 
 namespace antarex::monitor {
 
+namespace {
+
+// Power z below -this marks a progress drop as Throttle, else SlowNode.
+constexpr double kPowerDropZ = 2.0;
+// Open after 2 consecutive flags, close after 3 consecutive quiet samples;
+// PowerSpike opens immediately (glitches are one sample).
+constexpr TriggerRule kEpisodeRule{2, 3};
+constexpr TriggerRule kSpikeRule{1, 3};
+constexpr u64 kWarmupSamples = 8;  // baseline samples before judging a stream
+constexpr double kMinUtil = 0.5;   // only judge nodes at least this busy
+constexpr double kEwmaAlpha = 0.05;
+constexpr double kMadBeta = 0.05;
+constexpr double kRelFloor = 0.04;  // scale floor as a fraction of the level
+constexpr double kClipZ = 8.0;      // winsorize taught samples at this many scales
+constexpr double kAbsFloorPowerW = 2.0;
+constexpr double kAbsFloorTempC = 1.5;
+constexpr double kAbsFloorProgress = 0.02;
+constexpr std::size_t kMaxClosed = 65536;  // retained closed episodes
+
+}  // namespace
+
 const char* anomaly_kind_name(AnomalyKind k) {
   switch (k) {
     case AnomalyKind::ThermalRunaway: return "thermal_runaway";
@@ -18,25 +39,23 @@ const char* anomaly_kind_name(AnomalyKind k) {
   }
 }
 
-AnomalyDetector::AnomalyDetector(std::size_t shards, DetectorConfig cfg)
-    : shards_(shards), cfg_(cfg) {
+AnomalyDetector::AnomalyDetector(std::size_t shards) : shards_(shards) {
   ANTAREX_REQUIRE(shards > 0, "AnomalyDetector: need at least one shard");
-  ANTAREX_REQUIRE(cfg_.max_tracked > 0, "AnomalyDetector: max_tracked == 0");
   baselines_.resize(shards_ * kMetricCount);
 }
 
-double AnomalyDetector::scale_for(const Baseline& b, Metric m) const {
-  double abs_floor = cfg_.abs_floor_progress;
+double AnomalyDetector::scale_for(const Baseline& b, Metric m) {
+  double abs_floor = kAbsFloorProgress;
   switch (m) {
-    case Metric::PowerW: abs_floor = cfg_.abs_floor_power_w; break;
-    case Metric::TempC: abs_floor = cfg_.abs_floor_temp_c; break;
+    case Metric::PowerW: abs_floor = kAbsFloorPowerW; break;
+    case Metric::TempC: abs_floor = kAbsFloorTempC; break;
     default: break;
   }
-  return std::max({1.4826 * b.mad, cfg_.rel_floor * std::abs(b.m), abs_floor});
+  return std::max({1.4826 * b.mad, kRelFloor * std::abs(b.m), abs_floor});
 }
 
-double AnomalyDetector::z_for(const Baseline& b, Metric m, double x) const {
-  if (b.n < cfg_.warmup_samples) return 0.0;
+double AnomalyDetector::z_for(const Baseline& b, Metric m, double x) {
+  if (b.n < kWarmupSamples) return 0.0;
   return (x - b.m) / scale_for(b, m);
 }
 
@@ -47,17 +66,17 @@ void AnomalyDetector::update_baseline(Baseline& b, Metric m, double x) {
   } else {
     // Winsorize: a wild sample may pull the level by at most
     // alpha * clip_z * scale per step, not alpha * (x - m).
-    const double lim = cfg_.clip_z * scale_for(b, m);
+    const double lim = kClipZ * scale_for(b, m);
     const double v = std::clamp(x, b.m - lim, b.m + lim);
-    b.m += cfg_.ewma_alpha * (v - b.m);
-    b.mad += cfg_.mad_beta * (std::abs(v - b.m) - b.mad);
+    b.m += kEwmaAlpha * (v - b.m);
+    b.mad += kMadBeta * (std::abs(v - b.m) - b.mad);
   }
   ++b.n;
 }
 
 void AnomalyDetector::observe(const MetricFrame& frame) {
   ANTAREX_REQUIRE(frame.shard < shards_, "AnomalyDetector: shard out of range");
-  const bool busy = frame.util >= static_cast<float>(cfg_.min_util);
+  const bool busy = frame.util >= static_cast<float>(kMinUtil);
 
   bool flags[kAnomalyKindCount] = {false, false, false, false};
   double zs[kAnomalyKindCount] = {0.0, 0.0, 0.0, 0.0};
@@ -70,17 +89,17 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
     const double zt = z_for(bt, Metric::TempC, frame.temp_c);
     const double zg = z_for(bg, Metric::ProgressUps, frame.progress_ups);
 
-    if (zt > cfg_.z_open) {
+    if (zt > kFlagZ) {
       flags[static_cast<std::size_t>(AnomalyKind::ThermalRunaway)] = true;
       zs[static_cast<std::size_t>(AnomalyKind::ThermalRunaway)] = zt;
     }
-    if (zp > cfg_.z_open) {
+    if (zp > kFlagZ) {
       flags[static_cast<std::size_t>(AnomalyKind::PowerSpike)] = true;
       zs[static_cast<std::size_t>(AnomalyKind::PowerSpike)] = zp;
     }
-    if (-zg > cfg_.z_open) {
+    if (-zg > kFlagZ) {
       // Progress fell off the shard baseline; the power signature says how.
-      const auto kind = zp < -cfg_.power_drop_z ? AnomalyKind::Throttle
+      const auto kind = zp < -kPowerDropZ ? AnomalyKind::Throttle
                                                 : AnomalyKind::SlowNode;
       flags[static_cast<std::size_t>(kind)] = true;
       zs[static_cast<std::size_t>(kind)] = -zg;
@@ -103,7 +122,7 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
   auto it = tracked_.find(frame.node);
   if (it == tracked_.end()) {
     if (!any) return;  // healthy untracked node: nothing to do
-    if (tracked_.size() >= cfg_.max_tracked) {
+    if (tracked_.size() >= kMaxTracked) {
       ++tracked_overflow_;
       TELEMETRY_COUNT("monitor.detector.tracked_overflow", 1);
       return;
@@ -118,7 +137,7 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
   // Drop the node's tracking state once it is fully healthy again.
   bool live = false;
   for (const KindState& ks : track.kinds)
-    if (ks.open || ks.run > 0) live = true;
+    if (ks.trigger.open || ks.trigger.last) live = true;
   if (!live) tracked_.erase(it);
 }
 
@@ -126,27 +145,19 @@ void AnomalyDetector::step_kind(NodeTrack& track, AnomalyKind kind,
                                 bool flagged, double z,
                                 const MetricFrame& frame) {
   KindState& ks = track.kinds[static_cast<std::size_t>(kind)];
-  if (flagged) {
-    ++ks.run;
-    ks.quiet = 0;
-    const u32 open_after = kind == AnomalyKind::PowerSpike
-                               ? cfg_.spike_open_after
-                               : cfg_.open_after;
-    if (!ks.open && ks.run >= open_after) open_episode(ks, kind, z, frame);
-    if (ks.open) {
-      ks.episode.peak_z = std::max(ks.episode.peak_z, z);
-      ++ks.episode.samples;
-      ks.episode.close_t_s = frame.t_s;
-    }
-    return;
+  const Transition t = ks.trigger.step(
+      kind == AnomalyKind::PowerSpike ? kSpikeRule : kEpisodeRule, flagged);
+  if (t.opened) open_episode(ks, kind, z, frame);
+  if (t.closed) close_episode(ks);
+  if (flagged && ks.trigger.open) {
+    ks.episode.peak_z = std::max(ks.episode.peak_z, z);
+    ++ks.episode.samples;
+    ks.episode.close_t_s = frame.t_s;
   }
-  ks.run = 0;
-  if (ks.open && ++ks.quiet >= cfg_.quiet_close) close_episode(ks, frame.t_s);
 }
 
 void AnomalyDetector::open_episode(KindState& ks, AnomalyKind kind, double z,
                                    const MetricFrame& frame) {
-  ks.open = true;
   ks.episode = Episode{frame.node, frame.shard,  kind, frame.t_s,
                        frame.t_s,  z,            0,    true};
   ++active_;
@@ -168,11 +179,9 @@ void AnomalyDetector::open_episode(KindState& ks, AnomalyKind kind, double z,
   if (hook_) hook_(ks.episode, true);
 }
 
-void AnomalyDetector::close_episode(KindState& ks, double t_s) {
-  ks.open = false;
-  ks.quiet = 0;
+void AnomalyDetector::close_episode(KindState& ks) {
+  // The close time is the last flagged sample, already recorded.
   ks.episode.open = false;
-  (void)t_s;  // close time is the last flagged sample, already recorded
   --active_;
   TELEMETRY_GAUGE("monitor.anomaly_active", static_cast<double>(active_));
   if (ks.ledger_seq != 0) {
@@ -185,7 +194,7 @@ void AnomalyDetector::close_episode(KindState& ks, double t_s) {
     ks.ledger_seq = 0;
   }
   if (hook_) hook_(ks.episode, false);
-  if (closed_.size() >= cfg_.max_closed) {
+  if (closed_.size() >= kMaxClosed) {
     ++closed_overflow_;
     TELEMETRY_COUNT("monitor.detector.closed_overflow", 1);
     return;
@@ -197,7 +206,7 @@ std::vector<Episode> AnomalyDetector::episodes() const {
   std::vector<Episode> out = closed_;
   for (const auto& [node, track] : tracked_)
     for (const KindState& ks : track.kinds)
-      if (ks.open) out.push_back(ks.episode);
+      if (ks.trigger.open) out.push_back(ks.episode);
   return out;
 }
 

@@ -23,14 +23,16 @@
 //   SlowNode        progress drop at normal power (same work rate per busy
 //                   second, just slower — e.g. a degraded node)
 //
-// Hysteresis turns per-sample flags into episodes: open after `open_after`
-// consecutive flagged samples (1 for PowerSpike — glitches are one sample),
-// close after `quiet_close` consecutive quiet ones. Idle nodes (util below
-// min_util) are never judged; their samples count as quiet.
+// Hysteresis turns per-sample flags into episodes through the stack's one
+// alert rule (support/trigger.hpp): open after 2 consecutive flagged samples
+// (1 for PowerSpike — glitches are one sample), close after 3 consecutive
+// quiet ones. Idle nodes (util below 0.5) are never judged; their samples
+// count as quiet. The thresholds, rates and floors are fixed constants in
+// detector.cpp.
 //
 // Memory: baselines are O(shards * metrics); per-node state exists only for
-// currently-flagged nodes, capped at max_tracked (overflow counted). Closed
-// episodes are retained up to max_closed for ground-truth evaluation.
+// currently-flagged nodes, capped at kMaxTracked (overflow counted). Closed
+// episodes are retained up to 65536 for ground-truth evaluation.
 #pragma once
 
 #include <functional>
@@ -39,31 +41,13 @@
 
 #include "monitor/topic.hpp"
 #include "support/common.hpp"
+#include "support/trigger.hpp"
 
 namespace antarex::monitor {
 
 enum class AnomalyKind : u8 { ThermalRunaway, PowerSpike, Throttle, SlowNode };
 constexpr std::size_t kAnomalyKindCount = 4;
 const char* anomaly_kind_name(AnomalyKind k);
-
-struct DetectorConfig {
-  double z_open = 4.0;        ///< |z| that flags a sample
-  double power_drop_z = 2.0;  ///< power z below -this => Throttle, else Slow
-  u32 open_after = 2;         ///< consecutive flags to open an episode
-  u32 spike_open_after = 1;   ///< PowerSpike opens immediately (one-sample)
-  u32 quiet_close = 3;        ///< consecutive quiet samples to close
-  u64 warmup_samples = 8;     ///< baseline samples before judging a stream
-  double min_util = 0.5;      ///< only judge nodes at least this busy
-  double ewma_alpha = 0.05;
-  double mad_beta = 0.05;
-  double rel_floor = 0.04;    ///< scale floor as a fraction of the level
-  double clip_z = 8.0;        ///< winsorize taught samples at this many scales
-  double abs_floor_power_w = 2.0;
-  double abs_floor_temp_c = 1.5;
-  double abs_floor_progress = 0.02;
-  std::size_t max_tracked = 1024;  ///< concurrently tracked flagged nodes
-  std::size_t max_closed = 65536;  ///< retained closed episodes
-};
 
 /// One contiguous anomaly on one node.
 struct Episode {
@@ -83,9 +67,13 @@ class AnomalyDetector {
   /// opens, opened=false right after it closes. Runs on the sim thread.
   using Hook = std::function<void(const Episode&, bool opened)>;
 
-  AnomalyDetector(std::size_t shards, DetectorConfig cfg = {});
+  /// |z| that flags a sample.
+  static constexpr double kFlagZ = 4.0;
+  /// Concurrently tracked flagged nodes; more are counted as overflow.
+  static constexpr std::size_t kMaxTracked = 1024;
 
-  const DetectorConfig& config() const { return cfg_; }
+  explicit AnomalyDetector(std::size_t shards);
+
   void set_hook(Hook hook) { hook_ = std::move(hook); }
 
   /// Ingest one frame (subscribe to the broker's `#`).
@@ -110,9 +98,7 @@ class AnomalyDetector {
     u64 n = 0;
   };
   struct KindState {
-    u32 run = 0;    ///< consecutive flagged samples
-    u32 quiet = 0;  ///< consecutive quiet samples while open
-    bool open = false;
+    Trigger trigger;  ///< flagged samples in, episode open/close out
     Episode episode;
     u64 ledger_seq = 0;  ///< causal::DecisionLedger record awaiting close
   };
@@ -124,17 +110,16 @@ class AnomalyDetector {
     return baselines_[static_cast<std::size_t>(shard) * kMetricCount +
                       static_cast<std::size_t>(m)];
   }
-  double scale_for(const Baseline& b, Metric m) const;
-  double z_for(const Baseline& b, Metric m, double x) const;
-  void update_baseline(Baseline& b, Metric m, double x);
+  static double scale_for(const Baseline& b, Metric m);
+  static double z_for(const Baseline& b, Metric m, double x);
+  static void update_baseline(Baseline& b, Metric m, double x);
   void step_kind(NodeTrack& track, AnomalyKind kind, bool flagged, double z,
                  const MetricFrame& frame);
   void open_episode(KindState& ks, AnomalyKind kind, double z,
                     const MetricFrame& frame);
-  void close_episode(KindState& ks, double t_s);
+  void close_episode(KindState& ks);
 
   std::size_t shards_;
-  DetectorConfig cfg_;
   Hook hook_;
   std::vector<Baseline> baselines_;  ///< shards * metrics
   std::map<u32, NodeTrack> tracked_;

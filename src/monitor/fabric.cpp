@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "govern/sharded_cap.hpp"
-#include "obs/policy.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -17,7 +16,7 @@ MonitorFabric::MonitorFabric(FabricConfig cfg)
     : cfg_(cfg),
       broker_(cfg.shards, cfg.broker),
       aggregator_(cfg.shards, cfg.aggregator),
-      detector_(cfg.shards, cfg.detector) {
+      detector_(cfg.shards) {
   ANTAREX_REQUIRE(cfg_.shards > 0, "MonitorFabric: need at least one shard");
   ANTAREX_REQUIRE(cfg_.sample_period_s > 0.0,
                   "MonitorFabric: sample period must be positive");
@@ -314,22 +313,6 @@ void feed_governance(MonitorFabric& fabric,
         if (e.kind == AnomalyKind::PowerSpike) return;
         coordinator.set_node_weight(e.node, opened ? penalty : 1.0);
       });
-}
-
-void install_anomaly_policies(obs::PolicyEngine& engine,
-                              AnomalyPolicyConfig config) {
-  obs::PolicyOptions opts;
-  opts.cooldown_s = config.cooldown_s;
-  engine.add(
-      "monitor.anomaly_alert",
-      [config](const obs::PolicyContext& ctx) {
-        return ctx.registry->gauge("monitor.anomaly_active").last() >=
-               config.active_alert;
-      },
-      [](const obs::PolicyContext& ctx) {
-        ctx.registry->counter("obs.alerts.anomaly").inc();
-      },
-      nullptr, opts);
 }
 
 }  // namespace antarex::monitor

@@ -18,8 +18,9 @@
 // broker + aggregator + detector — is O(shards + K), independent of node
 // count, which approx_bytes() reports and bench_monitor gates.
 //
-// feed_governance() and install_anomaly_policies() close the loop into
-// govern/obs so detection drives actuation, not just dashboards.
+// feed_governance() closes the loop into govern so detection drives
+// actuation, not just dashboards; every episode transition is also a
+// causal::DecisionLedger record.
 #pragma once
 
 #include <functional>
@@ -31,9 +32,6 @@
 #include "monitor/detector.hpp"
 #include "rtrm/cluster.hpp"
 
-namespace antarex::obs {
-class PolicyEngine;
-}
 namespace antarex::govern {
 class ShardedCapCoordinator;
 }
@@ -49,7 +47,6 @@ struct FabricConfig {
   bool time_self = true;        ///< measure the fabric's own wall time
   BrokerConfig broker;
   AggregatorConfig aggregator;
-  DetectorConfig detector;
 };
 
 class MonitorFabric {
@@ -130,17 +127,5 @@ class MonitorFabric {
 void feed_governance(MonitorFabric& fabric,
                      govern::ShardedCapCoordinator& coordinator,
                      double penalty = 0.25);
-
-/// Thresholds for the monitor-driven obs policies.
-struct AnomalyPolicyConfig {
-  double active_alert = 1.0;   ///< monitor.anomaly_active >= this fires
-  double cooldown_s = 5.0;
-};
-
-/// Install monitor policies on `engine`:
-///  - monitor.anomaly_alert  (counts obs.alerts.anomaly while any episode is
-///    open, re-firing every cooldown_s)
-void install_anomaly_policies(obs::PolicyEngine& engine,
-                              AnomalyPolicyConfig config = {});
 
 }  // namespace antarex::monitor

@@ -9,6 +9,11 @@
 
 namespace antarex::obs {
 
+namespace {
+// Fire on the false->true edge, clear on the true->false edge.
+constexpr TriggerRule kPolicyRule{1, 1};
+}  // namespace
+
 const char* policy_action_name(PolicyAction a) {
   switch (a) {
     case PolicyAction::None: return "none";
@@ -22,8 +27,6 @@ int PolicyEngine::add_policy(Policy p) {
   ANTAREX_REQUIRE(p.when != nullptr, "PolicyEngine: null predicate");
   ANTAREX_REQUIRE(p.then != nullptr || p.act != nullptr,
                   "PolicyEngine: null callback");
-  ANTAREX_REQUIRE(p.opts.cooldown_s >= 0.0,
-                  "PolicyEngine: negative cooldown");
   std::lock_guard<std::mutex> lock(mu_);
   p.id = next_id_++;
   const int id = p.id;
@@ -33,18 +36,11 @@ int PolicyEngine::add_policy(Policy p) {
 
 int PolicyEngine::add(std::string name, Predicate when, Callback then,
                       Callback on_clear) {
-  return add(std::move(name), std::move(when), std::move(then),
-             std::move(on_clear), PolicyOptions{});
-}
-
-int PolicyEngine::add(std::string name, Predicate when, Callback then,
-                      Callback on_clear, PolicyOptions opts) {
   Policy p;
   p.name = std::move(name);
   p.when = std::move(when);
   p.then = std::move(then);
   p.on_clear = std::move(on_clear);
-  p.opts = opts;
   return add_policy(std::move(p));
 }
 
@@ -54,7 +50,7 @@ int PolicyEngine::add_actuating(std::string name, Predicate when,
   p.name = std::move(name);
   p.when = std::move(when);
   p.act = std::move(act);
-  p.opts = opts;
+  p.opts = std::move(opts);
   return add_policy(std::move(p));
 }
 
@@ -68,8 +64,6 @@ void PolicyEngine::remove(int handle) {
 }
 
 void PolicyEngine::fire(Policy& p, const PolicyContext& ctx) {
-  p.fired_once = true;
-  p.last_fire_s = ctx.now_s;
   ++p.fires;
   TELEMETRY_COUNT("obs.policy_fires", 1);
   PolicyAction action = PolicyAction::None;
@@ -127,23 +121,9 @@ void PolicyEngine::evaluate(const PolicyContext& ctx) {
           v);
       p.pending_seq = 0;
     }
-    const bool cond = p.when(ctx);
-    // With a cooldown, any fire (first crossing or re-fire while held) must
-    // sit at least cooldown_s after the previous one; without one, only the
-    // false->true edge fires.
-    const bool cooled =
-        !p.fired_once || ctx.now_s - p.last_fire_s >= p.opts.cooldown_s;
-    if (cond && !p.latched) {
-      p.latched = true;
-      if (p.opts.cooldown_s == 0.0 || cooled) fire(p, ctx);
-    } else if (cond && p.latched) {
-      // Condition held across evaluations: re-fire once per cooldown
-      // interval (covers a crossing that had to wait out the window too).
-      if (p.opts.cooldown_s > 0.0 && cooled) fire(p, ctx);
-    } else if (!cond && p.latched) {
-      p.latched = false;
-      if (p.on_clear) p.on_clear(ctx);
-    }
+    const Transition t = p.trigger.step(kPolicyRule, p.when(ctx));
+    if (t.opened) fire(p, ctx);
+    if (t.closed && p.on_clear) p.on_clear(ctx);
   }
 }
 
@@ -218,14 +198,20 @@ std::vector<std::string> PolicyEngine::names() const {
   return out;
 }
 
-void install_builtin_policies(PolicyEngine& engine, BuiltinPolicyConfig cfg) {
+void install_builtin_policies(PolicyEngine& engine) {
+  // Alert when the hottest device sits less than this many degrees below
+  // its critical temperature.
+  constexpr double kThermalHeadroomAlertC = 8.0;
+  // Raise nav.backpressure while the nav server's queue holds this many.
+  constexpr double kNavQueueDepthLimit = 48.0;
+
   // Throttle alert: the RTRM control loop publishes how close the hottest
   // device sits to the critical temperature; alert when headroom shrinks.
   engine.add(
       "thermal.throttle_alert",
-      [threshold = cfg.thermal_headroom_alert_c](const PolicyContext& ctx) {
+      [](const PolicyContext& ctx) {
         const telemetry::Gauge& g = ctx.registry->gauge("rtrm.thermal_headroom_c");
-        return g.updates() > 0 && g.last() < threshold;
+        return g.updates() > 0 && g.last() < kThermalHeadroomAlertC;
       },
       [](const PolicyContext&) { TELEMETRY_COUNT("obs.alerts.thermal", 1); });
 
@@ -246,9 +232,9 @@ void install_builtin_policies(PolicyEngine& engine, BuiltinPolicyConfig cfg) {
   // server's admission queue sits at/above the limit, drop it when it clears.
   engine.add(
       "nav.backpressure",
-      [limit = cfg.nav_queue_depth_limit](const PolicyContext& ctx) {
+      [](const PolicyContext& ctx) {
         const telemetry::Gauge& g = ctx.registry->gauge("nav.queue_depth");
-        return g.updates() > 0 && g.last() >= limit;
+        return g.updates() > 0 && g.last() >= kNavQueueDepthLimit;
       },
       [](const PolicyContext&) {
         TELEMETRY_COUNT("obs.alerts.backpressure", 1);

@@ -4,25 +4,19 @@
 // APEX exposes apex_register_policy(event, fn) and
 // apex_register_periodic_policy(period, fn); this is the same observe->decide
 // shape on top of the antarex::telemetry registry. Policies are
-// edge-triggered: a policy fires when its predicate transitions false->true,
+// edge-triggered through the stack's one alert rule (support/trigger.hpp,
+// rule {1,1}): a policy fires when its predicate transitions false->true,
 // stays silent while the condition holds, and re-arms when it clears — so a
 // threshold crossing fires exactly once (tested), not once per tick. An
 // optional on_clear callback runs on the true->false transition (e.g. to
 // drop a backpressure gauge).
 //
-// Cooldown (PolicyOptions::cooldown_s): a pure edge-triggered policy whose
-// predicate *stays* true never re-fires — fine for alerts, wrong for
-// actuation, where a persistent violation must keep producing corrective
-// steps without firing every tick. With cooldown_s > 0 the policy re-fires
-// while the condition holds, at most once per cooldown interval, and a fresh
-// crossing inside the cooldown window also waits it out — the hysteresis
-// that stops an oscillating signal from double-actuating.
-//
-// Actuating policies (add_actuating, the govern layer's entry point) return
-// a PolicyAction instead of being fire-and-forget: the engine counts the
-// Restrict/Relax decisions per policy and in the obs.policy_actions.*
-// counters, so reports show what the control loop *did*, not just what it
-// observed.
+// Actuating policies (add_actuating) return a PolicyAction instead of being
+// fire-and-forget: the engine counts the Restrict/Relax decisions per policy
+// and in the obs.policy_actions.* counters, so reports show what the control
+// loop *did*, not just what it observed. A condition that persists actuates
+// once; walking a knob ladder step by step under a persistent violation is
+// govern::ShardedCapCoordinator's job, not the engine's.
 //
 // Evaluation is synchronous on the calling thread (the control loop's tick,
 // or the thread exiting a span). Callbacks must not register/remove policies
@@ -36,6 +30,7 @@
 #include <vector>
 
 #include "support/common.hpp"
+#include "support/trigger.hpp"
 #include "telemetry/registry.hpp"
 
 namespace antarex::obs {
@@ -61,15 +56,9 @@ enum class PolicyAction {
 
 const char* policy_action_name(PolicyAction a);
 
-/// Per-policy trigger shaping.
+/// Per-policy provenance wiring (causal::DecisionLedger records every fire).
 struct PolicyOptions {
-  /// 0 (default): pure edge trigger — one fire per false->true crossing.
-  /// > 0: while the predicate stays true, re-fire every cooldown_s; a
-  /// crossing that lands inside the cooldown window of the previous fire
-  /// waits for the window to expire (anti-oscillation hysteresis).
-  double cooldown_s = 0.0;
-  /// Provenance wiring (causal::DecisionLedger records every fire). When
-  /// cause_metric names a gauge, its reading at fire time becomes the
+  /// When cause_metric names a gauge, its reading at fire time becomes the
   /// recorded cause; when effect_metric names one, the *next* evaluation
   /// after the fire attaches its reading as the observed effect — the
   /// closed-loop "what did the world do after we acted" measurement.
@@ -88,10 +77,7 @@ class PolicyEngine {
   /// (optional) on the subsequent true->false edge.
   int add(std::string name, Predicate when, Callback then,
           Callback on_clear = nullptr);
-  /// Same, with explicit trigger shaping (cooldown/re-fire).
-  int add(std::string name, Predicate when, Callback then, Callback on_clear,
-          PolicyOptions opts);
-  /// Register an actuating policy: fires under the same edge/cooldown rules,
+  /// Register an actuating policy: fires under the same edge rule,
   /// but the callback returns the action it took, which the engine tallies
   /// (actions(), restricts(), relaxes(), obs.policy_actions.* counters).
   int add_actuating(std::string name, Predicate when, Actuation act,
@@ -123,9 +109,7 @@ class PolicyEngine {
     Callback on_clear;
     Actuation act;         ///< set for actuating policies (then is null)
     PolicyOptions opts;
-    bool latched = false;  ///< predicate was true at last evaluation
-    bool fired_once = false;
-    double last_fire_s = 0.0;
+    Trigger trigger;
     u64 fires = 0;
     u64 restricts = 0;
     u64 relaxes = 0;
@@ -141,24 +125,14 @@ class PolicyEngine {
   u64 evaluations_ = 0;
 };
 
-/// Thresholds for the built-in policies wired into the stack.
-struct BuiltinPolicyConfig {
-  /// Fire thermal.throttle_alert when the RTRM's published thermal headroom
-  /// (rtrm.thermal_headroom_c gauge: t_crit - hottest device) shrinks below
-  /// this many degrees.
-  double thermal_headroom_alert_c = 8.0;
-  /// Fire nav.backpressure when the nav server's queue-depth gauge reaches
-  /// this; the obs gauge nav.backpressure is raised to 1 until it clears.
-  double nav_queue_depth_limit = 48.0;
-};
-
 /// Install the three built-in stack policies on `engine`:
-///  - thermal.throttle_alert  (counts obs.alerts.thermal)
+///  - thermal.throttle_alert  (counts obs.alerts.thermal when the RTRM's
+///                             rtrm.thermal_headroom_c gauge drops below 8 C)
 ///  - tuner.phase_change      (counts obs.alerts.phase_change, one fire per
 ///                             tuner.phase_changes increment)
 ///  - nav.backpressure        (counts obs.alerts.backpressure, drives the
-///                             nav.backpressure gauge 1/0)
-void install_builtin_policies(PolicyEngine& engine,
-                              BuiltinPolicyConfig config = {});
+///                             nav.backpressure gauge 1/0 while the
+///                             nav.queue_depth gauge sits at/above 48)
+void install_builtin_policies(PolicyEngine& engine);
 
 }  // namespace antarex::obs

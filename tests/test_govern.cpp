@@ -1,7 +1,7 @@
 // antarex::govern: actuator ladders, the cap coordinator's budget split and
-// priority weighting over one and several shards, actuating policies, fault
-// composition, the capreport golden fixtures, and determinism of the whole
-// loop across pool sizes.
+// priority weighting over one and several shards, fault composition, the
+// capreport golden fixtures, and determinism of the whole loop across pool
+// sizes.
 #include "govern/govern.hpp"
 
 #include <gtest/gtest.h>
@@ -155,38 +155,6 @@ TEST_F(GovernTest, NavActuatorHalvesTheAdmissionWindow) {
 
   shed.reset();
   EXPECT_EQ(server.admission_cap(), 16u);
-}
-
-// --- actuating policies -----------------------------------------------------
-
-TEST_F(GovernTest, ActuatingPoliciesDriveTheLadderFromGauges) {
-  rtrm::ShardedCluster cluster(layout());
-  add_nodes(cluster, 1);
-  obs::PolicyEngine engine;
-  ActuatingPolicyConfig cfg;
-  cfg.power_cap_w = 100.0;
-  cfg.cooldown_s = 1.0;
-  auto dvfs = std::make_shared<DvfsActuator>(cluster);
-  const InstalledPolicies handles = install_actuating_policies(
-      engine, {dvfs}, /*thermal=*/nullptr, /*nav=*/nullptr, cfg);
-  ASSERT_GE(handles.power_restrict, 0);
-  ASSERT_GE(handles.power_relax, 0);
-  EXPECT_EQ(handles.thermal, -1);
-  EXPECT_EQ(handles.nav, -1);
-
-  // Draw above the cap: one notch per cooldown interval while it persists.
-  TELEMETRY_GAUGE("rtrm.power_draw_w", 140.0);
-  engine.tick(0.0);
-  engine.tick(1.0);
-  engine.tick(1.5);  // inside the cooldown: no extra notch
-  EXPECT_EQ(cluster.op_step_down(), 2u);
-  EXPECT_EQ(engine.restricts(handles.power_restrict), 2u);
-
-  // Draw well under the relax point: the ladder walks back.
-  TELEMETRY_GAUGE("rtrm.power_draw_w", 30.0);
-  engine.tick(3.0);
-  EXPECT_EQ(cluster.op_step_down(), 1u);
-  EXPECT_EQ(engine.relaxes(handles.power_relax), 1u);
 }
 
 // --- cap coordinator, at 1 and 4 shards x 1/2/8 workers ----------------------

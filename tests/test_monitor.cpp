@@ -333,7 +333,7 @@ TEST(Detector, PowerSpikeOpensInOneSampleAndClosesAfterQuiet) {
   const Episode& e = det.closed()[0];
   EXPECT_EQ(e.node, 0u);
   EXPECT_FALSE(e.open);
-  EXPECT_GT(e.peak_z, det.config().z_open);
+  EXPECT_GT(e.peak_z, AnomalyDetector::kFlagZ);
   EXPECT_DOUBLE_EQ(e.open_t_s, e.close_t_s);  // one-sample anomaly
 }
 
@@ -402,15 +402,16 @@ TEST(Detector, AnomaliesDoNotContaminateTheBaseline) {
 }
 
 TEST(Detector, TrackedMapIsBoundedAndOverflowIsCounted) {
-  DetectorConfig cfg;
-  cfg.max_tracked = 1;
-  AnomalyDetector det(1, cfg);
+  AnomalyDetector det(1);
   double t = 0.0;
   warm_up(det, &t);
-  det.observe(make_frame(t, 1, 0, 600.0f, kT, 1.0f, kG));
-  det.observe(make_frame(t, 2, 0, 600.0f, kT, 1.0f, kG));  // no slot left
-  EXPECT_EQ(det.active(), 1u);
+  const u32 nodes = static_cast<u32>(AnomalyDetector::kMaxTracked) + 1;
+  for (u32 n = 1; n <= nodes; ++n)
+    det.observe(make_frame(t, n, 0, 600.0f, kT, 1.0f, kG));
+  // The last node found no slot: counted, not tracked.
+  EXPECT_EQ(det.active(), AnomalyDetector::kMaxTracked);
   EXPECT_EQ(det.tracked_overflow(), 1u);
+  EXPECT_EQ(det.episodes().size(), AnomalyDetector::kMaxTracked);
 }
 
 // --------------------------------------------------------------------------
@@ -1000,7 +1001,7 @@ TEST(AlertGolden, TransitionsMatchFixture) {
 }
 
 // --------------------------------------------------------------------------
-// Closing the loop: governance + policies
+// Closing the loop: governance
 // --------------------------------------------------------------------------
 
 TEST(Fabric, FeedGovernanceShavesAndRestoresNodeWeight) {
@@ -1033,33 +1034,6 @@ TEST(Fabric, FeedGovernanceShavesAndRestoresNodeWeight) {
   det.observe(make_frame(t++, 0, 0, 600.0f, kT, 1.0f, kG));
   EXPECT_EQ(det.active(), 1u);
   EXPECT_DOUBLE_EQ(coordinator.node_weight(0), 1.0);
-}
-
-TEST(Fabric, AnomalyPolicyFiresWhileEpisodesAreOpen) {
-  telemetry::set_enabled(true);
-  telemetry::Registry::global().reset();
-
-  obs::PolicyEngine engine;
-  install_anomaly_policies(engine);
-
-  AnomalyDetector det(1);
-  double t = 0.0;
-  warm_up(det, &t);
-  engine.tick(t);
-  EXPECT_EQ(engine.fires("monitor.anomaly_alert"), 0u);
-
-  det.observe(make_frame(t++, 1, 0, 600.0f, kT, 1.0f, kG));  // gauge -> 1
-  engine.tick(t);
-  EXPECT_EQ(engine.fires("monitor.anomaly_alert"), 1u);
-  EXPECT_EQ(telemetry::Registry::global().counter("obs.alerts.anomaly").value(),
-            1u);
-
-  for (int i = 0; i < 3; ++i)
-    det.observe(make_frame(t++, 1, 0, kP, kT, 1.0f, kG));  // gauge -> 0
-  engine.tick(t + 10.0);  // past the cooldown: silent because cleared
-  EXPECT_EQ(engine.fires("monitor.anomaly_alert"), 1u);
-
-  telemetry::set_enabled(false);
 }
 
 }  // namespace

@@ -221,71 +221,13 @@ TEST_F(ObsTest, PolicyFiresExactlyOncePerCrossing) {
   EXPECT_EQ(engine.evaluations(), 6u);
 }
 
-// With cooldown_s > 0 a held condition keeps producing fires — but never
-// more than one per cooldown interval. This is the actuation contract the
-// govern escalation ladder depends on (a persistent cap violation must keep
-// stepping DVFS down, one notch per cooldown, not once ever and not per tick).
-TEST_F(ObsTest, CooldownRefiresWhileConditionHolds) {
-  PolicyEngine engine;
-  PolicyOptions opts;
-  opts.cooldown_s = 2.0;
-  const int h = engine.add(
-      "test.cooldown",
-      [](const PolicyContext& ctx) {
-        return ctx.registry->gauge("test.signal").last() > 10.0;
-      },
-      [](const PolicyContext&) {}, nullptr, opts);
-
-  TELEMETRY_GAUGE("test.signal", 15.0);
-  engine.tick(0.0);  // first crossing fires immediately
-  EXPECT_EQ(engine.fires(h), 1u);
-  engine.tick(1.0);  // held, but inside the cooldown window
-  EXPECT_EQ(engine.fires(h), 1u);
-  engine.tick(2.0);  // window expired: re-fire
-  EXPECT_EQ(engine.fires(h), 2u);
-  engine.tick(3.5);  // 1.5 s after the last fire: still cooling
-  EXPECT_EQ(engine.fires(h), 2u);
-  engine.tick(4.0);
-  EXPECT_EQ(engine.fires(h), 3u);
-}
-
-// A fresh false->true crossing that lands inside the cooldown window of the
-// previous fire must wait the window out — the hysteresis that stops an
-// oscillating signal from double-actuating.
-TEST_F(ObsTest, CrossingInsideCooldownWaitsItOut) {
-  PolicyEngine engine;
-  int clears = 0;
-  PolicyOptions opts;
-  opts.cooldown_s = 2.0;
-  const int h = engine.add(
-      "test.hysteresis",
-      [](const PolicyContext& ctx) {
-        return ctx.registry->gauge("test.signal").last() > 10.0;
-      },
-      [](const PolicyContext&) {},
-      [&clears](const PolicyContext&) { ++clears; }, opts);
-
-  TELEMETRY_GAUGE("test.signal", 15.0);
-  engine.tick(0.0);
-  EXPECT_EQ(engine.fires(h), 1u);
-
-  TELEMETRY_GAUGE("test.signal", 5.0);
-  engine.tick(0.5);  // clears and re-arms
-  EXPECT_EQ(clears, 1);
-
-  TELEMETRY_GAUGE("test.signal", 15.0);
-  engine.tick(1.0);  // re-crossed 1 s after the fire: inside the window
-  EXPECT_EQ(engine.fires(h), 1u) << "crossing must wait out the cooldown";
-  engine.tick(2.0);  // window expired while held: now it fires
-  EXPECT_EQ(engine.fires(h), 2u);
-}
-
 // Actuating policies return what they decided; the engine tallies the
 // Restrict/Relax split per handle and in the obs.policy_actions.* counters.
+// Like every policy they act on the edge only: a held condition actuates
+// once, and moving from one side of the band straight to the other without
+// clearing is not a new crossing.
 TEST_F(ObsTest, ActuatingPolicyTalliesRestrictAndRelax) {
   PolicyEngine engine;
-  PolicyOptions opts;
-  opts.cooldown_s = 1.0;
   const int h = engine.add_actuating(
       "test.actuate",
       [](const PolicyContext& ctx) {
@@ -297,23 +239,29 @@ TEST_F(ObsTest, ActuatingPolicyTalliesRestrictAndRelax) {
         if (v > 10.0) return PolicyAction::Restrict;
         if (v < 5.0) return PolicyAction::Relax;
         return PolicyAction::None;
-      },
-      opts);
+      });
 
   TELEMETRY_GAUGE("test.signal", 20.0);
-  engine.tick(0.0);  // restrict
-  engine.tick(1.0);  // held past cooldown: restrict again
+  engine.tick(0.0);  // cross: restrict
+  engine.tick(1.0);  // held: silent
   TELEMETRY_GAUGE("test.signal", 2.0);
-  engine.tick(2.0);  // still true (low side), cooled: relax
-  engine.tick(2.5);  // cooling
-  EXPECT_EQ(engine.fires(h), 3u);
-  EXPECT_EQ(engine.restricts(h), 2u);
+  engine.tick(2.0);  // still true (low side): silent
+  EXPECT_EQ(engine.fires(h), 1u);
+  EXPECT_EQ(engine.restricts(h), 1u);
+  EXPECT_EQ(engine.relaxes(h), 0u);
+
+  TELEMETRY_GAUGE("test.signal", 7.0);
+  engine.tick(3.0);  // clear: re-arms
+  TELEMETRY_GAUGE("test.signal", 3.0);
+  engine.tick(4.0);  // cross again: relax
+  EXPECT_EQ(engine.fires(h), 2u);
+  EXPECT_EQ(engine.restricts(h), 1u);
   EXPECT_EQ(engine.relaxes(h), 1u);
-  EXPECT_EQ(engine.actions(h), 3u);
+  EXPECT_EQ(engine.actions(h), 2u);
   EXPECT_EQ(telemetry::Registry::global()
                 .counter("obs.policy_actions.restrict")
                 .value(),
-            2u);
+            1u);
   EXPECT_EQ(
       telemetry::Registry::global().counter("obs.policy_actions.relax").value(),
       1u);

@@ -1,9 +1,11 @@
 // Unit tests for the support layer: RNG determinism and distribution shape,
-// streaming statistics, string utilities, tables, and the simulation clock.
+// streaming statistics, string utilities, tables, the simulation clock, and
+// the open/close alert trigger.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "support/json.hpp"
@@ -12,6 +14,7 @@
 #include "support/stats.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/trigger.hpp"
 
 namespace antarex {
 namespace {
@@ -465,6 +468,47 @@ TEST(SimClock, AdvancesMonotonically) {
   EXPECT_THROW(c.advance(-1.0), Error);
   c.reset();
   EXPECT_DOUBLE_EQ(c.now(), 0.0);
+}
+
+// One row per rule and input sequence: '1' is a true input, '0' a false one;
+// the expected string marks each step 'o' (opened), 'c' (closed) or '.'.
+TEST(Trigger, OpensAndClosesOnConsecutiveRuns) {
+  struct Case {
+    TriggerRule rule;
+    const char* inputs;
+    const char* expected;
+  };
+  const Case cases[] = {
+      // Edge rule: fire on each rising edge, clear on each falling one; a
+      // held condition opens once.
+      {{1, 1}, "0110101100", ".o.coco.c."},
+      // Episode rule: an interrupted flag run restarts its count, and so
+      // does an interrupted quiet run.
+      {{2, 3}, "101110010001100", "...o......c.o.."},
+      {{2, 3}, "0001", "...."},
+      // Spike rule: one flag opens, three quiet samples close.
+      {{1, 3}, "1001000110000", "o.....co...c."},
+  };
+  for (const Case& c : cases) {
+    Trigger trig;
+    std::string got;
+    bool open = false;
+    for (const char* in = c.inputs; *in != '\0'; ++in) {
+      const Transition t = trig.step(c.rule, *in == '1');
+      EXPECT_FALSE(t.opened && t.closed);
+      got += t.opened ? 'o' : t.closed ? 'c' : '.';
+      open = (open || t.opened) && !t.closed;
+      EXPECT_EQ(trig.open, open);
+      EXPECT_EQ(trig.last, *in == '1');
+    }
+    EXPECT_EQ(got, c.expected) << "rule {" << c.rule.open_after << ","
+                               << c.rule.close_after << "} on " << c.inputs;
+  }
+}
+
+TEST(Trigger, StateStaysEightBytes) {
+  // The detector keeps one per (tracked node, anomaly kind).
+  EXPECT_EQ(sizeof(Trigger), 8u);
 }
 
 }  // namespace
