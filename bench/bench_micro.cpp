@@ -8,6 +8,7 @@
 #include "dock/dock.hpp"
 #include "dsl/runtime.hpp"
 #include "dsl/weaver.hpp"
+#include "monitor/fabric.hpp"
 #include "nav/nav.hpp"
 #include "passes/pass_manager.hpp"
 #include "passes/specialize.hpp"
@@ -275,6 +276,30 @@ void BM_ClusterTickSharded(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(nodes));
 }
 BENCHMARK(BM_ClusterTickSharded)->Arg(256)->Arg(1024)->Arg(16384);
+
+// Monitor cost per node-sample: the settled 1,024-node fleet from above with
+// a MonitorFabric sampling every step (sample_period_s == dt). One item is
+// one node sampled, published, aggregated and run through the detector; the
+// parked plant's own tick is the nanosecond floor BM_ClusterTickSharded
+// measures.
+void BM_MonitorSample(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1024;
+  constexpr double kDt = 0.25;
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 8;
+  rtrm::ShardedCluster cluster(cfg);
+  rtrm::ClusterBlueprint::exascale(7, kNodes).build(cluster);
+  cluster.run_for(600.0, kDt);
+  monitor::FabricConfig fcfg;
+  fcfg.sample_period_s = kDt;
+  monitor::MonitorFabric fabric(fcfg);
+  fabric.attach(cluster);
+  cluster.run_for(kDt, kDt);  // the first sweep only primes RAPL readings
+  const u64 before = fabric.samples();
+  for (auto _ : state) cluster.run_for(kDt, kDt);
+  state.SetItemsProcessed(static_cast<i64>((fabric.samples() - before) * kNodes));
+}
+BENCHMARK(BM_MonitorSample);
 
 }  // namespace
 

@@ -99,8 +99,8 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
     }
     if (-zg > kFlagZ) {
       // Progress fell off the shard baseline; the power signature says how.
-      const auto kind = zp < -kPowerDropZ ? AnomalyKind::Throttle
-                                                : AnomalyKind::SlowNode;
+      const auto kind =
+          zp < -kPowerDropZ ? AnomalyKind::Throttle : AnomalyKind::SlowNode;
       flags[static_cast<std::size_t>(kind)] = true;
       zs[static_cast<std::size_t>(kind)] = -zg;
     }

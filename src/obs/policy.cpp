@@ -50,7 +50,7 @@ int PolicyEngine::add_actuating(std::string name, Predicate when,
   p.name = std::move(name);
   p.when = std::move(when);
   p.act = std::move(act);
-  p.opts = std::move(opts);
+  p.opts = opts;
   return add_policy(std::move(p));
 }
 

@@ -326,7 +326,7 @@ TEST(Detector, PowerSpikeOpensInOneSampleAndClosesAfterQuiet) {
   ASSERT_EQ(det.episodes().size(), 1u);
   EXPECT_EQ(det.episodes()[0].kind, AnomalyKind::PowerSpike);
   EXPECT_TRUE(det.episodes()[0].open);
-  for (int i = 0; i < 3; ++i)  // quiet_close = 3
+  for (int i = 0; i < 3; ++i)  // three quiet samples close
     det.observe(make_frame(t++, 0, 0, kP, kT, 1.0f, kG));
   EXPECT_EQ(det.active(), 0u);
   ASSERT_EQ(det.closed().size(), 1u);
@@ -373,7 +373,7 @@ TEST(Detector, IdleSamplesAreNeverJudgedAndCountAsQuiet) {
   // An idle node with absurd readings is not an anomaly.
   det.observe(make_frame(t++, 4, 0, 600.0f, 95.0f, 0.0f, 0.0f));
   EXPECT_TRUE(det.episodes().empty());
-  // An open episode closes when the node goes idle for quiet_close samples.
+  // An open episode closes when the node goes idle for three samples.
   det.observe(make_frame(t++, 5, 0, 600.0f, kT, 1.0f, kG));
   EXPECT_EQ(det.active(), 1u);
   for (int i = 0; i < 3; ++i)
