@@ -911,6 +911,14 @@ std::string detector_transitions() {
   for (int i = 0; i < 3; ++i) feed(7, kP, kT, kG);
   feed(7, 700.0f, kT, kG);
   feed(7, 720.0f, kT, kG);
+  // A spike's quiet run interrupted by a second spike keeps one episode.
+  feed(9, 630.0f, kT, kG);
+  feed(9, kP, kT, kG);
+  feed(9, kP, kT, kG);
+  doc += detector_counters(det);
+  feed(9, 660.0f, kT, kG);
+  for (int i = 0; i < 3; ++i) feed(9, kP, kT, kG);
+  doc += detector_counters(det);
   // Idle samples count as quiet.
   feed(8, 610.0f, kT, kG);
   for (int i = 0; i < 3; ++i)
