@@ -15,6 +15,7 @@
 #include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
+#include "telemetry/telemetry.hpp"
 #include "vm/compiler.hpp"
 #include "vm/engine.hpp"
 
@@ -300,6 +301,29 @@ void BM_MonitorSample(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<i64>((fabric.samples() - before) * kNodes));
 }
 BENCHMARK(BM_MonitorSample);
+
+// One TELEMETRY_SPAN opened and closed outside any causal context. Arg 0 runs
+// with telemetry off, which should cost the one relaxed load DESIGN promises;
+// arg 1 with it on: two clock reads and two locked pushes into the trace
+// buffer. The buffer is emptied before it fills, so the on case never takes
+// the cheaper drop path.
+void BM_SpanEmission(benchmark::State& state) {
+  const telemetry::ScopedEnable enable(state.range(0) != 0);
+  telemetry::TraceBuffer& trace = telemetry::Registry::global().trace();
+  trace.clear();
+  const std::size_t spans_per_fill = trace.capacity() / 2;
+  std::size_t spans = 0;
+  for (auto _ : state) {
+    { TELEMETRY_SPAN("bench.span"); }
+    if (++spans == spans_per_fill) {
+      trace.clear();
+      spans = 0;
+    }
+  }
+  trace.clear();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SpanEmission)->Arg(0)->Arg(1);
 
 }  // namespace
 

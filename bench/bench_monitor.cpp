@@ -99,7 +99,6 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
 
   monitor::FabricConfig fcfg;
   fcfg.shards = 64;
-  fcfg.time_self = true;
   monitor::MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
 

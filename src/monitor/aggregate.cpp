@@ -66,10 +66,13 @@ void RetentionRing::clear() {
 // --- ShardAggregator --------------------------------------------------------
 
 namespace {
+constexpr std::size_t kHotNodes = 16;  ///< TopK capacity of hot_nodes()
+constexpr double kTempHiC = 150.0;     ///< temperature histogram range top
+
 double metric_hi(const AggregatorConfig& cfg, Metric m) {
   switch (m) {
     case Metric::PowerW: return cfg.power_hi_w;
-    case Metric::TempC: return cfg.temp_hi_c;
+    case Metric::TempC: return kTempHiC;
     case Metric::Utilization: return 1.0;
     default: return cfg.progress_hi_ups;
   }
@@ -77,7 +80,7 @@ double metric_hi(const AggregatorConfig& cfg, Metric m) {
 }  // namespace
 
 ShardAggregator::ShardAggregator(std::size_t shards, AggregatorConfig cfg)
-    : shards_(shards), cfg_(cfg), hot_nodes_(cfg.top_k) {
+    : shards_(shards), cfg_(cfg), hot_nodes_(kHotNodes) {
   ANTAREX_REQUIRE(shards > 0, "ShardAggregator: need at least one shard");
   cells_.reserve(shards_ * kMetricCount);
   for (std::size_t s = 0; s < shards_; ++s)

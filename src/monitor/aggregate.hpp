@@ -15,8 +15,8 @@
 //                   resolution instead of growing memory.
 //
 // ShardAggregator owns one StreamStat + Histogram per (shard, metric)
-// and one RetentionRing per metric at cluster scope, plus a TopK of outlier
-// nodes — total memory O(shards * metrics + K).
+// and one RetentionRing per metric at cluster scope, plus a TopK of the 16
+// hottest nodes — total memory O(shards * metrics + K).
 //
 // All updates happen on the simulation thread (broker drain); determinism
 // follows from delivery order.
@@ -117,10 +117,9 @@ class RetentionRing {
 struct AggregatorConfig {
   std::size_t sketch_bins = 64;
   std::size_t ring_capacity = 128;
-  std::size_t top_k = 16;
-  /// Histogram value ranges per metric (clamped beyond them).
+  /// Histogram value ranges per metric (clamped beyond them). Temperature is
+  /// fixed at 0..150 C and utilization at 0..1.
   double power_hi_w = 1000.0;
-  double temp_hi_c = 150.0;
   double progress_hi_ups = 50.0;
 };
 
@@ -132,7 +131,7 @@ class ShardAggregator {
   std::size_t shards() const { return shards_; }
   const AggregatorConfig& config() const { return cfg_; }
 
-  /// Ingest one frame (subscribed to the broker's `#`).
+  /// Ingest one frame (the broker delivers every frame here first).
   void ingest(const MetricFrame& frame);
   /// Close the current step: fold per-step cluster means into the retention
   /// rings. Call once per sampling step, after the drain.

@@ -7,18 +7,11 @@
 
 namespace antarex::monitor {
 
-Broker::Broker(std::size_t shards, BrokerConfig cfg) : cfg_(cfg) {
+Broker::Broker(std::size_t shards) {
   ANTAREX_REQUIRE(shards > 0, "Broker: need at least one shard");
-  ANTAREX_REQUIRE(cfg_.queue_capacity > 0, "Broker: zero queue capacity");
   queues_.resize(shards);
   dropped_.assign(shards, 0);
-  for (auto& q : queues_) q.reserve(cfg_.queue_capacity);
-}
-
-int Broker::subscribe(const std::string& pattern, Handler fn) {
-  ANTAREX_REQUIRE(fn != nullptr, "Broker: null subscription handler");
-  subs_.push_back(Subscription{parse_topic_filter(pattern), std::move(fn)});
-  return static_cast<int>(subs_.size()) - 1;
+  for (auto& q : queues_) q.reserve(kQueueCapacity);
 }
 
 void Broker::publish(const MetricFrame& frame) {
@@ -26,7 +19,7 @@ void Broker::publish(const MetricFrame& frame) {
                   "Broker: frame addressed to a missing shard");
   ++published_;
   std::vector<MetricFrame>& q = queues_[frame.shard];
-  if (q.size() >= cfg_.queue_capacity) {
+  if (q.size() >= kQueueCapacity) {
     ++dropped_[frame.shard];
     // Saturation must be observable from outside the process too: mirror the
     // per-shard count into a telemetry drop counter (the metrics-JSON
@@ -40,21 +33,6 @@ void Broker::publish(const MetricFrame& frame) {
   q.push_back(frame);
 }
 
-std::size_t Broker::drain() {
-  std::size_t n = 0;
-  for (std::vector<MetricFrame>& q : queues_) {
-    for (const MetricFrame& frame : q) {
-      for (const Subscription& sub : subs_)
-        if (sub.filter.matches(frame.shard, frame.node)) sub.fn(frame);
-      ++n;
-    }
-    q.clear();
-  }
-  delivered_ += n;
-  last_drain_ = n;
-  return n;
-}
-
 u64 Broker::dropped(std::size_t shard) const {
   ANTAREX_REQUIRE(shard < dropped_.size(), "Broker: shard out of range");
   return dropped_[shard];
@@ -66,8 +44,8 @@ u64 Broker::total_dropped() const {
 
 std::size_t Broker::approx_bytes() const {
   return queues_.size() *
-             (cfg_.queue_capacity * sizeof(MetricFrame) + sizeof(queues_[0])) +
-         dropped_.size() * sizeof(u64) + subs_.size() * sizeof(Subscription);
+             (kQueueCapacity * sizeof(MetricFrame) + sizeof(queues_[0])) +
+         dropped_.size() * sizeof(u64);
 }
 
 }  // namespace antarex::monitor

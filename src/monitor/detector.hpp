@@ -76,7 +76,8 @@ class AnomalyDetector {
 
   void set_hook(Hook hook) { hook_ = std::move(hook); }
 
-  /// Ingest one frame (subscribe to the broker's `#`).
+  /// Ingest one frame (the broker delivers every frame here, after the
+  /// aggregator).
   void observe(const MetricFrame& frame);
 
   /// Episodes closed so far, in close order.

@@ -14,7 +14,7 @@ namespace antarex::monitor {
 
 MonitorFabric::MonitorFabric(FabricConfig cfg)
     : cfg_(cfg),
-      broker_(cfg.shards, cfg.broker),
+      broker_(cfg.shards),
       aggregator_(cfg.shards, cfg.aggregator),
       detector_(cfg.shards) {
   ANTAREX_REQUIRE(cfg_.shards > 0, "MonitorFabric: need at least one shard");
@@ -37,10 +37,6 @@ void MonitorFabric::attach(rtrm::Cluster& cluster) {
   }
   prev_uj_.assign(devices, 0);
 
-  // Registration order fixes delivery order: aggregate, then detect.
-  broker_.subscribe("#", [this](const MetricFrame& f) { aggregator_.ingest(f); });
-  broker_.subscribe("#", [this](const MetricFrame& f) { detector_.observe(f); });
-
   cluster.add_step_observer(
       [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
         on_step(cluster, now_s);
@@ -58,10 +54,6 @@ void MonitorFabric::attach(rtrm::ShardedCluster& cluster) {
     devices += cluster.node_device_count(i);
   }
   prev_uj_.assign(devices, 0);
-
-  // Registration order fixes delivery order: aggregate, then detect.
-  broker_.subscribe("#", [this](const MetricFrame& f) { aggregator_.ingest(f); });
-  broker_.subscribe("#", [this](const MetricFrame& f) { detector_.observe(f); });
 
   cluster.add_step_observer(
       [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
@@ -90,11 +82,9 @@ void MonitorFabric::on_step_sharded(rtrm::ShardedCluster& cluster,
   last_sample_s_ = now_s;
   while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
 
-  if (cfg_.time_self) {
-    self_s_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-  }
+  self_s_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
@@ -132,12 +122,7 @@ void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
     frame.progress_ups = static_cast<float>(progress);
     broker_.publish(frame);
   }
-  broker_.drain();
-  aggregator_.roll_step();
-  ++samples_;
-  TELEMETRY_COUNT("monitor.samples", 1);
-  TELEMETRY_GAUGE("monitor.frames_published",
-                  static_cast<double>(broker_.published()));
+  deliver();
 }
 
 void MonitorFabric::add_episode_listener(EpisodeListener fn) {
@@ -163,11 +148,9 @@ void MonitorFabric::on_step(rtrm::Cluster& cluster, double now_s) {
   last_sample_s_ = now_s;
   while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
 
-  if (cfg_.time_self) {
-    self_s_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-  }
+  self_s_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
 }
 
 void MonitorFabric::sample(rtrm::Cluster& cluster, double now_s,
@@ -208,7 +191,15 @@ void MonitorFabric::sample(rtrm::Cluster& cluster, double now_s,
     frame.progress_ups = static_cast<float>(progress);
     broker_.publish(frame);
   }
-  broker_.drain();
+  deliver();
+}
+
+void MonitorFabric::deliver() {
+  // Delivery order per frame: aggregate, then detect.
+  broker_.drain([this](const MetricFrame& f) {
+    aggregator_.ingest(f);
+    detector_.observe(f);
+  });
   aggregator_.roll_step();
   ++samples_;
   TELEMETRY_COUNT("monitor.samples", 1);

@@ -5,6 +5,9 @@
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
 //
+// The drain hands each frame to the aggregator and then to the detector;
+// those two are the fabric's only consumers, so nothing is routed by topic.
+//
 // attach() installs one step observer. Every sample_period_s of simulated
 // time it samples all alive nodes — power from RAPL counter *deltas* (what a
 // real out-of-band sampler reads, glitches included), hottest-device
@@ -44,8 +47,6 @@ namespace antarex::monitor {
 struct FabricConfig {
   u16 shards = 8;               ///< topic shards (node -> node % shards)
   double sample_period_s = 1.0; ///< min simulated seconds between samples
-  bool time_self = true;        ///< measure the fabric's own wall time
-  BrokerConfig broker;
   AggregatorConfig aggregator;
 };
 
@@ -55,9 +56,8 @@ class MonitorFabric {
 
   explicit MonitorFabric(FabricConfig cfg = {});
 
-  /// Install the sampling step observer on `cluster` and subscribe the
-  /// aggregator and detector to the broker. The fabric must outlive the
-  /// cluster's run. Call once.
+  /// Install the sampling step observer on `cluster`. The fabric must
+  /// outlive the cluster's run. Call once.
   void attach(rtrm::Cluster& cluster);
 
   /// Same fabric over the SoA engine: sampling reads the ShardedCluster's
@@ -82,8 +82,8 @@ class MonitorFabric {
 
   u64 samples() const { return samples_; }  ///< sampling sweeps taken
   /// Wall-clock seconds spent inside the fabric's observer (sampling,
-  /// publishing, draining, detection) when config().time_self — the
-  /// numerator of bench_monitor's overhead figure.
+  /// publishing, draining, detection) — the numerator of bench_monitor's
+  /// overhead figure.
   double self_seconds() const { return self_s_; }
 
   /// Fabric-core memory bound: broker + aggregator + detector. Excludes the
@@ -99,6 +99,7 @@ class MonitorFabric {
 
  private:
   void on_step(rtrm::Cluster& cluster, double now_s);
+  void deliver();
   void sample(rtrm::Cluster& cluster, double now_s, double elapsed_s);
   void on_step_sharded(rtrm::ShardedCluster& cluster, double now_s);
   void sample_sharded(rtrm::ShardedCluster& cluster, double now_s,

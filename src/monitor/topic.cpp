@@ -1,53 +1,6 @@
 #include "monitor/topic.hpp"
 
-#include <vector>
-
-#include "support/strings.hpp"
-
 namespace antarex::monitor {
-
-namespace {
-
-std::vector<std::string> split_levels(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (const char c : s) {
-    if (c == '/') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-/// Level -> id: literal number, `+`/`#` -> kAny. Throws on anything else.
-u32 parse_id_level(const std::string& level, const char* what) {
-  if (level == "+" || level == "#") return TopicFilter::kAny;
-  ANTAREX_REQUIRE(!level.empty(), std::string("monitor: empty ") + what +
-                                      " level in topic pattern");
-  u64 v = 0;
-  for (const char c : level) {
-    ANTAREX_REQUIRE(c >= '0' && c <= '9',
-                    std::string("monitor: non-numeric ") + what +
-                        " level '" + level + "' in topic pattern");
-    v = v * 10 + static_cast<u64>(c - '0');
-    ANTAREX_REQUIRE(v < TopicFilter::kAny,
-                    std::string("monitor: ") + what + " id out of range");
-  }
-  return static_cast<u32>(v);
-}
-
-u32 parse_metric_level(const std::string& level) {
-  if (level == "+" || level == "#") return TopicFilter::kAny;
-  for (std::size_t i = 0; i < kMetricCount; ++i)
-    if (level == metric_name(static_cast<Metric>(i))) return static_cast<u32>(i);
-  throw Error("monitor: unknown metric '" + level + "' in topic pattern");
-}
-
-}  // namespace
 
 const char* metric_name(Metric m) {
   switch (m) {
@@ -56,63 +9,6 @@ const char* metric_name(Metric m) {
     case Metric::Utilization: return "util";
     default: return "progress_ups";
   }
-}
-
-std::string topic_for(u16 shard, u32 node, Metric m) {
-  return format("cluster/%u/node/%u/%s", static_cast<unsigned>(shard),
-                static_cast<unsigned>(node), metric_name(m));
-}
-
-TopicFilter parse_topic_filter(const std::string& pattern) {
-  const std::vector<std::string> levels = split_levels(pattern);
-  TopicFilter f;
-  // `#` swallows everything from its level on; a bare "#" matches all.
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const std::string& level = levels[i];
-    const bool is_hash = level == "#";
-    ANTAREX_REQUIRE(!is_hash || i + 1 == levels.size(),
-                    "monitor: '#' must be the last topic level");
-    switch (i) {
-      case 0:
-        if (is_hash) return f;
-        ANTAREX_REQUIRE(level == "cluster" || level == "+",
-                        "monitor: topic pattern must start with 'cluster'");
-        break;
-      case 1:
-        if (is_hash) return f;
-        f.shard = parse_id_level(level, "shard");
-        break;
-      case 2:
-        if (is_hash) return f;
-        ANTAREX_REQUIRE(level == "node" || level == "+",
-                        "monitor: third topic level must be 'node'");
-        break;
-      case 3:
-        if (is_hash) return f;
-        f.node = parse_id_level(level, "node");
-        break;
-      case 4:
-        f.metric = is_hash ? TopicFilter::kAny : parse_metric_level(level);
-        break;
-      default:
-        throw Error("monitor: topic pattern '" + pattern + "' is too deep");
-    }
-  }
-  // A pattern truncated without `#` ("cluster/3") subscribes the subtree,
-  // same as MQTT's "cluster/3/#".
-  return f;
-}
-
-bool topic_matches(const std::string& pattern, const std::string& topic) {
-  const std::vector<std::string> p = split_levels(pattern);
-  const std::vector<std::string> t = split_levels(topic);
-  std::size_t i = 0;
-  for (; i < p.size(); ++i) {
-    if (p[i] == "#") return true;  // matches the remainder, even empty
-    if (i >= t.size()) return false;
-    if (p[i] != "+" && p[i] != t[i]) return false;
-  }
-  return i == t.size();
 }
 
 }  // namespace antarex::monitor

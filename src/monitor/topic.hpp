@@ -1,25 +1,23 @@
-// antarex::monitor — Examon-style topic hierarchy.
+// antarex::monitor — Examon-style metric addressing.
 //
-// Every sample the fabric moves is addressed by an MQTT-like topic
+// Every sample the fabric moves belongs to one stream, addressed by
 //
 //   cluster/<shard>/node/<id>/<metric>
 //
 // exactly the scheme ANTAREX's Examon uses to ship per-node sensor streams
-// over MQTT brokers. Subscriptions use the MQTT wildcards: `+` matches one
-// level, `#` matches the rest of the topic. The hot path never materializes
-// topic strings — frames carry (shard, node) ids and a filter is precompiled
-// into integer comparisons — but the string grammar is the public contract
-// (health reports, drop counters, and tests all speak it).
+// over MQTT brokers. The hot path never materializes topic strings: a
+// MetricFrame carries its (shard, node) ids and all four metrics at once,
+// and the broker delivers every frame to the fabric's fixed consumers (the
+// aggregator, then the detector). MQTT wildcard topic filters are not
+// modelled, because no consumer asks for less than every stream.
 #pragma once
-
-#include <string>
 
 #include "support/common.hpp"
 
 namespace antarex::monitor {
 
 /// The per-node signals a Sampler publishes. One MetricFrame carries all of
-/// them; the metric level of a topic selects which one a subscriber reads.
+/// them; the metric level of a topic selects one of them.
 enum class Metric : u8 {
   PowerW,       ///< sensor-read node power (RAPL counter deltas)
   TempC,        ///< hottest device temperature
@@ -52,32 +50,5 @@ struct MetricFrame {
     }
   }
 };
-
-/// Canonical topic string for one (shard, node, metric) stream.
-std::string topic_for(u16 shard, u32 node, Metric m);
-
-/// Precompiled subscription filter over the topic hierarchy. kAny matches
-/// every value at that level (the `+` / `#` wildcards).
-struct TopicFilter {
-  static constexpr u32 kAny = 0xffffffffu;
-  u32 shard = kAny;
-  u32 node = kAny;
-  u32 metric = kAny;  ///< index into Metric, or kAny
-
-  bool matches(u16 frame_shard, u32 frame_node) const {
-    return (shard == kAny || shard == frame_shard) &&
-           (node == kAny || node == frame_node);
-  }
-};
-
-/// Parse an MQTT-style pattern ("cluster/+/node/+/power_w", "cluster/3/#",
-/// "#") into a filter. Throws antarex::Error on patterns outside the
-/// cluster/<shard>/node/<id>/<metric> grammar.
-TopicFilter parse_topic_filter(const std::string& pattern);
-
-/// Pure string-level MQTT matcher (`+` one level, `#` rest); the reference
-/// semantics parse_topic_filter compiles down from. Exposed for tests and
-/// for tools that carry topics as strings.
-bool topic_matches(const std::string& pattern, const std::string& topic);
 
 }  // namespace antarex::monitor

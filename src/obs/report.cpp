@@ -38,11 +38,7 @@ std::vector<Interval> reconstruct(const JsonValue& trace) {
   ANTAREX_REQUIRE(events != nullptr && events->is_array(),
                   "report: trace has no traceEvents array");
   std::vector<Interval> out;
-  struct Open {
-    std::size_t slot;
-    double child_us = 0.0;
-  };
-  std::vector<Open> stack;
+  std::vector<std::size_t> stack;  // indices into out of the open spans
   double last_ts = 0.0;
   for (const JsonValue& e : events->as_array()) {
     if (!e.is_object()) continue;
@@ -57,20 +53,14 @@ std::vector<Interval> reconstruct(const JsonValue& trace) {
       iv.begin_us = ts;
       iv.depth = stack.size();
       out.push_back(iv);
-      stack.push_back(Open{out.size() - 1});
+      stack.push_back(out.size() - 1);
     } else if (ph->as_string() == "E" && !stack.empty()) {
-      const Open open = stack.back();
+      out[stack.back()].end_us = ts;
       stack.pop_back();
-      out[open.slot].end_us = ts;
-      if (!stack.empty())
-        stack.back().child_us += out[open.slot].dur_us();
-      // Self time = duration minus nested children.
-      // Stored via the aggregate pass below using child_us snapshots:
-      out[open.slot].end_us = ts;
     }
   }
   while (!stack.empty()) {
-    out[stack.back().slot].end_us = last_ts;
+    out[stack.back()].end_us = last_ts;
     stack.pop_back();
   }
   return out;

@@ -102,10 +102,9 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
 
   FabricConfig fcfg;
   fcfg.shards = res.shards;
-  fcfg.time_self = false;
   MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
-  // Post-attach (subscriptions registered), pre-traffic: the capacity shape.
+  // Post-attach, pre-traffic: the capacity shape.
   res.core_bytes_before =
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
 

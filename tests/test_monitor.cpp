@@ -1,10 +1,10 @@
-// Tests for antarex::monitor: the topic grammar, the sharded broker's
-// delivery order and drop accounting, the bounded-memory aggregation pieces
-// (retention ring, space-saving top-K, per-shard histograms), the anomaly
-// detector's per-kind semantics on synthetic frames, ground-truth evaluation,
-// and the assembled fabric end-to-end on a small faulted cluster, pinned by
-// a golden health fixture; a second fixture pins every alert open/close
-// transition of the policy engine, the detector and the SLO tracker.
+// Tests for antarex::monitor: the sharded broker's delivery order and drop
+// accounting, the bounded-memory aggregation pieces (retention ring,
+// space-saving top-K, per-shard histograms), the anomaly detector's per-kind
+// semantics on synthetic frames, ground-truth evaluation, and the assembled
+// fabric end-to-end on a small faulted cluster, pinned by a golden health
+// fixture; a second fixture pins every alert open/close transition of the
+// policy engine, the detector and the SLO tracker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,105 +48,39 @@ MetricFrame make_frame(double t_s, u32 node, u16 shard, float power_w,
 }
 
 // --------------------------------------------------------------------------
-// Topic grammar
-// --------------------------------------------------------------------------
-
-TEST(Topic, CanonicalTopicString) {
-  EXPECT_EQ(topic_for(3, 17, Metric::PowerW), "cluster/3/node/17/power_w");
-  EXPECT_EQ(topic_for(0, 0, Metric::TempC), "cluster/0/node/0/temp_c");
-  EXPECT_EQ(topic_for(1, 2, Metric::Utilization), "cluster/1/node/2/util");
-  EXPECT_EQ(topic_for(7, 9, Metric::ProgressUps),
-            "cluster/7/node/9/progress_ups");
-}
-
-TEST(Topic, ParseExactAndWildcardPatterns) {
-  const TopicFilter exact = parse_topic_filter("cluster/3/node/17/power_w");
-  EXPECT_EQ(exact.shard, 3u);
-  EXPECT_EQ(exact.node, 17u);
-  EXPECT_TRUE(exact.matches(3, 17));
-  EXPECT_FALSE(exact.matches(3, 18));
-  EXPECT_FALSE(exact.matches(2, 17));
-
-  const TopicFilter any_node = parse_topic_filter("cluster/1/node/+/temp_c");
-  EXPECT_TRUE(any_node.matches(1, 0));
-  EXPECT_TRUE(any_node.matches(1, 999));
-  EXPECT_FALSE(any_node.matches(2, 0));
-
-  const TopicFilter subtree = parse_topic_filter("cluster/2/#");
-  EXPECT_TRUE(subtree.matches(2, 5));
-  EXPECT_FALSE(subtree.matches(3, 5));
-
-  const TopicFilter all = parse_topic_filter("#");
-  EXPECT_TRUE(all.matches(0, 0));
-  EXPECT_TRUE(all.matches(7, 123));
-}
-
-TEST(Topic, RejectsPatternsOutsideTheGrammar) {
-  EXPECT_THROW(parse_topic_filter(""), Error);
-  EXPECT_THROW(parse_topic_filter("rack/1/node/2/power_w"), Error);
-  EXPECT_THROW(parse_topic_filter("cluster/x/node/2/power_w"), Error);
-  EXPECT_THROW(parse_topic_filter("cluster/1/node/2/bogus"), Error);
-  EXPECT_THROW(parse_topic_filter("cluster/#/node/2/power_w"), Error);
-  EXPECT_THROW(parse_topic_filter("cluster/1/node/2/power_w/extra"), Error);
-}
-
-TEST(Topic, StringMatcherReferenceSemantics) {
-  EXPECT_TRUE(topic_matches("#", "cluster/1/node/2/power_w"));
-  EXPECT_TRUE(topic_matches("cluster/+/node/+/power_w",
-                            "cluster/4/node/8/power_w"));
-  EXPECT_FALSE(topic_matches("cluster/+/node/+/power_w",
-                             "cluster/4/node/8/temp_c"));
-  EXPECT_TRUE(topic_matches("cluster/4/#", "cluster/4/node/8/temp_c"));
-  EXPECT_FALSE(topic_matches("cluster/4/#", "cluster/5/node/8/temp_c"));
-  // Truncated pattern without a wildcard matches nothing deeper.
-  EXPECT_FALSE(topic_matches("cluster/4", "cluster/4/node/8/temp_c"));
-}
-
-// --------------------------------------------------------------------------
 // Broker
 // --------------------------------------------------------------------------
 
 TEST(Broker, DrainsShardsInOrderFifoWithinShard) {
   Broker broker(2);
-  std::vector<u32> seen;
-  broker.subscribe("#", [&](const MetricFrame& f) { seen.push_back(f.node); });
   for (u32 n = 0; n < 6; ++n)
     broker.publish(make_frame(1.0, n, static_cast<u16>(n % 2), 100, 50, 1, 1));
-  EXPECT_EQ(broker.drain(), 6u);
+  std::vector<u32> seen;
+  EXPECT_EQ(broker.drain([&](const MetricFrame& f) { seen.push_back(f.node); }),
+            6u);
   // Shard 0 first (nodes 0,2,4 FIFO), then shard 1 (1,3,5).
   EXPECT_EQ(seen, (std::vector<u32>{0, 2, 4, 1, 3, 5}));
   EXPECT_EQ(broker.published(), 6u);
   EXPECT_EQ(broker.delivered(), 6u);
-  EXPECT_EQ(broker.delivered_last_drain(), 6u);
   EXPECT_EQ(broker.total_dropped(), 0u);
-}
-
-TEST(Broker, WildcardSubscriptionsFilterDelivery) {
-  Broker broker(4);
-  std::vector<u32> shard2_nodes, node3_hits;
-  broker.subscribe("cluster/2/#",
-                   [&](const MetricFrame& f) { shard2_nodes.push_back(f.node); });
-  broker.subscribe("cluster/+/node/3/power_w",
-                   [&](const MetricFrame& f) { node3_hits.push_back(f.node); });
-  for (u32 n = 0; n < 8; ++n)
-    broker.publish(make_frame(1.0, n, static_cast<u16>(n % 4), 100, 50, 1, 1));
-  broker.drain();
-  EXPECT_EQ(shard2_nodes, (std::vector<u32>{2, 6}));
-  EXPECT_EQ(node3_hits, (std::vector<u32>{3}));
+  // The queues are empty after a drain.
+  EXPECT_EQ(broker.drain([&](const MetricFrame&) { ADD_FAILURE(); }), 0u);
 }
 
 TEST(Broker, FullQueueDropsAreCountedPerShardAndInTelemetry) {
   telemetry::set_enabled(true);
   telemetry::Registry::global().reset();
-  BrokerConfig cfg;
-  cfg.queue_capacity = 2;
-  Broker broker(2, cfg);
-  for (int i = 0; i < 5; ++i)
+  Broker broker(2);
+  for (std::size_t i = 0; i < Broker::kQueueCapacity; ++i)
+    broker.publish(make_frame(1.0, 0, 0, 100, 50, 1, 1));
+  EXPECT_EQ(broker.dropped(0), 0u);  // exactly full is not a drop
+  for (int i = 0; i < 3; ++i)
     broker.publish(make_frame(1.0, 0, 0, 100, 50, 1, 1));
   EXPECT_EQ(broker.dropped(0), 3u);
   EXPECT_EQ(broker.dropped(1), 0u);
   EXPECT_EQ(broker.total_dropped(), 3u);
-  EXPECT_EQ(broker.drain(), 2u);
+  EXPECT_EQ(broker.published(), Broker::kQueueCapacity + 3);
+  EXPECT_EQ(broker.drain([](const MetricFrame&) {}), Broker::kQueueCapacity);
   // The drop surfaced as a registered telemetry drop counter.
   bool found = false;
   for (const auto& [name, counter] : telemetry::Registry::global().drop_counters())
@@ -584,7 +518,6 @@ std::string run_monitored(int threads, double horizon_s,
 
   FabricConfig cfg;
   cfg.shards = 4;
-  cfg.time_self = false;
   MonitorFabric fabric(cfg);
   fabric.attach(cluster);
   fault::FaultInjector injector(cluster, faulted_schedule(horizon_s));
@@ -683,6 +616,68 @@ TEST(Fabric, DownedNodesStopPublishing) {
   EXPECT_GT(fabric.broker().published(), 3 * fabric.samples());
 }
 
+/// Health JSON plus every metric's cluster quantiles at full precision.
+std::string fabric_digest(const MonitorFabric& fabric) {
+  std::string doc = fabric.health_json() + "\n";
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    const auto metric = static_cast<Metric>(m);
+    doc += metric_name(metric);
+    for (const double v : fabric.aggregator().cluster_quantiles(
+             metric, {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}))
+      doc += format(" %.17g", v);
+    doc += "\n";
+  }
+  return doc;
+}
+
+template <typename ClusterLike>
+void submit_blueprint_jobs(ClusterLike& cluster) {
+  for (u64 j = 1; j <= 12; ++j) {
+    rtrm::Job job;
+    job.id = j;
+    job.name = "job" + std::to_string(j);
+    job.units = 500.0;
+    job.profiles[DeviceType::Cpu] = cpu_work();
+    cluster.submit(std::move(job));
+  }
+}
+
+// The two attach paths sample different engines through different
+// accessors; over one blueprint and one fault schedule they must publish the
+// same frames, so everything downstream of the broker agrees byte for byte.
+TEST(Fabric, LegacyAndShardedAttachAgree) {
+  constexpr double kHorizonS = 130.0;
+  rtrm::ClusterBlueprint bp;
+  bp.specs = {DeviceSpec::xeon_haswell()};
+  Rng var_rng(15);
+  for (int i = 0; i < 12; ++i)
+    bp.nodes.push_back({40.0, {{0, power::Variability::sample(var_rng, 0.1)}}});
+  FabricConfig cfg;
+  cfg.shards = 4;
+
+  rtrm::Cluster legacy;
+  bp.build(legacy);
+  submit_blueprint_jobs(legacy);
+  MonitorFabric legacy_fabric(cfg);
+  legacy_fabric.attach(legacy);
+  fault::FaultInjector injector(legacy, faulted_schedule(kHorizonS));
+  legacy.run_for(kHorizonS, 0.25);
+
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = 3;
+  rtrm::ShardedCluster sharded(ccfg);
+  bp.build(sharded);
+  submit_blueprint_jobs(sharded);
+  MonitorFabric sharded_fabric(cfg);
+  sharded_fabric.attach(sharded);
+  fault::ShardFaultDriver driver(sharded, faulted_schedule(kHorizonS));
+  sharded.run_for(kHorizonS, 0.25);
+
+  EXPECT_EQ(legacy_fabric.samples(), sharded_fabric.samples());
+  EXPECT_FALSE(legacy_fabric.detector().episodes().empty());
+  EXPECT_EQ(fabric_digest(legacy_fabric), fabric_digest(sharded_fabric));
+}
+
 // --------------------------------------------------------------------------
 // Golden fixture: tests/golden/monitor_health.txt was recorded when the
 // monitor's quantile sketch and telemetry's histogram each carried their own
@@ -716,7 +711,6 @@ std::string monitor_golden() {
 
   FabricConfig cfg;
   cfg.shards = 4;
-  cfg.time_self = false;
   cfg.aggregator.sketch_bins = 32;
   cfg.aggregator.ring_capacity = 8;
   cfg.aggregator.power_hi_w = 400.0;
