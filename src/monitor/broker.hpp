@@ -6,9 +6,8 @@
 // <metric>` topic of topic.hpp — and the topic space is split into `shards`,
 // each owning a bounded FIFO queue. publish() enqueues a frame on its shard
 // (or drops it, counted per shard, when the queue is full); drain() hands
-// everything queued to one consumer. The fabric's consumer is fixed — the
-// aggregator, then the detector — so there is no consumer list and no
-// per-frame topic matching.
+// everything queued to one consumer, which in the fabric is always the
+// aggregator followed by the detector.
 //
 // Determinism: publishes happen on the simulation thread in node-index
 // order (the Cluster commits node state serially regardless of the exec

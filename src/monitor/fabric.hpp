@@ -99,12 +99,14 @@ class MonitorFabric {
 
  private:
   void on_step(rtrm::Cluster& cluster, double now_s);
-  void deliver();
   void sample(rtrm::Cluster& cluster, double now_s, double elapsed_s);
   void on_step_sharded(rtrm::ShardedCluster& cluster, double now_s);
   void sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
                       double elapsed_s);
   void prime_sharded(rtrm::ShardedCluster& cluster);
+  /// Drain the sweep's frames into the aggregator and detector and close
+  /// the aggregation step.
+  void deliver();
 
   FabricConfig cfg_;
   Broker broker_;

@@ -618,16 +618,27 @@ TEST(Fabric, DownedNodesStopPublishing) {
 
 /// Health JSON plus every metric's cluster quantiles at full precision.
 std::string fabric_digest(const MonitorFabric& fabric) {
-  std::string doc = fabric.health_json() + "\n";
+  std::string doc = "health " + fabric.health_json() + "\n";
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     const auto metric = static_cast<Metric>(m);
-    doc += metric_name(metric);
+    doc += format("cluster %s", metric_name(metric));
     for (const double v : fabric.aggregator().cluster_quantiles(
              metric, {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}))
       doc += format(" %.17g", v);
     doc += "\n";
   }
   return doc;
+}
+
+/// Twelve single-Xeon nodes (40 W base, 10% variability drawn from seed 15),
+/// each running one CPU job far longer than any horizon used here.
+rtrm::ClusterBlueprint twelve_node_blueprint() {
+  rtrm::ClusterBlueprint bp;
+  bp.specs = {DeviceSpec::xeon_haswell()};
+  Rng var_rng(15);
+  for (int i = 0; i < 12; ++i)
+    bp.nodes.push_back({40.0, {{0, power::Variability::sample(var_rng, 0.1)}}});
+  return bp;
 }
 
 template <typename ClusterLike>
@@ -642,40 +653,40 @@ void submit_blueprint_jobs(ClusterLike& cluster) {
   }
 }
 
+constexpr double kBlueprintHorizonS = 130.0;
+
+/// fabric_digest of the twelve-node blueprint on the sharded engine (3 plant
+/// shards) over faulted_schedule, monitored with `cfg`.
+std::string sharded_blueprint_digest(const FabricConfig& cfg) {
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = 3;
+  rtrm::ShardedCluster cluster(ccfg);
+  twelve_node_blueprint().build(cluster);
+  submit_blueprint_jobs(cluster);
+  MonitorFabric fabric(cfg);
+  fabric.attach(cluster);
+  fault::ShardFaultDriver driver(cluster, faulted_schedule(kBlueprintHorizonS));
+  cluster.run_for(kBlueprintHorizonS, 0.25);
+  return fabric_digest(fabric);
+}
+
 // The two attach paths sample different engines through different
 // accessors; over one blueprint and one fault schedule they must publish the
 // same frames, so everything downstream of the broker agrees byte for byte.
 TEST(Fabric, LegacyAndShardedAttachAgree) {
-  constexpr double kHorizonS = 130.0;
-  rtrm::ClusterBlueprint bp;
-  bp.specs = {DeviceSpec::xeon_haswell()};
-  Rng var_rng(15);
-  for (int i = 0; i < 12; ++i)
-    bp.nodes.push_back({40.0, {{0, power::Variability::sample(var_rng, 0.1)}}});
   FabricConfig cfg;
   cfg.shards = 4;
 
   rtrm::Cluster legacy;
-  bp.build(legacy);
+  twelve_node_blueprint().build(legacy);
   submit_blueprint_jobs(legacy);
   MonitorFabric legacy_fabric(cfg);
   legacy_fabric.attach(legacy);
-  fault::FaultInjector injector(legacy, faulted_schedule(kHorizonS));
-  legacy.run_for(kHorizonS, 0.25);
+  fault::FaultInjector injector(legacy, faulted_schedule(kBlueprintHorizonS));
+  legacy.run_for(kBlueprintHorizonS, 0.25);
 
-  rtrm::ShardedClusterConfig ccfg;
-  ccfg.shards = 3;
-  rtrm::ShardedCluster sharded(ccfg);
-  bp.build(sharded);
-  submit_blueprint_jobs(sharded);
-  MonitorFabric sharded_fabric(cfg);
-  sharded_fabric.attach(sharded);
-  fault::ShardFaultDriver driver(sharded, faulted_schedule(kHorizonS));
-  sharded.run_for(kHorizonS, 0.25);
-
-  EXPECT_EQ(legacy_fabric.samples(), sharded_fabric.samples());
   EXPECT_FALSE(legacy_fabric.detector().episodes().empty());
-  EXPECT_EQ(fabric_digest(legacy_fabric), fabric_digest(sharded_fabric));
+  EXPECT_EQ(fabric_digest(legacy_fabric), sharded_blueprint_digest(cfg));
 }
 
 // --------------------------------------------------------------------------
@@ -692,43 +703,13 @@ TEST(Fabric, LegacyAndShardedAttachAgree) {
 /// over seeded samples with out-of-range values on both sides: buckets and
 /// approx_quantiles at full precision.
 std::string monitor_golden() {
-  constexpr double kHorizonS = 130.0;
-  rtrm::ShardedClusterConfig ccfg;
-  ccfg.shards = 3;
-  rtrm::ShardedCluster cluster(ccfg);
-  const u32 cpu = cluster.add_spec(DeviceSpec::xeon_haswell());
-  Rng var_rng(15);
-  for (int i = 0; i < 12; ++i)
-    cluster.add_node(40.0, {{cpu, power::Variability::sample(var_rng, 0.1)}});
-  for (u64 j = 1; j <= 12; ++j) {
-    rtrm::Job job;
-    job.id = j;
-    job.name = "job" + std::to_string(j);
-    job.units = 500.0;
-    job.profiles[DeviceType::Cpu] = cpu_work();
-    cluster.submit(std::move(job));
-  }
-
   FabricConfig cfg;
   cfg.shards = 4;
   cfg.aggregator.sketch_bins = 32;
   cfg.aggregator.ring_capacity = 8;
   cfg.aggregator.power_hi_w = 400.0;
   cfg.aggregator.progress_hi_ups = 1.0;
-  MonitorFabric fabric(cfg);
-  fabric.attach(cluster);
-  fault::ShardFaultDriver driver(cluster, faulted_schedule(kHorizonS));
-  cluster.run_for(kHorizonS, 0.25);
-
-  std::string doc = "health " + fabric.health_json() + "\n";
-  for (std::size_t m = 0; m < kMetricCount; ++m) {
-    const auto metric = static_cast<Metric>(m);
-    doc += format("cluster %s", metric_name(metric));
-    for (const double v : fabric.aggregator().cluster_quantiles(
-             metric, {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}))
-      doc += format(" %.17g", v);
-    doc += "\n";
-  }
+  std::string doc = sharded_blueprint_digest(cfg);
 
   const telemetry::ScopedEnable on(true);
   for (const u64 seed : {1, 2, 3}) {
