@@ -30,7 +30,7 @@ struct DecisionRecord {
   u64 seq = 0;       ///< assigned by the ledger, 1-based, monotonic
   double t_s = 0.0;  ///< decision time on the caller's clock
   std::string actor;   ///< who decided ("policy.nav.slo_guard", "govern.coordinator", ...)
-  std::string action;  ///< what was done ("restrict:exec.worker_limit", ...)
+  std::string action;  ///< what was done ("restrict:dvfs", ...)
   std::string cause;   ///< what triggered it ("nav.queue_depth=15 > 12", ...)
   double cause_value = 0.0;
   std::string effect;  ///< observed outcome, attached later via note_effect()

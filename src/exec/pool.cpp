@@ -163,7 +163,6 @@ struct SeedTask final : Task {
 ThreadPool::ThreadPool(int threads) {
   int n = threads > 0 ? threads : hardware_threads();
   n = std::max(1, n);
-  worker_limit_.store(n, std::memory_order_relaxed);
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) workers_.push_back(std::make_unique<Worker>());
   threads_.reserve(static_cast<std::size_t>(n));
@@ -224,19 +223,6 @@ void ThreadPool::wake_all() {
   wake_cv_.notify_all();
 }
 
-void ThreadPool::set_worker_limit(int n) {
-  n = std::min(std::max(1, n), size());
-  worker_limit_.store(n, std::memory_order_release);
-  TELEMETRY_GAUGE("exec.worker_limit", static_cast<double>(n));
-  wake_all();  // parked workers re-check the limit
-}
-
-void ThreadPool::set_grain_scale(double s) {
-  ANTAREX_REQUIRE(s >= 1.0, "ThreadPool: grain scale must be >= 1");
-  grain_scale_.store(s, std::memory_order_relaxed);
-  TELEMETRY_GAUGE("exec.grain_scale", s);
-}
-
 void ThreadPool::note_retry() {
   retries_.fetch_add(1, std::memory_order_relaxed);
   TELEMETRY_COUNT("exec.task_retries", 1);
@@ -248,10 +234,6 @@ void ThreadPool::parallel_for(
   ANTAREX_REQUIRE(body != nullptr, "parallel_for: null body");
   if (n == 0) return;
   grain = std::max<std::size_t>(1, grain);
-  const double scale = grain_scale_.load(std::memory_order_relaxed);
-  if (scale > 1.0)
-    grain = std::max<std::size_t>(
-        grain, static_cast<std::size_t>(static_cast<double>(grain) * scale));
 
   if (t_current_pool == this) {
     // Nested use from a pool thread: blocking here could deadlock a
@@ -362,21 +344,13 @@ void ThreadPool::worker_main(std::size_t index) {
   t_my_deque = &self.deque;
   t_my_inline_runs = &self.inline_runs;
   while (true) {
-    // Power-throttled workers park without draining work: their deque and
-    // inbox stay stealable by the workers still under the limit, so the
-    // only effect is less parallelism.
-    const bool parked =
-        static_cast<int>(index) >= worker_limit_.load(std::memory_order_acquire);
-    if (!parked) {
-      if (Task* t = find_task(self, index)) {
-        run_task(self, t);
-        continue;
-      }
+    if (Task* t = find_task(self, index)) {
+      run_task(self, t);
+      continue;
     }
     if (stop_.load(std::memory_order_seq_cst)) return;
-    // Nothing runnable (or parked): sleep briefly. The timeout bounds the
-    // window of a missed wakeup, so submission never needs to hold the wake
-    // lock.
+    // Nothing runnable: sleep briefly. The timeout bounds the window of a
+    // missed wakeup, so submission never needs to hold the wake lock.
     std::unique_lock<std::mutex> lock(wake_mu_);
     wake_cv_.wait_for(lock, std::chrono::microseconds(200));
   }

@@ -88,25 +88,6 @@ class ThreadPool {
     return active_workers_.load(std::memory_order_relaxed);
   }
 
-  // --- power-governance throttles (govern::ExecActuator) --------------------
-  /// Cap the number of workers allowed to execute tasks: workers with index
-  /// >= n park until the limit is raised. Their queues stay stealable, so
-  /// nothing strands — throughput just drops toward the serial path. Clamped
-  /// to [1, size()]; size() restores nominal. Results of parallel_for/map
-  /// are unchanged by construction (ordered reduction), only timing moves.
-  void set_worker_limit(int n);
-  int worker_limit() const {
-    return worker_limit_.load(std::memory_order_acquire);
-  }
-
-  /// Multiply the grain every parallel_for uses (>= 1): coarser chunks mean
-  /// fewer scheduling points and steals per joule, the grain-size knob of the
-  /// govern layer. 1 restores nominal.
-  void set_grain_scale(double s);
-  double grain_scale() const {
-    return grain_scale_.load(std::memory_order_relaxed);
-  }
-
   /// Fire-and-forget submission (round-robin inbox). The callable must not
   /// throw; use async() or parallel_for for exception propagation.
   void submit(std::function<void()> fn);
@@ -191,8 +172,6 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::atomic<u64> retries_{0};
   std::atomic<int> active_workers_{0};
-  std::atomic<int> worker_limit_{0};  ///< set to size() in the constructor
-  std::atomic<double> grain_scale_{1.0};
   std::atomic<std::size_t> next_inbox_{0};
   std::atomic<bool> stop_{false};
   std::mutex wake_mu_;

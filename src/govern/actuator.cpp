@@ -1,9 +1,7 @@
 #include "govern/actuator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "exec/pool.hpp"
 #include "nav/server.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "telemetry/telemetry.hpp"
@@ -45,42 +43,6 @@ bool DvfsActuator::restrict() {
 bool DvfsActuator::relax() {
   if (steps_ == 0) return false;
   cluster_.set_op_step_down(--steps_);
-  note(name_, false, level());
-  return true;
-}
-
-// ---------------------------------------------------------------- ExecActuator
-
-ExecActuator::ExecActuator(exec::ThreadPool& pool, int min_workers,
-                           double max_grain_scale)
-    : pool_(pool), min_workers_(std::max(1, min_workers)) {
-  min_workers_ = std::min(min_workers_, pool_.size());
-  worker_steps_ = static_cast<std::size_t>(pool_.size() - min_workers_);
-  // Grain doublings available before exceeding max_grain_scale.
-  grain_steps_ = 0;
-  for (double s = 2.0; s <= max_grain_scale + 1e-9; s *= 2.0) ++grain_steps_;
-  max_steps_ = worker_steps_ + grain_steps_;
-}
-
-void ExecActuator::apply() const {
-  const std::size_t w = std::min(steps_, worker_steps_);
-  const std::size_t g = steps_ > worker_steps_ ? steps_ - worker_steps_ : 0;
-  pool_.set_worker_limit(pool_.size() - static_cast<int>(w));
-  pool_.set_grain_scale(std::pow(2.0, static_cast<double>(g)));
-}
-
-bool ExecActuator::restrict() {
-  if (steps_ >= max_steps_) return false;
-  ++steps_;
-  apply();
-  note(name_, true, level());
-  return true;
-}
-
-bool ExecActuator::relax() {
-  if (steps_ == 0) return false;
-  --steps_;
-  apply();
   note(name_, false, level());
   return true;
 }

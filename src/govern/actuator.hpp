@@ -1,7 +1,7 @@
 // antarex::govern actuators — the "act" edge of the observe-decide-act loop.
 //
 // An Actuator is a stepped restriction knob over some part of the stack: each
-// restrict() moves it one notch away from nominal (less power / parallelism /
+// restrict() moves it one notch away from nominal (less power or
 // admission), each relax() moves it one notch back. Steps are discrete and
 // bounded, so the cap coordinator's escalation ladder can walk them without
 // knowing what lies behind each rung, and level() reports where on the
@@ -11,9 +11,6 @@
 //  - DvfsActuator      global P-state step-down on an rtrm::ShardedCluster
 //                      (one notch = every device clamped one more P-state
 //                      below its top; the classical power knob of Sec. V)
-//  - ExecActuator      exec::ThreadPool throttle: first parks workers down
-//                      to a floor, then doubles the parallel_for grain —
-//                      fewer active cores, then fewer scheduling points
 //  - NavActuator       halves nav::NavServer's admission window per notch —
 //                      the server trades throughput for draw under a cap
 //
@@ -29,9 +26,6 @@
 
 namespace antarex::rtrm {
 class ShardedCluster;
-}
-namespace antarex::exec {
-class ThreadPool;
 }
 namespace antarex::nav {
 class NavServer;
@@ -87,32 +81,6 @@ class DvfsActuator final : public Actuator {
   rtrm::ShardedCluster& cluster_;
   std::size_t steps_ = 0;
   std::size_t max_steps_;
-};
-
-/// exec::ThreadPool throttle. The ladder first steps the worker limit from
-/// size() down to min_workers (one worker per notch), then doubles the grain
-/// scale per notch up to max_grain_scale. relax() walks back in reverse.
-class ExecActuator final : public Actuator {
- public:
-  explicit ExecActuator(exec::ThreadPool& pool, int min_workers = 1,
-                        double max_grain_scale = 8.0);
-
-  const std::string& name() const override { return name_; }
-  bool restrict() override;
-  bool relax() override;
-  std::size_t steps() const override { return steps_; }
-  std::size_t max_steps() const override { return max_steps_; }
-
- private:
-  void apply() const;  ///< push the ladder position into the pool
-
-  std::string name_ = "exec";
-  exec::ThreadPool& pool_;
-  int min_workers_;
-  std::size_t worker_steps_;  ///< notches that remove a worker
-  std::size_t grain_steps_;   ///< notches that double the grain
-  std::size_t max_steps_;
-  std::size_t steps_ = 0;
 };
 
 /// nav::NavServer admission shrink: each notch halves the window (floor

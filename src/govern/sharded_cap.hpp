@@ -30,8 +30,8 @@
 //    control_period_s == dt_s this yields zero violations by construction.
 //  - When budgets alone leave the cluster over the effective cap for two
 //    epochs in a row, it walks an escalation ladder of Actuators (DVFS
-//    step-down, exec throttle, nav admission) one notch per cooldown; ample
-//    headroom walks the ladder back in reverse. Ladder moves and
+//    step-down, nav admission) one notch per cooldown; ample headroom
+//    walks the ladder back in reverse. Ladder moves and
 //    renegotiations are recorded in the causal::DecisionLedger.
 //
 // Determinism: every callback runs on the simulation thread from serially

@@ -9,6 +9,11 @@ namespace antarex::search {
 
 namespace {
 
+constexpr std::size_t kTournament = 3;  ///< tournament size for parent selection
+constexpr double kCrossoverRate = 0.9;  ///< else the better parent is cloned
+constexpr double kMutationRate = 0.25;  ///< per-knob mutation probability
+constexpr double kStepBias = 0.7;       ///< neighbour-step vs uniform-reset mutation
+
 /// Position of value-index `vi` inside the knob's candidate list, or npos.
 std::size_t candidate_pos(const std::vector<std::size_t>& cand, std::size_t vi) {
   const auto it = std::find(cand.begin(), cand.end(), vi);
@@ -22,11 +27,6 @@ GeneticEngine::GeneticEngine(GeneticConfig cfg) : cfg_(cfg) {
   ANTAREX_REQUIRE(cfg_.population >= 2, "GeneticEngine: population < 2");
   ANTAREX_REQUIRE(cfg_.elites < cfg_.population,
                   "GeneticEngine: elites must leave room for children");
-  ANTAREX_REQUIRE(cfg_.tournament >= 1, "GeneticEngine: empty tournament");
-  ANTAREX_REQUIRE(cfg_.crossover_rate >= 0.0 && cfg_.crossover_rate <= 1.0,
-                  "GeneticEngine: crossover rate outside [0, 1]");
-  ANTAREX_REQUIRE(cfg_.mutation_rate >= 0.0 && cfg_.mutation_rate <= 1.0,
-                  "GeneticEngine: mutation rate outside [0, 1]");
 }
 
 tuner::Configuration GeneticEngine::crossover(const tuner::DesignSpace& space,
@@ -51,9 +51,9 @@ tuner::Configuration GeneticEngine::mutate(const tuner::DesignSpace& space,
       c[i] = cand[rng.index(cand.size())];  // snap into the annotated domain
       continue;
     }
-    if (!rng.bernoulli(cfg_.mutation_rate)) continue;
+    if (!rng.bernoulli(kMutationRate)) continue;
     if (cand.size() == 1) continue;
-    if (rng.bernoulli(cfg_.step_bias)) {
+    if (rng.bernoulli(kStepBias)) {
       // Neighbour step along the candidate list (knob values are ordered, so
       // this is a local move in knob space).
       const bool up = pos == 0 ? true : pos + 1 == cand.size() ? false
@@ -69,7 +69,7 @@ tuner::Configuration GeneticEngine::mutate(const tuner::DesignSpace& space,
 std::size_t GeneticEngine::tournament_pick(const std::vector<double>& fitness,
                                            bool minimize, Rng& rng) const {
   std::size_t best = rng.index(fitness.size());
-  for (std::size_t t = 1; t < cfg_.tournament; ++t) {
+  for (std::size_t t = 1; t < kTournament; ++t) {
     const std::size_t i = rng.index(fitness.size());
     const bool better =
         minimize ? fitness[i] < fitness[best] : fitness[i] > fitness[best];
@@ -117,7 +117,7 @@ std::vector<tuner::Configuration> GeneticEngine::next_generation(
     const std::size_t pa = tournament_pick(fitness, minimize, rng);
     const std::size_t pb = tournament_pick(fitness, minimize, rng);
     tuner::Configuration child =
-        rng.bernoulli(cfg_.crossover_rate)
+        rng.bernoulli(kCrossoverRate)
             ? crossover(space, parents[pa], parents[pb], rng)
             : parents[minimize == (fitness[pa] <= fitness[pb]) ? pa : pb];
     child = mutate(space, std::move(child), rng);

@@ -22,14 +22,14 @@
 
 namespace antarex::search {
 
+/// The tournament size and the crossover/mutation rates are constants in
+/// genetic.cpp.
 struct GeneticConfig {
-  std::size_t population = 24;   ///< genomes per generation
-  std::size_t elites = 2;        ///< best parents copied through unchanged
-  std::size_t tournament = 3;    ///< tournament size for parent selection
-  double crossover_rate = 0.9;   ///< else the better parent is cloned
-  double mutation_rate = 0.25;   ///< per-knob mutation probability
-  double step_bias = 0.7;        ///< neighbour-step vs uniform-reset mutation
-  u64 seed = 0x5ea7c4;           ///< root of the per-(generation, slot) streams
+  std::size_t population = 24;  ///< genomes per generation
+  std::size_t elites = 2;       ///< best parents copied through unchanged
+  /// Root of every search stream: the per-(generation, slot) breeding
+  /// streams here, and SearchStrategy's bootstrap probes and model scan.
+  u64 seed = 0x5ea7c4;
 };
 
 class GeneticEngine {
@@ -55,9 +55,9 @@ class GeneticEngine {
                                  const tuner::Configuration& b,
                                  Rng& rng) const;
 
-  /// Domain-respecting mutation: per knob, with probability mutation_rate,
-  /// either step to a neighbouring candidate (probability step_bias) or
-  /// reset to a uniform candidate. A genome whose current index fell outside
+  /// Domain-respecting mutation: per knob, with the fixed mutation
+  /// probability, either step to a neighbouring candidate or reset to a
+  /// uniform candidate. A genome whose current index fell outside
   /// the candidate list (annotation added after seeding) snaps back in.
   tuner::Configuration mutate(const tuner::DesignSpace& space,
                               tuner::Configuration c, Rng& rng) const;

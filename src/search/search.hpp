@@ -5,15 +5,13 @@
 // model (linear + interaction terms over normalized knob encodings) is fit
 // from the knowledge base and seeds the starting population of a genetic
 // engine (tournament selection, knob-aware crossover/mutation, elitism,
-// duplicate suppression); a cross-run transfer cache warm-starts new
-// applications from the nearest-neighbour previous run. The SearchStrategy
-// adapter plugs the whole thing into tuner::Strategy, so Autotuner
-// next_batch()/report_batch() evaluates generations in parallel on an
-// exec::ThreadPool with bit-identical trajectories at any worker count.
+// duplicate suppression). The SearchStrategy adapter plugs the whole thing
+// into tuner::Strategy, so Autotuner next_batch()/report_batch() evaluates
+// generations in parallel on an exec::ThreadPool with bit-identical
+// trajectories at any worker count.
 // See DESIGN.md subsystem #17 and README "Design-space search".
 #pragma once
 
 #include "search/genetic.hpp"
 #include "search/model.hpp"
 #include "search/strategy.hpp"
-#include "search/transfer.hpp"

@@ -14,10 +14,6 @@ SearchStrategy::SearchStrategy(SearchConfig cfg)
                   "SearchStrategy: model_top_k exceeds the population");
 }
 
-void SearchStrategy::warm_start(std::vector<tuner::Configuration> seeds) {
-  warm_seeds_ = std::move(seeds);
-}
-
 void SearchStrategy::reset() {
   queue_.clear();
   queue_pos_ = 0;
@@ -27,7 +23,6 @@ void SearchStrategy::reset() {
   generation_ = 0;
   decision_counter_ = 0;
   bootstrapped_ = false;
-  // warm_seeds_ survives a reset: transfer knowledge is cross-phase.
 }
 
 void SearchStrategy::observe(const tuner::DesignSpace&,
@@ -52,7 +47,7 @@ tuner::Configuration SearchStrategy::random_distinct(
   // Bounded retries: on tiny spaces distinctness may be unsatisfiable.
   tuner::Configuration c;
   for (int attempt = 0; attempt < 16; ++attempt) {
-    Rng rng(exec::stream_seed(cfg_.seed, decision_counter_++));
+    Rng rng(exec::stream_seed(cfg_.genetic.seed, decision_counter_++));
     c = tuner::random_config(space, rng);
     std::string key = tuner::config_key(c);
     if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
@@ -78,20 +73,16 @@ void SearchStrategy::seed_generation_zero(const tuner::DesignSpace& space,
     pop.push_back(c);
   };
 
-  // 1. Cross-run transfer seeds (already mapped into this space).
-  for (const tuner::Configuration& c : warm_seeds_) add(c);
-
-  // 2. Model-seeded share: fit from everything measured so far and take the
+  // 1. Model-seeded share: fit from everything measured so far and take the
   //    top-K predictions. An underdetermined fit skips this share.
   model_.fit(space, knowledge, objective);
   if (model_.fitted()) {
     for (const tuner::Configuration& c :
-         model_.top_k(space, cfg_.model_top_k, minimize, cfg_.seed,
-                      cfg_.model_scan_cap))
+         model_.top_k(space, cfg_.model_top_k, minimize, cfg_.genetic.seed))
       add(c);
   }
 
-  // 3. Random fill keeps exploration pressure.
+  // 2. Random fill keeps exploration pressure.
   while (pop.size() < cfg_.genetic.population)
     pop.push_back(random_distinct(space, keys));
 

@@ -7,15 +7,15 @@
 //   1. Bootstrap: a fixed number of distinct seeded-random probes, enough to
 //      fit the performance model.
 //   2. Generation 0: fit PerfModel from the knowledge base; seed the
-//      population from warm-start configs (cross-run transfer), the model's
-//      top-K predictions, and random fill.
+//      population from the model's top-K predictions and random fill.
 //   3. Generations 1..: evolve with the GeneticEngine; fitness is the
 //      knowledge-fed objective mean, memoized across generations so a genome
 //      re-proposed later is never re-derived from scratch.
 //
 // Determinism: the strategy ignores the Autotuner's Rng entirely — every
-// draw comes from exec::stream_seed over (seed, decision index), so a search
-// trajectory is bit-identical for any worker count evaluating the batches.
+// draw comes from exec::stream_seed over (genetic.seed, decision index), so a
+// search trajectory is bit-identical for any worker count evaluating the
+// batches.
 #pragma once
 
 #include <map>
@@ -31,11 +31,9 @@
 namespace antarex::search {
 
 struct SearchConfig {
-  GeneticConfig genetic;
-  std::size_t bootstrap = 16;      ///< random probes before the model is fit
-  std::size_t model_top_k = 12;    ///< model-seeded share of generation 0
-  std::size_t model_scan_cap = 8192;  ///< candidate scan bound for top_k
-  u64 seed = 0x5ea7c4;
+  GeneticConfig genetic;         ///< population, elites and the stream seed
+  std::size_t bootstrap = 16;    ///< random probes before the model is fit
+  std::size_t model_top_k = 12;  ///< model-seeded share of generation 0
 };
 
 class SearchStrategy final : public tuner::Strategy {
@@ -50,11 +48,6 @@ class SearchStrategy final : public tuner::Strategy {
   void observe(const tuner::DesignSpace& space, const tuner::Configuration& c,
                double objective_value) override;
   void reset() override;
-
-  /// Cross-run transfer: configurations (already mapped into this design
-  /// space, e.g. by TransferCache::seed_configs) injected ahead of the
-  /// model's picks when generation 0 is assembled.
-  void warm_start(std::vector<tuner::Configuration> seeds);
 
   const SearchConfig& config() const { return cfg_; }
   u64 generation() const { return generation_; }
@@ -74,7 +67,6 @@ class SearchStrategy final : public tuner::Strategy {
   SearchConfig cfg_;
   GeneticEngine engine_;
   PerfModel model_;
-  std::vector<tuner::Configuration> warm_seeds_;
 
   std::vector<tuner::Configuration> queue_;  ///< genomes awaiting proposal
   std::size_t queue_pos_ = 0;

@@ -44,6 +44,14 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
+RunningStats RunningStats::repeated(double x, std::size_t n) {
+  RunningStats s;
+  if (n == 0) return s;
+  s.n_ = n;
+  s.mean_ = s.min_ = s.max_ = x;
+  return s;
+}
+
 Ewma::Ewma(double alpha) : alpha_(alpha) {
   ANTAREX_REQUIRE(alpha > 0.0 && alpha <= 1.0, "Ewma: alpha must be in (0, 1]");
 }

@@ -27,6 +27,10 @@ class RunningStats {
   /// Merge another accumulator (parallel reduction).
   void merge(const RunningStats& other);
 
+  /// n observations of the same finite x, built in O(1): the state n add(x)
+  /// calls leave in an empty accumulator.
+  static RunningStats repeated(double x, std::size_t n);
+
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -1,12 +1,26 @@
 #include "tuner/knowledge.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
 #include "support/strings.hpp"
 
 namespace antarex::tuner {
+
+namespace {
+
+/// A config index or sample count: plain decimal digits that fit size_t.
+/// from_chars takes no sign, no blank and no empty field for an unsigned type.
+bool parse_count(const std::string& s, std::size_t& out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 void Knowledge::observe(const Measurement& m) {
   ANTAREX_REQUIRE(!m.config.empty(), "Knowledge: empty configuration");
@@ -101,33 +115,6 @@ std::vector<Configuration> Knowledge::pareto_front(
   return front;
 }
 
-std::optional<Configuration> Knowledge::nearest(const Configuration& probe,
-                                                const std::string& metric) const {
-  ANTAREX_REQUIRE(!probe.empty(), "Knowledge::nearest: empty probe");
-  const Entry* best = nullptr;
-  double best_d = 0.0;
-  for (const auto& [key, e] : table_) {
-    if (e.config.size() != probe.size()) continue;
-    if (!metric.empty()) {
-      const auto mit = e.stats.find(metric);
-      if (mit == e.stats.end() || mit->second.count() == 0) continue;
-    }
-    double d = 0.0;
-    for (std::size_t i = 0; i < probe.size(); ++i) {
-      const double diff = static_cast<double>(e.config[i]) -
-                          static_cast<double>(probe[i]);
-      d += diff * diff;
-    }
-    // table_ iterates in config_key order, so strict < is the tie-break.
-    if (!best || d < best_d) {
-      best = &e;
-      best_d = d;
-    }
-  }
-  if (!best) return std::nullopt;
-  return best->config;
-}
-
 void Knowledge::clear() {
   table_.clear();
   observations_ = 0;
@@ -159,24 +146,22 @@ void Knowledge::import_text(const std::string& text) {
                     "Knowledge::import_text: expected 4 fields in '" + line + "'");
     Configuration config;
     for (const std::string& idx : split(fields[0], ',')) {
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(idx.c_str(), &end, 10);
-      ANTAREX_REQUIRE(end && *end == '\0',
+      std::size_t v = 0;
+      ANTAREX_REQUIRE(parse_count(idx, v),
                       "Knowledge::import_text: bad config index '" + idx + "'");
-      config.push_back(static_cast<std::size_t>(v));
+      config.push_back(v);
     }
-    char* end = nullptr;
-    const unsigned long n = std::strtoul(fields[2].c_str(), &end, 10);
-    ANTAREX_REQUIRE(end && *end == '\0' && n > 0,
+    std::size_t n = 0;
+    ANTAREX_REQUIRE(parse_count(fields[2], n) && n > 0,
                     "Knowledge::import_text: bad sample count in '" + line + "'");
+    char* end = nullptr;
     const double mean_value = std::strtod(fields[3].c_str(), &end);
-    ANTAREX_REQUIRE(end && *end == '\0',
+    ANTAREX_REQUIRE(end && *end == '\0' && std::isfinite(mean_value),
                     "Knowledge::import_text: bad mean in '" + line + "'");
 
     Entry& e = table_[config_key(config)];
     if (e.config.empty()) e.config = config;
-    RunningStats& st = e.stats[fields[1]];
-    for (unsigned long i = 0; i < n; ++i) st.add(mean_value);
+    e.stats[fields[1]].merge(RunningStats::repeated(mean_value, n));
     observations_ += n;
   }
 }

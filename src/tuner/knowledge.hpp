@@ -51,15 +51,6 @@ class Knowledge {
   std::vector<Configuration> pareto_front(const std::string& metric_a,
                                           const std::string& metric_b) const;
 
-  /// Nearest observed configuration to `probe` by squared distance over the
-  /// knob value-indices (same-arity entries only; ties break by config_key).
-  /// With `metric` given, only entries with at least one observation of that
-  /// metric qualify — the cross-run warm-start query: "which configuration
-  /// that I have real numbers for sits closest to this point?". nullopt when
-  /// nothing qualifies.
-  std::optional<Configuration> nearest(const Configuration& probe,
-                                       const std::string& metric = {}) const;
-
   void clear();
 
   /// Serialize to a line-oriented text format (mARGOt-style operating-point
@@ -69,9 +60,12 @@ class Knowledge {
   std::string export_text() const;
 
   /// Merge a previously exported list into this knowledge base. Each line
-  /// re-observes the stored mean n times (variance is not preserved —
-  /// deploy-time knowledge seeds the mean, runtime samples refine it).
-  /// Throws antarex::Error on malformed input.
+  /// counts as n observations of the stored mean, merged in one step whatever
+  /// n is (variance is not preserved — deploy-time knowledge seeds the mean,
+  /// runtime samples refine it). Throws antarex::Error on malformed input:
+  /// a wrong field count, an index or count that is not plain decimal digits
+  /// within size_t (a sign or an empty field included), a zero count, or a
+  /// mean that is not a finite number.
   void import_text(const std::string& text);
 
  private:

@@ -135,7 +135,7 @@ inline CausalScenarioResult run_causal_scenario(u64 seed, int threads) {
                           TELEMETRY_SPAN("compute");
                           volatile double acc = 0.0;
                           for (std::size_t k = b; k < e; ++k)
-                            acc += static_cast<double>(k);
+                            acc = acc + static_cast<double>(k);
                           (void)acc;
                         });
     }

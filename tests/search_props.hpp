@@ -96,8 +96,7 @@ inline SearchScenarioResult run_search_scenario(u64 seed, int threads) {
   tuner::DesignSpace space = scenario_space(seed);
 
   SearchConfig cfg;
-  cfg.seed = seed * 1000003ULL + 5;
-  cfg.genetic.seed = cfg.seed;
+  cfg.genetic.seed = seed * 1000003ULL + 5;
   cfg.genetic.population = 12;
   cfg.bootstrap = 8;
   cfg.model_top_k = 6;

@@ -210,7 +210,7 @@ TEST_F(CausalTest, PoolMeasuresSubmitToStartQueueWait) {
   for (int i = 0; i < 64; ++i)
     futures.push_back(pool.async([] {
       volatile double acc = 0.0;
-      for (int k = 0; k < 1000; ++k) acc += static_cast<double>(k);
+      for (int k = 0; k < 1000; ++k) acc = acc + static_cast<double>(k);
       (void)acc;
     }));
   for (auto& f : futures) f.get();

@@ -107,34 +107,6 @@ TEST_F(GovernTest, DvfsActuatorWalksTheFullLadderAndBack) {
             12u);
 }
 
-TEST_F(GovernTest, ExecActuatorParksWorkersThenCoarsensGrain) {
-  exec::ThreadPool pool(4);
-  ExecActuator throttle(pool, /*min_workers=*/2, /*max_grain_scale=*/8.0);
-  // 2 worker notches (4 -> 3 -> 2) + 3 grain doublings (2x, 4x, 8x).
-  EXPECT_EQ(throttle.max_steps(), 5u);
-
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_EQ(pool.worker_limit(), 3);
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_EQ(pool.worker_limit(), 2);
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 1.0);
-
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 2.0);
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 8.0);
-  EXPECT_EQ(pool.worker_limit(), 2);
-  EXPECT_FALSE(throttle.restrict());
-
-  // Relax walks back in reverse: grain first, then workers.
-  EXPECT_TRUE(throttle.relax());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 4.0);
-  throttle.reset();
-  EXPECT_EQ(pool.worker_limit(), 4);
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 1.0);
-}
-
 TEST_F(GovernTest, NavActuatorHalvesTheAdmissionWindow) {
   Rng rng(11);
   const nav::RoadGraph graph = nav::RoadGraph::grid_city(rng, 4, 4);

@@ -2,9 +2,7 @@
 // ranking), the genetic engine (domain-respecting operators, elitism,
 // duplicate suppression, determinism), the SearchStrategy two-stage flow
 // through the Autotuner batch path (convergence + byte-identical
-// trajectories across worker counts), the cross-run transfer cache
-// (nearest-neighbour, knob mapping, serialization round-trip), and the
-// strategy factory.
+// trajectories across worker counts), and the strategy factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -270,7 +268,6 @@ TEST(SearchStrategy, TrajectoryIsIdenticalAcrossWorkerCounts) {
   auto run = [](int threads) {
     DesignSpace s = three_knob_space();
     SearchConfig cfg;
-    cfg.seed = 99;
     cfg.genetic.seed = 99;
     tuner::Autotuner tuner(s, std::make_unique<SearchStrategy>(cfg), {}, 4);
     exec::ThreadPool pool(threads);
@@ -333,135 +330,6 @@ TEST(SearchStrategy, ResetRestartsTheFlow) {
   EXPECT_EQ(tuner::config_key(strategy.next(s, kb2, "time_s", true, rng)),
             first);  // same seeded streams from the top
   EXPECT_EQ(strategy.generation(), 0u);
-}
-
-// --------------------------------------------------------------------------
-// TransferCache
-// --------------------------------------------------------------------------
-
-/// A knowledge base over any space: the cost is the plain sum of knob values,
-/// so the helper works for arbitrary knob names.
-tuner::Knowledge learned_kb(const DesignSpace& s, int samples, u64 seed) {
-  tuner::Knowledge kb;
-  Rng rng(seed);
-  for (int i = 0; i < samples; ++i) {
-    const Configuration c = tuner::random_config(s, rng);
-    double cost = 1.0;
-    for (std::size_t k = 0; k < s.knob_count(); ++k) cost += s.value(c, k);
-    kb.observe({c, {{"time_s", cost}}});
-  }
-  return kb;
-}
-
-TEST(TransferCache, NearestPrefersTheMatchingSignature) {
-  TransferCache cache;
-  const DesignSpace docking = three_knob_space();
-  cache.record("docking", docking, learned_kb(docking, 20, 3));
-
-  DesignSpace nav;
-  nav.add_knob({"cache_mb", {64, 128, 256}});
-  nav.add_knob({"quality", {1, 2, 3, 4}});
-  cache.record("navigation", nav, learned_kb(nav, 10, 4));
-
-  // A near-clone of the docking space (same knob names, shifted ranges)
-  // must warm-start from "docking", not "navigation".
-  DesignSpace docking2;
-  docking2.add_knob({"tile", {8, 16, 32, 64, 128}});
-  docking2.add_knob({"unroll", {1, 2, 4}});
-  docking2.add_knob({"threads", {2, 4, 8}});
-  const TransferEntry* hit = cache.nearest(docking2);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->app, "docking");
-
-  // Excluding the app itself falls back to the other entry.
-  const TransferEntry* other = cache.nearest(docking2, "docking");
-  ASSERT_NE(other, nullptr);
-  EXPECT_EQ(other->app, "navigation");
-}
-
-TEST(TransferCache, SeedConfigsMapKnobsByNameAndValue) {
-  TransferCache cache;
-  const DesignSpace src = three_knob_space();
-  tuner::Knowledge kb;
-  // One clearly-best measured config: tile=32, unroll=4, threads=8.
-  const Configuration best{3, 2, 3};
-  kb.observe({best, {{"time_s", 0.5}}});
-  kb.observe({Configuration{0, 0, 0}, {{"time_s", 9.0}}});
-  cache.record("src", src, kb);
-
-  DesignSpace dst;
-  dst.add_knob({"tile", {8, 24, 48, 96}});      // nearest to 32 is 24
-  dst.add_knob({"unroll", {1, 2, 4}});          // exact 4 exists
-  dst.add_knob({"batch", {16, 32, 64}});        // no source knob: middle
-  const auto seeds =
-      TransferCache::seed_configs(*cache.nearest(dst), dst, "time_s", true, 2);
-  ASSERT_EQ(seeds.size(), 2u);
-  EXPECT_DOUBLE_EQ(dst.value(seeds[0], "tile"), 24.0);
-  EXPECT_DOUBLE_EQ(dst.value(seeds[0], "unroll"), 4.0);
-  EXPECT_DOUBLE_EQ(dst.value(seeds[0], "batch"), 32.0);
-}
-
-TEST(TransferCache, ExportImportRoundTrips) {
-  TransferCache cache;
-  const DesignSpace s = three_knob_space();
-  cache.record("app-a", s, learned_kb(s, 15, 5));
-  DesignSpace nav;
-  nav.add_knob({"quality", {1, 2, 3}});
-  cache.record("app-b", nav, learned_kb(nav, 6, 6));
-
-  const std::string text = cache.export_text();
-  TransferCache loaded;
-  loaded.import_text(text);
-  ASSERT_EQ(loaded.size(), cache.size());
-  EXPECT_EQ(loaded.export_text(), text);  // byte-stable round trip
-  EXPECT_EQ(loaded.entries()[0].app, "app-a");
-  EXPECT_EQ(loaded.entries()[0].knobs.size(), 3u);
-  EXPECT_EQ(loaded.entries()[0].knowledge_text,
-            cache.entries()[0].knowledge_text);
-}
-
-TEST(TransferCache, ImportRejectsMalformedInput) {
-  TransferCache cache;
-  EXPECT_THROW(cache.import_text("[knob] orphan 1,2\n"), Error);
-  EXPECT_THROW(cache.import_text("[entry] a\n[kb]\n"), Error);  // no [end]
-  EXPECT_THROW(cache.import_text("garbage\n"), Error);
-}
-
-TEST(TransferCache, WarmStartedSearchStartsNearTheOptimum) {
-  // End-to-end: a finished docking run warm-starts a sibling space; the
-  // strategy's generation 0 contains the mapped seed, so the best-known
-  // config is good immediately after the bootstrap probes.
-  const DesignSpace src = three_knob_space();
-  tuner::Autotuner first(src, std::make_unique<SearchStrategy>(), {}, 31);
-  for (int i = 0; i < 60; ++i) {
-    const Configuration& c = first.next_configuration();
-    first.report({{"time_s", bowl_cost(first.space(), c)}});
-  }
-  TransferCache cache;
-  cache.record("first", first.space(), first.knowledge());
-
-  DesignSpace dst;
-  dst.add_knob({"tile", {8, 16, 32, 64}});
-  dst.add_knob({"unroll", {1, 2, 4, 8}});
-  dst.add_knob({"threads", {2, 4, 8}});
-  const TransferEntry* hit = cache.nearest(dst, "second");
-  ASSERT_NE(hit, nullptr);
-
-  SearchConfig cfg;
-  cfg.bootstrap = 4;
-  auto strategy = std::make_unique<SearchStrategy>(cfg);
-  strategy->warm_start(
-      TransferCache::seed_configs(*hit, dst, "time_s", true, 4));
-  tuner::Autotuner second(dst, std::move(strategy), {}, 32);
-  // Bootstrap probes + one generation: the transferred seed is in there.
-  double best_seen = 1e300;
-  for (int i = 0; i < 4 + 24; ++i) {
-    const Configuration& c = second.next_configuration();
-    const double v = bowl_cost(second.space(), c);
-    best_seen = std::min(best_seen, v);
-    second.report({{"time_s", v}});
-  }
-  EXPECT_LE(best_seen, 1.05 * oracle(dst, bowl_cost));
 }
 
 // --------------------------------------------------------------------------

@@ -189,6 +189,8 @@ TEST(KnowledgeTest, ExportImportRoundTrip) {
   EXPECT_EQ(restored.samples({0, 1}), 2u);
   // best() agrees with the original.
   EXPECT_EQ(*restored.best("t", true), *k.best("t", true));
+  // The round trip is byte-stable, so a second hop changes nothing.
+  EXPECT_EQ(restored.export_text(), text);
 }
 
 TEST(KnowledgeTest, ImportMergesWithRuntimeSamples) {
@@ -206,55 +208,19 @@ TEST(KnowledgeTest, ImportSkipsCommentsAndRejectsGarbage) {
   EXPECT_THROW(k.import_text("not a valid line"), Error);
   EXPECT_THROW(k.import_text("0 t zero 5.0"), Error);
   EXPECT_THROW(k.import_text("x,y t 1 5.0"), Error);
-}
-
-TEST(KnowledgeTest, NearestFindsClosestObservedConfig) {
-  Knowledge k;
-  EXPECT_FALSE(k.nearest({1, 1}).has_value());
-
-  k.observe({{0, 0}, {{"t", 1.0}}});
-  k.observe({{4, 4}, {{"t", 2.0}}});
-  k.observe({{9}, {{"t", 3.0}}});  // different arity: never a candidate
-
-  const auto near_origin = k.nearest({1, 1});
-  ASSERT_TRUE(near_origin.has_value());
-  EXPECT_EQ(*near_origin, (Configuration{0, 0}));
-
-  const auto near_far = k.nearest({3, 5});
-  ASSERT_TRUE(near_far.has_value());
-  EXPECT_EQ(*near_far, (Configuration{4, 4}));
-
-  // An exact hit returns itself.
-  EXPECT_EQ(*k.nearest({4, 4}), (Configuration{4, 4}));
-}
-
-TEST(KnowledgeTest, NearestFiltersByMetricAndBreaksTiesByKey) {
-  Knowledge k;
-  k.observe({{0, 2}, {{"t", 1.0}}});
-  k.observe({{2, 0}, {{"e", 5.0}}});
-
-  // Both are equidistant from {1, 1}; the lower config_key wins.
-  EXPECT_EQ(*k.nearest({1, 1}), (Configuration{0, 2}));
-  // With a metric filter only the entry holding that metric qualifies.
-  EXPECT_EQ(*k.nearest({1, 1}, "e"), (Configuration{2, 0}));
-  EXPECT_FALSE(k.nearest({1, 1}, "power").has_value());
-}
-
-TEST(KnowledgeTest, NearestSurvivesSerializationRoundTrip) {
-  Knowledge k;
-  k.observe({{0, 0}, {{"t", 1.0}}});
-  k.observe({{3, 2}, {{"t", 2.0}, {"e", 4.0}}});
-  k.observe({{5, 5}, {{"e", 6.0}}});
-
-  Knowledge restored;
-  restored.import_text(k.export_text());
-  for (const Configuration probe :
-       {Configuration{0, 1}, Configuration{4, 2}, Configuration{5, 4}}) {
-    EXPECT_EQ(*restored.nearest(probe), *k.nearest(probe));
-    EXPECT_EQ(*restored.nearest(probe, "e"), *k.nearest(probe, "e"));
-  }
-  // The round trip is byte-stable, so a second hop changes nothing.
-  EXPECT_EQ(restored.export_text(), k.export_text());
+  // Signed counts and indices, empty indices and non-finite means are
+  // rejected, not wrapped to huge values or stored.
+  EXPECT_THROW(k.import_text("0 t -1 1.5"), Error);
+  EXPECT_THROW(k.import_text("-1 t 2 1.0"), Error);
+  EXPECT_THROW(k.import_text("1,,2 t 3 nan"), Error);
+  EXPECT_THROW(k.import_text("1,2 t 3 nan"), Error);
+  EXPECT_THROW(k.import_text("1,,2 t 3 1.0"), Error);
+  EXPECT_THROW(k.import_text("0 t 99999999999999999999999 1.0"), Error);
+  EXPECT_EQ(k.distinct_configs(), 1u);
+  // A huge count folds in one step instead of one add per sample.
+  k.import_text("7 t 1000000000000000 2.5");
+  EXPECT_EQ(k.samples({7}), 1000000000000000u);
+  EXPECT_DOUBLE_EQ(*k.mean({7}, "t"), 2.5);
 }
 
 // --------------------------------------------------------------------------
