@@ -13,5 +13,4 @@
 #pragma once
 
 #include "search/genetic.hpp"
-#include "search/model.hpp"
 #include "search/strategy.hpp"

@@ -7,6 +7,82 @@
 
 namespace antarex::search {
 
+std::vector<double> quadratic_features(const tuner::DesignSpace& space,
+                                       const tuner::Configuration& c) {
+  const std::size_t n = space.knob_count();
+  std::vector<double> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double>& values = space.knob(i).values;
+    const double lo = *std::min_element(values.begin(), values.end());
+    const double hi = *std::max_element(values.begin(), values.end());
+    x[i] = hi > lo ? (space.value(c, i) - lo) / (hi - lo) : 0.0;
+  }
+  std::vector<double> f = x;
+  f.reserve(n + n * (n + 1) / 2);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i; j < n; ++j) f.push_back(x[i] * x[j]);
+  return f;
+}
+
+std::optional<tuner::RlsModel> fit_surrogate(const tuner::DesignSpace& space,
+                                             const tuner::Knowledge& kb,
+                                             const std::string& metric) {
+  const std::size_t n = space.knob_count();
+  ANTAREX_REQUIRE(n > 0, "fit_surrogate: empty design space");
+  tuner::RlsModel model(n + n * (n + 1) / 2, 1.0, 1e8);
+  for (const tuner::Configuration& c : kb.configs()) {
+    if (!space.valid(c)) continue;
+    if (const auto y = kb.mean(c, metric))
+      model.update(quadratic_features(space, c), *y);
+  }
+  // dims() features plus the bias: fewer samples leave it underdetermined.
+  if (model.updates() <= model.dims()) return std::nullopt;
+  return model;
+}
+
+std::vector<tuner::Configuration> top_k(const tuner::RlsModel& model,
+                                        const tuner::DesignSpace& space,
+                                        std::size_t k, bool minimize, u64 seed,
+                                        std::size_t scan_cap) {
+  ANTAREX_REQUIRE(k >= 1, "top_k: needs k >= 1");
+  struct Scored {
+    tuner::Configuration config;
+    std::string key;
+    double pred;
+  };
+  const std::size_t n = space.size();
+  const bool enumerate = n <= scan_cap;
+  const std::size_t scan = enumerate ? n : scan_cap;
+  std::vector<Scored> scored;
+  scored.reserve(scan);
+  for (std::size_t s = 0; s < scan; ++s) {
+    tuner::Configuration c;
+    if (enumerate) {
+      c = space.at(s);
+    } else {
+      Rng rng(exec::stream_seed(seed, s));
+      c = tuner::random_config(space, rng);
+    }
+    const double pred = model.predict(quadratic_features(space, c));
+    std::string key = tuner::config_key(c);
+    scored.push_back({std::move(c), std::move(key), pred});
+  }
+  std::sort(scored.begin(), scored.end(), [&](const Scored& a, const Scored& b) {
+    if (a.pred != b.pred) return minimize ? a.pred < b.pred : a.pred > b.pred;
+    return a.key < b.key;
+  });
+  // Sampled candidates can repeat; dedupe while collecting the k best.
+  std::vector<tuner::Configuration> out;
+  std::vector<std::string> keys;
+  for (const Scored& s : scored) {
+    if (out.size() >= k) break;
+    if (std::find(keys.begin(), keys.end(), s.key) != keys.end()) continue;
+    keys.push_back(s.key);
+    out.push_back(s.config);
+  }
+  return out;
+}
+
 SearchStrategy::SearchStrategy(SearchConfig cfg)
     : cfg_(cfg), engine_(cfg.genetic) {
   ANTAREX_REQUIRE(cfg_.bootstrap >= 2, "SearchStrategy: bootstrap < 2");
@@ -19,7 +95,7 @@ void SearchStrategy::reset() {
   queue_pos_ = 0;
   population_.clear();
   fitness_.clear();
-  model_ = PerfModel();
+  model_.reset();
   generation_ = 0;
   decision_counter_ = 0;
   bootstrapped_ = false;
@@ -75,10 +151,10 @@ void SearchStrategy::seed_generation_zero(const tuner::DesignSpace& space,
 
   // 1. Model-seeded share: fit from everything measured so far and take the
   //    top-K predictions. An underdetermined fit skips this share.
-  model_.fit(space, knowledge, objective);
-  if (model_.fitted()) {
+  model_ = fit_surrogate(space, knowledge, objective);
+  if (model_) {
     for (const tuner::Configuration& c :
-         model_.top_k(space, cfg_.model_top_k, minimize, cfg_.genetic.seed))
+         top_k(*model_, space, cfg_.model_top_k, minimize, cfg_.genetic.seed))
       add(c);
   }
 

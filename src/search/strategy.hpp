@@ -6,8 +6,9 @@
 // Lifecycle per phase (reset() restarts it):
 //   1. Bootstrap: a fixed number of distinct seeded-random probes, enough to
 //      fit the performance model.
-//   2. Generation 0: fit PerfModel from the knowledge base; seed the
-//      population from the model's top-K predictions and random fill.
+//   2. Generation 0: fit the surrogate (a tuner::RlsModel over normalized
+//      quadratic features) from the knowledge base; seed the population
+//      from its top-K predictions and random fill.
 //   3. Generations 1..: evolve with the GeneticEngine; fitness is the
 //      knowledge-fed objective mean, memoized across generations so a genome
 //      re-proposed later is never re-derived from scratch.
@@ -20,15 +21,42 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "search/genetic.hpp"
-#include "search/model.hpp"
 #include "support/stats.hpp"
+#include "tuner/learner.hpp"
 #include "tuner/strategy.hpp"
 
 namespace antarex::search {
+
+/// Surrogate features of a configuration: one term per knob, normalized to
+/// [0, 1] over the knob's full value list (so annotations do not move the
+/// encoding), then one product per knob pair i <= j — the squares let the
+/// model fit bowls, not just planes. No bias term: RlsModel adds its own.
+std::vector<double> quadratic_features(const tuner::DesignSpace& space,
+                                       const tuner::Configuration& c);
+
+/// Fit the surrogate for `metric`: an RlsModel with lambda 1 and delta 1e8
+/// (ridge regression with a 1e-8 penalty on every weight), one update per
+/// valid knowledge config with that metric, its mean, in configs() order.
+/// nullopt when underdetermined — fewer configs than coefficients.
+std::optional<tuner::RlsModel> fit_surrogate(const tuner::DesignSpace& space,
+                                             const tuner::Knowledge& kb,
+                                             const std::string& metric);
+
+/// The k configurations with the best predicted metric, distinct, best
+/// first. Enumerates the space when it has at most `scan_cap` configs;
+/// otherwise ranks `scan_cap` seeded-random candidates (per-index streams
+/// keyed by `seed`, so the ranking is reproducible at any parallelism).
+/// Ties break by config_key.
+std::vector<tuner::Configuration> top_k(const tuner::RlsModel& model,
+                                        const tuner::DesignSpace& space,
+                                        std::size_t k, bool minimize,
+                                        u64 seed = 1,
+                                        std::size_t scan_cap = 8192);
 
 struct SearchConfig {
   GeneticConfig genetic;         ///< population, elites and the stream seed
@@ -51,9 +79,9 @@ class SearchStrategy final : public tuner::Strategy {
 
   const SearchConfig& config() const { return cfg_; }
   u64 generation() const { return generation_; }
-  /// The fitted performance model; nullptr until generation 0 was seeded
-  /// with a successful fit.
-  const PerfModel* model() const { return model_.fitted() ? &model_ : nullptr; }
+  /// The fitted surrogate; nullptr until generation 0 was seeded from a
+  /// determined fit.
+  const tuner::RlsModel* model() const { return model_ ? &*model_ : nullptr; }
 
  private:
   void seed_generation_zero(const tuner::DesignSpace& space,
@@ -66,7 +94,7 @@ class SearchStrategy final : public tuner::Strategy {
 
   SearchConfig cfg_;
   GeneticEngine engine_;
-  PerfModel model_;
+  std::optional<tuner::RlsModel> model_;
 
   std::vector<tuner::Configuration> queue_;  ///< genomes awaiting proposal
   std::size_t queue_pos_ = 0;

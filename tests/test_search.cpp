@@ -1,5 +1,4 @@
-// Tests for antarex::search: the performance model (fit quality, top-K
-// ranking), the genetic engine (domain-respecting operators, elitism,
+// Tests for antarex::search: the surrogate (fit quality, top-K ranking), the genetic engine (domain-respecting operators, elitism,
 // duplicate suppression, determinism), the SearchStrategy two-stage flow
 // through the Autotuner batch path (convergence + byte-identical
 // trajectories across worker counts), and the strategy factory.
@@ -60,53 +59,64 @@ double oracle(const DesignSpace& s,
 }
 
 // --------------------------------------------------------------------------
-// PerfModel
+// Surrogate: quadratic features, RLS fit, top-K ranking
 // --------------------------------------------------------------------------
 
-TEST(PerfModel, UnderdeterminedFitIsRejected) {
-  const DesignSpace s = three_knob_space();
-  tuner::Knowledge kb;
-  kb.observe({s.at(0), {{"time_s", 1.0}}});
-  kb.observe({s.at(1), {{"time_s", 2.0}}});
-  PerfModel m;
-  const FitReport r = m.fit(s, kb, "time_s");
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.samples, 2u);
-  EXPECT_EQ(r.dims, 1u + 3u + 6u);  // bias + linear + interactions (i <= j)
-  EXPECT_FALSE(m.fitted());
-  EXPECT_THROW(m.predict(s, s.at(0)), Error);
+/// Root-mean-square error of the surrogate over every config in `kb`.
+double surrogate_rmse(const tuner::RlsModel& m, const DesignSpace& s,
+                      const tuner::Knowledge& kb) {
+  double ss = 0.0;
+  for (const Configuration& c : kb.configs()) {
+    const double err =
+        m.predict(quadratic_features(s, c)) - *kb.mean(c, "time_s");
+    ss += err * err;
+  }
+  return std::sqrt(ss / static_cast<double>(kb.distinct_configs()));
 }
 
-TEST(PerfModel, FitsItsOwnFamilyExactly) {
-  const DesignSpace s = three_knob_space();
+tuner::Knowledge planar_knowledge(const DesignSpace& s, u64 seed, int n) {
   tuner::Knowledge kb;
-  Rng rng(7);
-  for (int i = 0; i < 24; ++i) {
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
     const Configuration c = tuner::random_config(s, rng);
     kb.observe({c, {{"time_s", planar_cost(s, c)}}});
   }
-  PerfModel m;
-  const FitReport r = m.fit(s, kb, "time_s");
-  ASSERT_TRUE(r.ok);
-  EXPECT_GT(r.r2, 0.999);
-  EXPECT_LT(r.rmse, 1e-6);
+  return kb;
+}
+
+TEST(Surrogate, UnderdeterminedFitIsRejected) {
+  const DesignSpace s = three_knob_space();
+  // Features: 3 linear + 6 interactions (i <= j); RLS adds the bias.
+  EXPECT_EQ(quadratic_features(s, s.at(0)).size(), 3u + 6u);
+  tuner::Knowledge kb;
+  for (std::size_t i = 0; i < 9; ++i)
+    kb.observe({s.at(i * 7), {{"time_s", 1.0 + static_cast<double>(i)}}});
+  EXPECT_FALSE(fit_surrogate(s, kb, "time_s"));  // 9 samples, 10 coefficients
+  kb.observe({s.at(100), {{"time_s", 3.0}}});
+  EXPECT_FALSE(fit_surrogate(s, kb, "energy_j"));  // no sample of the metric
+  const auto m = fit_surrogate(s, kb, "time_s");
+  ASSERT_TRUE(m);
+  EXPECT_EQ(m->updates(), 10u);
+}
+
+TEST(Surrogate, FitsItsOwnFamilyExactly) {
+  const DesignSpace s = three_knob_space();
+  const tuner::Knowledge kb = planar_knowledge(s, 7, 24);
+  const auto m = fit_surrogate(s, kb, "time_s");
+  ASSERT_TRUE(m);
+  EXPECT_LT(surrogate_rmse(*m, s, kb), 1e-6);
   // Out-of-sample prediction is exact too: the landscape is in-family.
   for (std::size_t i = 0; i < s.size(); i += 11)
-    EXPECT_NEAR(m.predict(s, s.at(i)), planar_cost(s, s.at(i)), 1e-6);
+    EXPECT_NEAR(m->predict(quadratic_features(s, s.at(i))),
+                planar_cost(s, s.at(i)), 1e-6);
 }
 
-TEST(PerfModel, TopKRanksTheTrueOptimaFirst) {
+TEST(Surrogate, TopKRanksTheTrueOptimaFirst) {
   const DesignSpace s = three_knob_space();
-  tuner::Knowledge kb;
-  Rng rng(11);
-  for (int i = 0; i < 30; ++i) {
-    const Configuration c = tuner::random_config(s, rng);
-    kb.observe({c, {{"time_s", planar_cost(s, c)}}});
-  }
-  PerfModel m;
-  ASSERT_TRUE(m.fit(s, kb, "time_s").ok);
+  const auto m = fit_surrogate(s, planar_knowledge(s, 11, 30), "time_s");
+  ASSERT_TRUE(m);
 
-  const auto top = m.top_k(s, 5, /*minimize=*/true);
+  const auto top = top_k(*m, s, 5, /*minimize=*/true);
   ASSERT_EQ(top.size(), 5u);
   // Distinct, and the first one is the true enumerated optimum.
   std::set<std::string> keys;
@@ -124,22 +134,18 @@ TEST(PerfModel, TopKRanksTheTrueOptimaFirst) {
   EXPECT_EQ(tuner::config_key(top[0]), tuner::config_key(best_c));
   // Predictions are sorted best-first.
   for (std::size_t i = 1; i < top.size(); ++i)
-    EXPECT_LE(m.predict(s, top[i - 1]), m.predict(s, top[i]) + 1e-12);
+    EXPECT_LE(m->predict(quadratic_features(s, top[i - 1])),
+              m->predict(quadratic_features(s, top[i])) + 1e-12);
 }
 
-TEST(PerfModel, SampledScanIsDeterministic) {
+TEST(Surrogate, SampledScanIsDeterministic) {
   const DesignSpace s = three_knob_space();
-  tuner::Knowledge kb;
-  Rng rng(13);
-  for (int i = 0; i < 30; ++i) {
-    const Configuration c = tuner::random_config(s, rng);
-    kb.observe({c, {{"time_s", planar_cost(s, c)}}});
-  }
-  PerfModel m;
-  ASSERT_TRUE(m.fit(s, kb, "time_s").ok);
+  const auto m = fit_surrogate(s, planar_knowledge(s, 13, 30), "time_s");
+  ASSERT_TRUE(m);
   // Force the sampled path with a scan cap below the space size.
-  const auto a = m.top_k(s, 4, true, /*seed=*/3, /*scan_cap=*/64);
-  const auto b = m.top_k(s, 4, true, /*seed=*/3, /*scan_cap=*/64);
+  const auto a = top_k(*m, s, 4, true, /*seed=*/3, /*scan_cap=*/64);
+  const auto b = top_k(*m, s, 4, true, /*seed=*/3, /*scan_cap=*/64);
+  ASSERT_EQ(a.size(), 4u);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i)
     EXPECT_EQ(tuner::config_key(a[i]), tuner::config_key(b[i]));
@@ -304,11 +310,13 @@ TEST(SearchStrategy, ModelIsFitAfterBootstrap) {
   }
   EXPECT_EQ(raw->model(), nullptr);  // still bootstrapping
   // Next decision assembles generation 0 and fits the model.
-  tuner.next_configuration();
-  tuner.report({{"time_s", 1.0}});
+  const Configuration& c = tuner.next_configuration();
+  tuner.report({{"time_s", planar_cost(tuner.space(), c)}});
   ASSERT_NE(raw->model(), nullptr);
-  EXPECT_GE(raw->model()->report().samples, 10u);
-  EXPECT_GT(raw->model()->report().r2, 0.99);  // in-family landscape
+  EXPECT_GE(raw->model()->updates(), 10u);
+  // In-family landscape: the fit predicts every measured config.
+  EXPECT_LT(surrogate_rmse(*raw->model(), tuner.space(), tuner.knowledge()),
+            1e-6);
 }
 
 TEST(SearchStrategy, ResetRestartsTheFlow) {
