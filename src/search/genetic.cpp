@@ -9,6 +9,7 @@ namespace antarex::search {
 
 namespace {
 
+constexpr std::size_t kElites = 2;      ///< best parents copied through unchanged
 constexpr std::size_t kTournament = 3;  ///< tournament size for parent selection
 constexpr double kCrossoverRate = 0.9;  ///< else the better parent is cloned
 constexpr double kMutationRate = 0.25;  ///< per-knob mutation probability
@@ -24,9 +25,8 @@ std::size_t candidate_pos(const std::vector<std::size_t>& cand, std::size_t vi) 
 }  // namespace
 
 GeneticEngine::GeneticEngine(GeneticConfig cfg) : cfg_(cfg) {
-  ANTAREX_REQUIRE(cfg_.population >= 2, "GeneticEngine: population < 2");
-  ANTAREX_REQUIRE(cfg_.elites < cfg_.population,
-                  "GeneticEngine: elites must leave room for children");
+  ANTAREX_REQUIRE(cfg_.population > kElites,
+                  "GeneticEngine: population must leave room for children");
 }
 
 tuner::Configuration GeneticEngine::crossover(const tuner::DesignSpace& space,
@@ -107,7 +107,7 @@ std::vector<tuner::Configuration> GeneticEngine::next_generation(
     return true;
   };
 
-  const std::size_t elites = std::min(cfg_.elites, parents.size());
+  const std::size_t elites = std::min(kElites, parents.size());
   for (std::size_t e = 0; e < elites && children.size() < cfg_.population; ++e)
     try_add(parents[rank[e]]);
 

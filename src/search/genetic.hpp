@@ -22,13 +22,12 @@
 
 namespace antarex::search {
 
-/// The tournament size and the crossover/mutation rates are constants in
-/// genetic.cpp.
+/// The search's two settable values. The elite count (2), the tournament
+/// size and the crossover/mutation rates are constants in genetic.cpp.
 struct GeneticConfig {
-  std::size_t population = 24;  ///< genomes per generation
-  std::size_t elites = 2;       ///< best parents copied through unchanged
+  std::size_t population = 24;  ///< genomes per generation, at least 3
   /// Root of every search stream: the per-(generation, slot) breeding
-  /// streams here, and SearchStrategy's bootstrap probes and model scan.
+  /// streams here, and SearchStrategy's probes and model scan.
   u64 seed = 0x5ea7c4;
 };
 
@@ -39,11 +38,11 @@ class GeneticEngine {
   const GeneticConfig& config() const { return cfg_; }
 
   /// Produce the next generation from `parents` with per-genome `fitness`
-  /// (lower is better when `minimize`). Elites pass through unchanged; the
-  /// rest come from tournament-selected parents via crossover + mutation,
-  /// with duplicates re-mutated (bounded retries, so tiny spaces still
-  /// converge instead of spinning). Every returned genome respects the
-  /// space's candidate lists.
+  /// (lower is better when `minimize`). The two best parents (elites) pass
+  /// through unchanged; the rest come from tournament-selected parents via
+  /// crossover + mutation, with duplicates re-mutated (bounded retries, so
+  /// tiny spaces still converge instead of spinning). Every returned genome
+  /// respects the space's candidate lists.
   std::vector<tuner::Configuration> next_generation(
       const tuner::DesignSpace& space,
       const std::vector<tuner::Configuration>& parents,

@@ -7,6 +7,29 @@
 
 namespace antarex::search {
 
+namespace {
+
+/// Measured configs the probe stage waits for: half again as many as the
+/// surrogate's 1 + n + n(n+1)/2 coefficients for n knobs, capped by the
+/// space. The margin was picked on AUTOTUNER-CONVERGENCE over ten seeds
+/// (EXPERIMENTS.md, CLAIM-SLA).
+std::size_t probe_target(const tuner::DesignSpace& space) {
+  const std::size_t n = space.knob_count();
+  const std::size_t coefficients = 1 + n + n * (n + 1) / 2;
+  return std::min(space.size(), coefficients + coefficients / 2);
+}
+
+/// Valid knowledge configs with a reported value of `objective`.
+std::size_t measured(const tuner::DesignSpace& space,
+                     const tuner::Knowledge& kb, const std::string& objective) {
+  std::size_t count = 0;
+  for (const tuner::Configuration& c : kb.configs())
+    if (space.valid(c) && kb.mean(c, objective)) ++count;
+  return count;
+}
+
+}  // namespace
+
 std::vector<double> quadratic_features(const tuner::DesignSpace& space,
                                        const tuner::Configuration& c) {
   const std::size_t n = space.knob_count();
@@ -83,12 +106,7 @@ std::vector<tuner::Configuration> top_k(const tuner::RlsModel& model,
   return out;
 }
 
-SearchStrategy::SearchStrategy(SearchConfig cfg)
-    : cfg_(cfg), engine_(cfg.genetic) {
-  ANTAREX_REQUIRE(cfg_.bootstrap >= 2, "SearchStrategy: bootstrap < 2");
-  ANTAREX_REQUIRE(cfg_.model_top_k <= cfg_.genetic.population,
-                  "SearchStrategy: model_top_k exceeds the population");
-}
+SearchStrategy::SearchStrategy(GeneticConfig cfg) : cfg_(cfg), engine_(cfg) {}
 
 void SearchStrategy::reset() {
   queue_.clear();
@@ -98,7 +116,7 @@ void SearchStrategy::reset() {
   model_.reset();
   generation_ = 0;
   decision_counter_ = 0;
-  bootstrapped_ = false;
+  probe_keys_.clear();
 }
 
 void SearchStrategy::observe(const tuner::DesignSpace&,
@@ -123,7 +141,7 @@ tuner::Configuration SearchStrategy::random_distinct(
   // Bounded retries: on tiny spaces distinctness may be unsatisfiable.
   tuner::Configuration c;
   for (int attempt = 0; attempt < 16; ++attempt) {
-    Rng rng(exec::stream_seed(cfg_.genetic.seed, decision_counter_++));
+    Rng rng(exec::stream_seed(cfg_.seed, decision_counter_++));
     c = tuner::random_config(space, rng);
     std::string key = tuner::config_key(c);
     if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
@@ -142,24 +160,24 @@ void SearchStrategy::seed_generation_zero(const tuner::DesignSpace& space,
   std::vector<tuner::Configuration> pop;
   std::vector<std::string> keys;
   auto add = [&](const tuner::Configuration& c) {
-    if (pop.size() >= cfg_.genetic.population || !space.valid(c)) return;
+    if (pop.size() >= cfg_.population || !space.valid(c)) return;
     std::string key = tuner::config_key(c);
     if (std::find(keys.begin(), keys.end(), key) != keys.end()) return;
     keys.push_back(std::move(key));
     pop.push_back(c);
   };
 
-  // 1. Model-seeded share: fit from everything measured so far and take the
-  //    top-K predictions. An underdetermined fit skips this share.
+  // 1. Model-seeded half: fit from everything measured so far and take the
+  //    best predictions. An underdetermined fit skips this share.
   model_ = fit_surrogate(space, knowledge, objective);
   if (model_) {
     for (const tuner::Configuration& c :
-         top_k(*model_, space, cfg_.model_top_k, minimize, cfg_.genetic.seed))
+         top_k(*model_, space, cfg_.population / 2, minimize, cfg_.seed))
       add(c);
   }
 
   // 2. Random fill keeps exploration pressure.
-  while (pop.size() < cfg_.genetic.population)
+  while (pop.size() < cfg_.population)
     pop.push_back(random_distinct(space, keys));
 
   population_ = std::move(pop);
@@ -185,17 +203,10 @@ tuner::Configuration SearchStrategy::next(const tuner::DesignSpace& space,
                                           bool minimize, Rng&) {
   ANTAREX_REQUIRE(space.knob_count() > 0, "SearchStrategy: empty design space");
   if (queue_pos_ >= queue_.size()) {
-    if (!bootstrapped_) {
-      // Stage 0: distinct random probes to make the model fittable.
-      std::vector<std::string> keys;
-      queue_.clear();
-      const std::size_t probes =
-          std::min(cfg_.bootstrap, std::max<std::size_t>(2, space.size()));
-      for (std::size_t i = 0; i < probes; ++i)
-        queue_.push_back(random_distinct(space, keys));
-      queue_pos_ = 0;
-      bootstrapped_ = true;
-    } else if (population_.empty()) {
+    if (population_.empty()) {
+      // Stage 0: distinct random probes until enough are measured to fit.
+      if (measured(space, knowledge, objective) < probe_target(space))
+        return random_distinct(space, probe_keys_);
       seed_generation_zero(space, knowledge, objective, minimize);
     } else {
       evolve(space, minimize);

@@ -4,17 +4,20 @@
 // drives it unchanged.
 //
 // Lifecycle per phase (reset() restarts it):
-//   1. Bootstrap: a fixed number of distinct seeded-random probes, enough to
-//      fit the performance model.
+//   1. Probes: distinct seeded-random configs until the knowledge holds
+//      half again as many measured configs as the surrogate has
+//      coefficients (capped by the space size). The count is of *reported*
+//      configs, so a next_batch() that runs ahead of its reports keeps
+//      probing instead of fitting from too few.
 //   2. Generation 0: fit the surrogate (a tuner::RlsModel over normalized
-//      quadratic features) from the knowledge base; seed the population
-//      from its top-K predictions and random fill.
+//      quadratic features) from the knowledge base; seed half the
+//      population from its top predictions and the rest by random fill.
 //   3. Generations 1..: evolve with the GeneticEngine; fitness is the
 //      knowledge-fed objective mean, memoized across generations so a genome
 //      re-proposed later is never re-derived from scratch.
 //
 // Determinism: the strategy ignores the Autotuner's Rng entirely — every
-// draw comes from exec::stream_seed over (genetic.seed, decision index), so a
+// draw comes from exec::stream_seed over (seed, decision index), so a
 // search trajectory is bit-identical for any worker count evaluating the
 // batches.
 #pragma once
@@ -58,15 +61,9 @@ std::vector<tuner::Configuration> top_k(const tuner::RlsModel& model,
                                         u64 seed = 1,
                                         std::size_t scan_cap = 8192);
 
-struct SearchConfig {
-  GeneticConfig genetic;         ///< population, elites and the stream seed
-  std::size_t bootstrap = 16;    ///< random probes before the model is fit
-  std::size_t model_top_k = 12;  ///< model-seeded share of generation 0
-};
-
 class SearchStrategy final : public tuner::Strategy {
  public:
-  explicit SearchStrategy(SearchConfig cfg = {});
+  explicit SearchStrategy(GeneticConfig cfg = {});
 
   std::string name() const override { return "evolutionary"; }
   tuner::Configuration next(const tuner::DesignSpace& space,
@@ -77,7 +74,7 @@ class SearchStrategy final : public tuner::Strategy {
                double objective_value) override;
   void reset() override;
 
-  const SearchConfig& config() const { return cfg_; }
+  const GeneticConfig& config() const { return cfg_; }
   u64 generation() const { return generation_; }
   /// The fitted surrogate; nullptr until generation 0 was seeded from a
   /// determined fit.
@@ -92,7 +89,7 @@ class SearchStrategy final : public tuner::Strategy {
   tuner::Configuration random_distinct(const tuner::DesignSpace& space,
                                        std::vector<std::string>& keys);
 
-  SearchConfig cfg_;
+  GeneticConfig cfg_;
   GeneticEngine engine_;
   std::optional<tuner::RlsModel> model_;
 
@@ -102,7 +99,7 @@ class SearchStrategy final : public tuner::Strategy {
   std::map<std::string, RunningStats> fitness_;  ///< memoized by config_key
   u64 generation_ = 0;
   u64 decision_counter_ = 0;  ///< stream index for every internal draw
-  bool bootstrapped_ = false;
+  std::vector<std::string> probe_keys_;  ///< probes proposed this phase
 };
 
 /// Strategy factory covering the flat tuner built-ins ("flat"/"full-search",

@@ -95,11 +95,9 @@ inline tuner::DesignSpace scenario_space(u64 seed) {
 inline SearchScenarioResult run_search_scenario(u64 seed, int threads) {
   tuner::DesignSpace space = scenario_space(seed);
 
-  SearchConfig cfg;
-  cfg.genetic.seed = seed * 1000003ULL + 5;
-  cfg.genetic.population = 12;
-  cfg.bootstrap = 8;
-  cfg.model_top_k = 6;
+  GeneticConfig cfg;
+  cfg.seed = seed * 1000003ULL + 5;
+  cfg.population = 12;
   tuner::Autotuner tuner(space, std::make_unique<SearchStrategy>(cfg), {},
                          seed + 1);
 

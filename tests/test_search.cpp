@@ -193,7 +193,6 @@ TEST(GeneticEngine, ElitesSurviveAndGenerationsAreDeterministic) {
   const DesignSpace s = three_knob_space();
   GeneticConfig cfg;
   cfg.population = 10;
-  cfg.elites = 2;
   GeneticEngine engine(cfg);
 
   std::vector<Configuration> parents;
@@ -273,8 +272,8 @@ TEST(SearchStrategy, TrajectoryIsIdenticalAcrossWorkerCounts) {
   // 1, 2, and 8 workers produce byte-identical search trajectories.
   auto run = [](int threads) {
     DesignSpace s = three_knob_space();
-    SearchConfig cfg;
-    cfg.genetic.seed = 99;
+    GeneticConfig cfg;
+    cfg.seed = 99;
     tuner::Autotuner tuner(s, std::make_unique<SearchStrategy>(cfg), {}, 4);
     exec::ThreadPool pool(threads);
     std::string trajectory;
@@ -298,42 +297,69 @@ TEST(SearchStrategy, TrajectoryIsIdenticalAcrossWorkerCounts) {
 }
 
 TEST(SearchStrategy, ModelIsFitAfterBootstrap) {
+  // 3 knobs: 10 coefficients, so generation 0 waits for 15 measured probes.
   DesignSpace s = three_knob_space();
-  SearchConfig cfg;
-  cfg.bootstrap = 14;
-  auto strategy = std::make_unique<SearchStrategy>(cfg);
+  auto strategy = std::make_unique<SearchStrategy>();
   SearchStrategy* raw = strategy.get();
   tuner::Autotuner tuner(s, std::move(strategy), {}, 23);
-  for (int i = 0; i < 14; ++i) {
+  for (int i = 0; i < 15; ++i) {
     const Configuration& c = tuner.next_configuration();
     tuner.report({{"time_s", planar_cost(tuner.space(), c)}});
   }
-  EXPECT_EQ(raw->model(), nullptr);  // still bootstrapping
+  EXPECT_EQ(raw->model(), nullptr);  // still probing
+  EXPECT_EQ(tuner.knowledge().distinct_configs(), 15u);  // probes are distinct
   // Next decision assembles generation 0 and fits the model.
   const Configuration& c = tuner.next_configuration();
   tuner.report({{"time_s", planar_cost(tuner.space(), c)}});
   ASSERT_NE(raw->model(), nullptr);
-  EXPECT_GE(raw->model()->updates(), 10u);
+  EXPECT_EQ(raw->model()->updates(), 15u);
   // In-family landscape: the fit predicts every measured config.
   EXPECT_LT(surrogate_rmse(*raw->model(), tuner.space(), tuner.knowledge()),
             1e-6);
 }
 
+TEST(SearchStrategy, BatchedProbesWaitForReports) {
+  // AUTOTUNER-CONVERGENCE's 5-knob, 3840-config space with 16-config
+  // batches. Generation 0 used to be assembled inside the second batch,
+  // before its probes were reported, from too few configs to fit the 21
+  // coefficients; the probes now run until enough are reported.
+  DesignSpace s;
+  s.add_knob({"tile", {4, 8, 16, 32, 64, 128, 256, 512}});
+  s.add_knob({"unroll", {1, 2, 4, 8, 16}});
+  s.add_knob({"threads", {1, 2, 4, 8, 16, 32}});
+  s.add_knob({"prefetch", {0, 1, 2, 3}});
+  s.add_knob({"vector", {1, 2, 4, 8}});
+  auto strategy = std::make_unique<SearchStrategy>();
+  SearchStrategy* raw = strategy.get();
+  tuner::Autotuner tuner(s, std::move(strategy), {}, 3);
+  for (int round = 0; round < 10 && raw->generation() == 0; ++round) {
+    const auto configs = tuner.next_batch(16);
+    std::vector<std::map<std::string, double>> metrics;
+    for (const Configuration& c : configs)
+      metrics.push_back({{"time_s", 1.0 + c[0] + 2.0 * c[1] + c[2] * c[4]}});
+    tuner.report_batch(metrics);
+  }
+  ASSERT_EQ(raw->generation(), 1u);  // generation 0 was proposed
+  ASSERT_NE(raw->model(), nullptr);
+}
+
 TEST(SearchStrategy, ResetRestartsTheFlow) {
   DesignSpace s = three_knob_space();
-  SearchConfig cfg;
-  cfg.bootstrap = 4;
-  SearchStrategy strategy(cfg);
+  SearchStrategy strategy;
   tuner::Knowledge kb;
   Rng rng(1);
   std::string first;
-  for (int i = 0; i < 6; ++i) {
+  // 15 probes, generation 0 (24 genomes), then the first bred genome.
+  for (int i = 0; i < 40; ++i) {
     const Configuration c = strategy.next(s, kb, "time_s", true, rng);
     if (i == 0) first = tuner::config_key(c);
     strategy.observe(s, c, bowl_cost(s, c));
     kb.observe({c, {{"time_s", bowl_cost(s, c)}}});
   }
+  EXPECT_EQ(strategy.generation(), 1u);
+  EXPECT_NE(strategy.model(), nullptr);
   strategy.reset();
+  EXPECT_EQ(strategy.model(), nullptr);
   tuner::Knowledge kb2;
   EXPECT_EQ(tuner::config_key(strategy.next(s, kb2, "time_s", true, rng)),
             first);  // same seeded streams from the top
