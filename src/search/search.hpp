@@ -1,9 +1,9 @@
 // antarex::search — model-seeded evolutionary design-space exploration.
 //
 // The two-stage exploration flow of the Odyssey/AutoSA lineage, grown onto
-// the grey-box autotuner of paper Sec. IV: a cheap analytic performance
-// model (linear + interaction terms over normalized knob encodings) is fit
-// from the knowledge base and seeds the starting population of a genetic
+// the grey-box autotuner of paper Sec. IV: the tuner's RLS surrogate, over
+// linear + interaction terms of normalized knob encodings, is fit from the
+// measured probes and seeds half the starting population of a genetic
 // engine (tournament selection, knob-aware crossover/mutation, elitism,
 // duplicate suppression). The SearchStrategy adapter plugs the whole thing
 // into tuner::Strategy, so Autotuner next_batch()/report_batch() evaluates

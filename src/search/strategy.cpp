@@ -9,13 +9,16 @@ namespace antarex::search {
 
 namespace {
 
+/// Length of quadratic_features() for n knobs: n linear terms plus
+/// n(n+1)/2 products.
+std::size_t feature_count(std::size_t n) { return n + n * (n + 1) / 2; }
+
 /// Measured configs the probe stage waits for: half again as many as the
-/// surrogate's 1 + n + n(n+1)/2 coefficients for n knobs, capped by the
-/// space. The margin was picked on AUTOTUNER-CONVERGENCE over ten seeds
+/// surrogate's coefficients (the features plus RLS's bias), capped by the
+/// space. The margin was picked on AUTOTUNER-CONVERGENCE over twenty seeds
 /// (EXPERIMENTS.md, CLAIM-SLA).
 std::size_t probe_target(const tuner::DesignSpace& space) {
-  const std::size_t n = space.knob_count();
-  const std::size_t coefficients = 1 + n + n * (n + 1) / 2;
+  const std::size_t coefficients = feature_count(space.knob_count()) + 1;
   return std::min(space.size(), coefficients + coefficients / 2);
 }
 
@@ -41,7 +44,7 @@ std::vector<double> quadratic_features(const tuner::DesignSpace& space,
     x[i] = hi > lo ? (space.value(c, i) - lo) / (hi - lo) : 0.0;
   }
   std::vector<double> f = x;
-  f.reserve(n + n * (n + 1) / 2);
+  f.reserve(feature_count(n));
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = i; j < n; ++j) f.push_back(x[i] * x[j]);
   return f;
@@ -50,9 +53,8 @@ std::vector<double> quadratic_features(const tuner::DesignSpace& space,
 std::optional<tuner::RlsModel> fit_surrogate(const tuner::DesignSpace& space,
                                              const tuner::Knowledge& kb,
                                              const std::string& metric) {
-  const std::size_t n = space.knob_count();
-  ANTAREX_REQUIRE(n > 0, "fit_surrogate: empty design space");
-  tuner::RlsModel model(n + n * (n + 1) / 2, 1.0, 1e8);
+  ANTAREX_REQUIRE(space.knob_count() > 0, "fit_surrogate: empty design space");
+  tuner::RlsModel model(feature_count(space.knob_count()), 1.0, 1e8);
   for (const tuner::Configuration& c : kb.configs()) {
     if (!space.valid(c)) continue;
     if (const auto y = kb.mean(c, metric))

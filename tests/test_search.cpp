@@ -320,9 +320,9 @@ TEST(SearchStrategy, ModelIsFitAfterBootstrap) {
 
 TEST(SearchStrategy, BatchedProbesWaitForReports) {
   // AUTOTUNER-CONVERGENCE's 5-knob, 3840-config space with 16-config
-  // batches. Generation 0 used to be assembled inside the second batch,
-  // before its probes were reported, from too few configs to fit the 21
-  // coefficients; the probes now run until enough are reported.
+  // batches. next_batch() proposes a whole batch before any of it is
+  // reported, so a probe count taken from proposals would assemble
+  // generation 0 from 16 measured configs, too few for 21 coefficients.
   DesignSpace s;
   s.add_knob({"tile", {4, 8, 16, 32, 64, 128, 256, 512}});
   s.add_knob({"unroll", {1, 2, 4, 8, 16}});
