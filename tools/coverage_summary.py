@@ -6,10 +6,13 @@ configured with -DANTAREX_COVERAGE=ON), asks gcov for JSON intermediate
 output, merges execution counts across translation units, and prints a
 per-file table for everything under <source-dir>/src. Optionally writes a
 machine-readable coverage.json (the CI artifact) and enforces a minimum
-total line coverage with --fail-under.
+total line coverage with --fail-under. With --uncalled it also lists every
+src/ function whose calls, summed across translation units, are zero, and
+every src/ source file that left no coverage data at all.
 
 Usage:
   coverage_summary.py --build-dir build-cov --source-dir . -o coverage.json
+  coverage_summary.py --build-dir cov --source-dir . --uncalled
 """
 
 import argparse
@@ -21,8 +24,10 @@ from collections import defaultdict
 
 
 def find_gcda(build_dir):
+    # Absolute paths: gcov runs inside each file's directory, where a path
+    # relative to the caller's directory would not resolve.
     out = []
-    for root, _dirs, files in os.walk(build_dir):
+    for root, _dirs, files in os.walk(os.path.abspath(build_dir)):
         out.extend(os.path.join(root, f) for f in files if f.endswith(".gcda"))
     return sorted(out)
 
@@ -57,6 +62,8 @@ def main():
     ap.add_argument("-o", "--output", help="write coverage.json here")
     ap.add_argument("--fail-under", type=float, default=0.0,
                     help="exit 1 if total line coverage (%%) is below this")
+    ap.add_argument("--uncalled", action="store_true",
+                    help="list src/ functions with zero calls")
     args = ap.parse_args()
 
     src_root = os.path.realpath(os.path.join(args.source_dir, "src"))
@@ -68,6 +75,9 @@ def main():
 
     # file -> line -> max execution count across all translation units.
     lines = defaultdict(dict)
+    # (file, start line, mangled name) -> [demangled name, calls summed
+    # across translation units]; an inline function has a counter per TU.
+    functions = {}
     for gcda in gcda_files:
         for doc in gcov_json(gcda, args.source_dir):
             cwd = doc.get("current_working_directory", "")
@@ -83,6 +93,11 @@ def main():
                 for ln in f.get("lines", []):
                     n = ln["line_number"]
                     per_file[n] = max(per_file.get(n, 0), ln["count"])
+                for fn in f.get("functions", []):
+                    key = (rel, fn["start_line"], fn["name"])
+                    entry = functions.setdefault(
+                        key, [fn.get("demangled_name", fn["name"]), 0])
+                    entry[1] += fn["execution_count"]
 
     if not lines:
         print("gcov produced no data for files under src/", file=sys.stderr)
@@ -124,6 +139,22 @@ def main():
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
         print(f"wrote {args.output}")
+
+    if args.uncalled:
+        uncalled = sorted((rel, line, name)
+                          for (rel, line, _), (name, calls) in functions.items()
+                          if calls == 0)
+        print(f"\n{len(uncalled)} src/ functions with zero calls:")
+        for rel, line, name in uncalled:
+            print(f"  {rel}:{line}  {name}")
+        no_data = sorted(
+            os.path.relpath(os.path.join(root, f), os.path.dirname(src_root))
+            for root, _dirs, files in os.walk(src_root) for f in files
+            if f.endswith(".cpp"))
+        no_data = [rel for rel in no_data if rel not in lines]
+        print(f"{len(no_data)} src/ source files with no coverage data:")
+        for rel in no_data:
+            print(f"  {rel}")
 
     if pct_total < args.fail_under:
         print(f"coverage {pct_total:.1f}% below --fail-under "
