@@ -15,7 +15,11 @@
 // Gated metrics are deterministic (node counts, bytes/node, device steps,
 // simulated joules, equivalence); wall-clock throughput is measured_* only.
 #include <chrono>
+#include <cstdarg>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "exec/pool.hpp"
@@ -69,8 +73,66 @@ void submit_equiv_jobs(ClusterLike& cluster) {
   }
 }
 
+/// The compared end state at %.17g: telemetry, then per-node energy and
+/// per-device P-state, temperature and energy — the format of
+/// tests/golden/exascale_equiv_2026.txt.
+void line(std::string& out, const char* fmt, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  out += buf;
+}
+
+std::string equiv_header(const ClusterTelemetry& t) {
+  std::string out;
+  line(out, "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g done=%llu\n",
+       t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
+       static_cast<unsigned long long>(t.jobs_completed));
+  return out;
+}
+
+std::string equiv_document(Cluster& c) {
+  std::string out = equiv_header(c.telemetry());
+  for (std::size_t i = 0; i < c.nodes().size(); ++i) {
+    Node& node = c.nodes()[i];
+    line(out, "node %zu e=%.17g\n", i, node.rapl().total_j());
+    for (std::size_t d = 0; d < node.device_count(); ++d) {
+      Device& dev = node.device(d);
+      line(out, "  dev %zu op=%zu temp=%.17g e=%.17g\n", d, dev.op_index(),
+           dev.temperature_c(), dev.rapl().total_j());
+    }
+  }
+  return out;
+}
+
+std::string equiv_document(ShardedCluster& c) {
+  std::string out = equiv_header(c.telemetry());
+  for (std::size_t i = 0; i < c.node_count(); ++i) {
+    line(out, "node %zu e=%.17g\n", i, c.node_energy_j(i));
+    for (std::size_t d = 0; d < c.node_device_count(i); ++d)
+      line(out, "  dev %zu op=%zu temp=%.17g e=%.17g\n", d,
+           c.device_op_index(i, d), c.device_temperature_c(i, d),
+           c.device_energy_j(i, d));
+  }
+  return out;
+}
+
+/// The fixture recorded from the legacy stepper, found next to this source.
+std::string equiv_fixture() {
+  std::string path = __FILE__;
+  path = path.substr(0, path.find_last_of('/') + 1) +
+         "../tests/golden/exascale_equiv_2026.txt";
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 /// Small-N differential check: the same blueprint + jobs through the legacy
-/// stepper and the sharded engine must land on bit-identical state.
+/// stepper and the sharded engine must land on bit-identical state, the
+/// state the legacy stepper recorded in the fixture.
 bool engines_equivalent(int threads) {
   constexpr std::size_t kNodes = 64;
   constexpr u64 kSeed = 2026;
@@ -93,23 +155,9 @@ bool engines_equivalent(int threads) {
   sharded.set_pool(&pool);
   sharded.run_for(120.0, 0.25);
 
-  const ClusterTelemetry& a = legacy.telemetry();
-  const ClusterTelemetry& b = sharded.telemetry();
-  bool same = a.time_s == b.time_s && a.it_energy_j == b.it_energy_j &&
-              a.facility_energy_j == b.facility_energy_j &&
-              a.peak_it_power_w == b.peak_it_power_w &&
-              a.jobs_completed == b.jobs_completed;
-  for (std::size_t i = 0; same && i < kNodes; ++i) {
-    Node& node = legacy.nodes()[i];
-    same = node.rapl().total_j() == sharded.node_energy_j(i);
-    for (std::size_t d = 0; same && d < node.device_count(); ++d) {
-      Device& dev = node.device(d);
-      same = dev.temperature_c() == sharded.device_temperature_c(i, d) &&
-             dev.rapl().total_j() == sharded.device_energy_j(i, d) &&
-             dev.op_index() == sharded.device_op_index(i, d);
-    }
-  }
-  return same;
+  const std::string fixture = equiv_fixture();
+  return !fixture.empty() && equiv_document(legacy) == fixture &&
+         equiv_document(sharded) == fixture;
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Differential shard-equivalence suite: the SoA ShardedCluster must be an
-// exact drop-in for the legacy rtrm::Cluster stepper. Every test runs the
-// same seeded scenario through both engines and asserts the canonical state
-// trace (tests/sharded_common.hpp) — every per-node and per-device
-// observable at full %.17g precision — is byte-identical, across 1/4/16
+// exact drop-in for the legacy rtrm::Cluster stepper. Every scenario's
+// canonical state trace (tests/sharded_common.hpp) — every per-node and
+// per-device observable at full %.17g precision — plus its fault log was
+// recorded from the legacy stepper into tests/golden/sharded_diff_<seed>.txt,
+// and the sharded engine must reproduce it byte-for-byte across 1/4/16
 // shards and 1/2/8 exec workers, with and without injected crash/repair
-// schedules. Golden fixtures generated from the *legacy* stepper pin the
-// sharded path to it across refactors, mirroring fault_replay_*.
+// schedules. The sharded_replay_* fixtures pin the golden scenario the same
+// way, mirroring fault_replay_*.
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -82,6 +83,46 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   return state_trace(cluster);
 }
 
+/// Trace plus fault log: the golden_document format every fixture uses.
+std::string document(const std::string& trace,
+                     const std::vector<std::string>& log) {
+  std::string doc = trace;
+  doc += "--- fault log ---\n";
+  for (const std::string& line : log) {
+    doc += line;
+    doc += '\n';
+  }
+  return doc;
+}
+
+std::string legacy_document(u64 seed, const Scenario& sc) {
+  std::vector<std::string> log;
+  const std::string trace = legacy_run(seed, sc, &log);
+  return document(trace, log);
+}
+
+std::string sharded_document(u64 seed, const Scenario& sc, std::size_t shards,
+                             int threads) {
+  std::vector<std::string> log;
+  const std::string trace = sharded_run(seed, sc, shards, threads, &log);
+  return document(trace, log);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// The differential fixture of one scenario, recorded from the legacy
+/// stepper (no regenerate path: the legacy engine is the oracle).
+std::string diff_fixture(u64 seed) {
+  const std::string path = std::string(ANTAREX_GOLDEN_DIR) + "/sharded_diff_" +
+                           std::to_string(seed) + ".txt";
+  return read_file(path);
+}
+
 struct ShardCase {
   std::size_t shards;
   int threads;
@@ -89,20 +130,13 @@ struct ShardCase {
 constexpr ShardCase kShardCases[] = {{1, 1}, {4, 2}, {16, 8}};
 
 void expect_equivalent(u64 seed, const Scenario& sc) {
-  std::vector<std::string> legacy_log;
-  const std::string reference = legacy_run(seed, sc, &legacy_log);
-  ASSERT_FALSE(reference.empty());
+  const std::string fixture = diff_fixture(seed);
+  ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_" << seed;
+  EXPECT_EQ(legacy_document(seed, sc), fixture) << "legacy seed=" << seed;
   for (const ShardCase& c : kShardCases) {
-    std::vector<std::string> log;
-    const std::string got = sharded_run(seed, sc, c.shards, c.threads, &log);
-    EXPECT_EQ(reference, got)
-        << "trace diverged at shards=" << c.shards
-        << " threads=" << c.threads << " seed=" << seed;
-    if (sc.faults) {
-      EXPECT_EQ(legacy_log, log)
-          << "fault/dispatcher log diverged at shards=" << c.shards
-          << " threads=" << c.threads << " seed=" << seed;
-    }
+    EXPECT_EQ(sharded_document(seed, sc, c.shards, c.threads), fixture)
+        << "diverged at shards=" << c.shards << " threads=" << c.threads
+        << " seed=" << seed;
   }
 }
 
@@ -142,9 +176,11 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
   // range partition; the merge must still commit in node order.
   Scenario sc;
   sc.faults = true;
-  const std::string reference = legacy_run(29u, sc);
+  const std::string fixture = diff_fixture(29u);
+  ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_29";
+  EXPECT_EQ(legacy_document(29u, sc), fixture);
   for (std::size_t shards : {3u, 5u, 7u, 24u}) {
-    EXPECT_EQ(reference, sharded_run(29u, sc, shards, 2))
+    EXPECT_EQ(sharded_document(29u, sc, shards, 2), fixture)
         << "shards=" << shards;
   }
 }
@@ -153,26 +189,6 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
 // Golden fixtures: the legacy stepper generates them, the sharded engine
 // must reproduce them byte-for-byte (regen with ANTAREX_UPDATE_GOLDEN=1).
 // --------------------------------------------------------------------------
-
-std::string golden_document(u64 seed, const Scenario& sc, bool legacy) {
-  std::vector<std::string> log;
-  const std::string trace = legacy ? legacy_run(seed, sc, &log)
-                                   : sharded_run(seed, sc, 4, 2, &log);
-  std::string doc = trace;
-  doc += "--- fault log ---\n";
-  for (const std::string& line : log) {
-    doc += line;
-    doc += '\n';
-  }
-  return doc;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 Scenario golden_scenario() {
   Scenario sc;
@@ -188,7 +204,7 @@ class GoldenSharded : public ::testing::TestWithParam<u64> {};
 TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
   const u64 seed = GetParam();
   const Scenario sc = golden_scenario();
-  const std::string legacy = golden_document(seed, sc, /*legacy=*/true);
+  const std::string legacy = legacy_document(seed, sc);
 
   const std::string path = std::string(ANTAREX_GOLDEN_DIR) +
                            "/sharded_replay_" + std::to_string(seed) + ".txt";
@@ -202,7 +218,7 @@ TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
   ASSERT_FALSE(fixture.empty()) << "missing fixture " << path
                                 << " (run with ANTAREX_UPDATE_GOLDEN=1)";
   EXPECT_EQ(legacy, fixture);
-  EXPECT_EQ(golden_document(seed, sc, /*legacy=*/false), fixture);
+  EXPECT_EQ(sharded_document(seed, sc, 4, 2), fixture);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
