@@ -24,7 +24,6 @@
 
 #include "bench_common.hpp"
 #include "exec/pool.hpp"
-#include "fault/fault.hpp"
 #include "fault/shard_driver.hpp"
 #include "govern/govern.hpp"
 #include "rtrm/sharded_cluster.hpp"

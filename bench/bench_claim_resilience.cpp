@@ -15,8 +15,8 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "fault/fault.hpp"
-#include "rtrm/cluster.hpp"
+#include "fault/shard_driver.hpp"
+#include "rtrm/sharded_cluster.hpp"
 
 namespace {
 
@@ -56,15 +56,12 @@ double mtbf_for_unavailability(double u) {
 }
 
 ScenarioResult run_scenario(double unavailability, bool resilient) {
-  rtrm::ClusterConfig cfg;
-  cfg.backfill = true;
-  rtrm::Cluster cluster{cfg};
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    rtrm::Node n("n" + std::to_string(i), 40.0);
-    n.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                              DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(n));
-  }
+  rtrm::ShardedClusterConfig cfg;
+  cfg.base.backfill = true;
+  cfg.shards = 1;
+  rtrm::ShardedCluster cluster(cfg);
+  const u32 cpu = cluster.add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < kNodes; ++i) cluster.add_node(40.0, {{cpu, {}}});
   for (int j = 1; j <= kJobs; ++j) {
     rtrm::Job job;
     job.id = static_cast<u64>(j);
@@ -90,7 +87,7 @@ ScenarioResult run_scenario(double unavailability, bool resilient) {
   }
   const fault::FaultSchedule schedule = fault::generate_schedule(
       model, static_cast<u32>(kNodes), 1, kHorizonS, kSeed);
-  fault::FaultInjector injector(cluster, schedule);
+  fault::ShardFaultDriver injector(cluster, schedule);
 
   // Run to drain rather than for a fixed horizon: the makespan then reflects
   // capacity lost to downtime and redone work. The fault schedule covers the

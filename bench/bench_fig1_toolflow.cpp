@@ -18,7 +18,7 @@
 #include "dsl/weaver.hpp"
 #include "passes/iterative.hpp"
 #include "passes/pass_manager.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "search/search.hpp"
 #include "tuner/autotuner.hpp"
 #include "vm/engine.hpp"
@@ -160,16 +160,13 @@ int main(int argc, char** argv) {
 
   // 7. RTRM control loop: run a capped cluster with jobs.
   t0 = std::chrono::steady_clock::now();
-  rtrm::ClusterConfig ccfg;
-  ccfg.governor = rtrm::GovernorPolicy::EnergyAware;
-  ccfg.facility_cap_w = 800.0;
-  rtrm::Cluster cluster(ccfg);
-  {
-    rtrm::Node n("n0");
-    n.add_device(rtrm::Device("cpu0", power::DeviceSpec::xeon_haswell()));
-    n.add_device(rtrm::Device("cpu1", power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(n));
-  }
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.base.governor = rtrm::GovernorPolicy::EnergyAware;
+  ccfg.base.facility_cap_w = 800.0;
+  ccfg.shards = 1;
+  rtrm::ShardedCluster cluster(ccfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  cluster.add_node(60.0, {{cpu, {}}, {cpu, {}}});
   for (u64 id = 1; id <= 4; ++id) {
     rtrm::Job j;
     j.id = id;

@@ -12,7 +12,7 @@
 
 #include "bench_common.hpp"
 #include "obs/attribution.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 
 namespace {
 
@@ -26,14 +26,13 @@ struct Outcome {
 };
 
 Outcome run_with(GovernorPolicy governor) {
-  ClusterConfig cfg;
-  cfg.governor = governor;
-  cfg.control_period_s = 0.5;
-  Cluster cluster(cfg);
-  Node n("n0");
-  n.add_device(Device("cpu0", power::DeviceSpec::xeon_haswell()));
-  n.add_device(Device("cpu1", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  ShardedClusterConfig cfg;
+  cfg.base.governor = governor;
+  cfg.base.control_period_s = 0.5;
+  cfg.shards = 1;
+  ShardedCluster cluster(cfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  cluster.add_node(60.0, {{cpu, {}}, {cpu, {}}});
 
   // A mixed stream: half compute-bound, half memory-bound jobs.
   for (u64 id = 1; id <= 8; ++id) {
@@ -50,18 +49,15 @@ Outcome run_with(GovernorPolicy governor) {
     cluster.submit(std::move(j));
   }
   // Per-class energy ledger: every step, each busy device's draw is
-  // attributed to the class of the job it runs (the govern job-ledger idiom).
+  // attributed to the class of the job it runs (the govern job-ledger idiom),
+  // visiting devices in index order.
   Outcome out;
   cluster.add_step_observer([&cluster, &out](double, double, double dt_s) {
-    std::map<u64, const char*> class_of;
+    std::map<u32, const char*> class_on;
     for (const Job& j : cluster.dispatcher().running_jobs())
-      class_of[j.id] = j.name.c_str();
-    for (const Node& n : cluster.nodes())
-      for (const Device& d : n.devices()) {
-        const auto jid = d.running_job();
-        if (!jid || !class_of.count(*jid)) continue;
-        out.by_class.add(class_of[*jid], d.power_w() * dt_s, dt_s);
-      }
+      class_on[cluster.dispatcher().device_of(j.id)] = j.name.c_str();
+    for (const auto& [device, job_class] : class_on)
+      out.by_class.add(job_class, cluster.device_power_w(device) * dt_s, dt_s);
   });
 
   const bool ok = cluster.run_until_idle(20000.0, 0.25);

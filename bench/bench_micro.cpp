@@ -12,7 +12,6 @@
 #include "nav/nav.hpp"
 #include "passes/pass_manager.hpp"
 #include "passes/specialize.hpp"
-#include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
@@ -251,21 +250,11 @@ void BM_DockLigand(benchmark::State& state) {
 }
 BENCHMARK(BM_DockLigand);
 
-// Per-tick cluster stepping cost, legacy AoS vs sharded SoA. The sharded
-// variants are pre-settled (one long warm-up run) so the calendar holds only
-// parked nodes: the steady-state tick is what an exascale-length run pays
-// almost everywhere, and a parking regression shows up here as a jump from
-// nanoseconds back to the O(nodes) legacy cost.
-void BM_ClusterTickLegacy(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  rtrm::Cluster cluster;
-  rtrm::ClusterBlueprint::exascale(7, nodes).build(cluster);
-  cluster.run_for(600.0, 0.25);  // same thermal settling as the sharded runs
-  for (auto _ : state) cluster.run_for(0.25, 0.25);
-  state.SetItemsProcessed(state.iterations() * static_cast<i64>(nodes));
-}
-BENCHMARK(BM_ClusterTickLegacy)->Arg(256)->Arg(1024);
-
+// Per-tick cluster stepping cost of the sharded SoA plant. The fleet is
+// pre-settled (one long warm-up run) so the calendar holds only parked
+// nodes: the steady-state tick is what an exascale-length run pays almost
+// everywhere, and a parking regression shows up here as a jump from
+// nanoseconds to a cost proportional to the node count.
 void BM_ClusterTickSharded(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   rtrm::ShardedClusterConfig cfg;

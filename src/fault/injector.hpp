@@ -22,16 +22,6 @@
 
 namespace antarex::fault {
 
-struct InjectorStats {
-  u64 crashes = 0;
-  u64 repairs = 0;
-  u64 glitches = 0;
-  u64 throttles = 0;
-  u64 slowdowns = 0;
-  double time_under_fault_s = 0.0;  ///< integral of (any node down) over time
-  double node_downtime_s = 0.0;     ///< integral of (#nodes down) * dt
-};
-
 class FaultInjector {
  public:
   /// Attaches to the cluster as an additional step observer. The injector

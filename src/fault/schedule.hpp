@@ -84,4 +84,15 @@ FaultSchedule generate_schedule(const FaultModel& model, std::size_t nodes,
                                 std::size_t devices_per_node, double horizon_s,
                                 u64 seed);
 
+/// What applying a schedule did to a plant (FaultInjector, ShardFaultDriver).
+struct InjectorStats {
+  u64 crashes = 0;
+  u64 repairs = 0;
+  u64 glitches = 0;
+  u64 throttles = 0;
+  u64 slowdowns = 0;
+  double time_under_fault_s = 0.0;  ///< integral of (any node down) over time
+  double node_downtime_s = 0.0;     ///< integral of (#nodes down) * dt
+};
+
 }  // namespace antarex::fault

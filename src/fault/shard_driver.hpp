@@ -5,14 +5,13 @@
 // whose time is >= at_s - 1e-12), the same per-event log lines, and the same
 // stats — so a (seed, schedule) pair applied to a legacy Cluster and to a
 // ShardedCluster produces the same plant trajectory and the same replay log,
-// which is exactly what the differential suite asserts.
+// which is exactly what the legacy-recorded differential fixtures pin.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "rtrm/sharded_cluster.hpp"
 

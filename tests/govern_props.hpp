@@ -28,7 +28,6 @@
 #include <memory>
 #include <string>
 
-#include "fault/fault.hpp"
 #include "fault/shard_driver.hpp"
 #include "govern/govern.hpp"
 #include "support/rng.hpp"

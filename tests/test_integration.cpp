@@ -22,7 +22,7 @@
 #include "passes/specialize.hpp"
 #include "passes/unroll.hpp"
 #include "precision/precision.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "tuner/autotuner.hpp"
 #include "vm/engine.hpp"
 
@@ -290,17 +290,25 @@ TEST(TunerDrivesCluster, FindsEnergyOptimalPStateUnderDeadline) {
     const auto& c = tuner.next_configuration();
     const double f = tuner.space().value(c, "freq");
 
-    Device d("cpu", spec);
-    // Map knob -> P-state index.
-    for (std::size_t op = 0; op < d.num_ops(); ++op)
-      if (spec.dvfs.at(op).freq_ghz == f) d.set_op_index(op);
-    d.assign(w, 1.0, 1);
-    double t = 0.0;
-    while (d.busy()) {
-      d.step(0.05, 22.0);
-      t += 0.05;
-    }
-    tuner.report({{"energy_j", d.rapl().total_j()}, {"time_s", t}});
+    // Map knob -> P-state index: the performance governor proposes the top
+    // and the global step-down pins the device `top - op` states below it.
+    ShardedClusterConfig ccfg;
+    ccfg.base.governor = GovernorPolicy::Performance;
+    ccfg.base.ambient_c = 22.0;
+    ccfg.shards = 1;
+    ShardedCluster cluster(ccfg);
+    cluster.add_node(0.0, {{cluster.add_spec(spec), {}}});
+    for (std::size_t op = 0; op < spec.dvfs.size(); ++op)
+      if (spec.dvfs.at(op).freq_ghz == f)
+        cluster.set_op_step_down(spec.dvfs.size() - 1 - op);
+    Job job;
+    job.id = 1;
+    job.units = 1.0;
+    job.profiles[power::DeviceType::Cpu] = w;
+    cluster.submit(std::move(job));
+    while (cluster.dispatcher().completed() == 0) cluster.run_for(0.05, 0.05);
+    tuner.report({{"energy_j", cluster.device_energy_j(0, 0)},
+                  {"time_s", cluster.now_s()}});
   }
 
   const auto best = tuner.best();
@@ -370,18 +378,22 @@ TEST(DockingOnCluster, HeterogeneousPlacementBeatsCpuOnly) {
   const dock::DockParams params;
 
   auto make_cluster = [&](bool with_gpu) {
-    ClusterConfig cfg;
-    cfg.placement = PlacementPolicy::FastestFirst;
-    cfg.governor = GovernorPolicy::Ondemand;
-    auto cluster = std::make_unique<Cluster>(cfg);
-    Node n("n0");
-    n.add_device(Device("cpu0", power::DeviceSpec::xeon_haswell()));
-    if (with_gpu) n.add_device(Device("gpu0", power::DeviceSpec::gpgpu()));
-    cluster->add_node(std::move(n));
+    ShardedClusterConfig cfg;
+    cfg.base.placement = PlacementPolicy::FastestFirst;
+    cfg.base.governor = GovernorPolicy::Ondemand;
+    cfg.shards = 1;
+    auto cluster = std::make_unique<ShardedCluster>(cfg);
+    const u32 cpu = cluster->add_spec(power::DeviceSpec::xeon_haswell());
+    if (with_gpu) {
+      const u32 gpu = cluster->add_spec(power::DeviceSpec::gpgpu());
+      cluster->add_node(60.0, {{cpu, {}}, {gpu, {}}});
+    } else {
+      cluster->add_node(60.0, {{cpu, {}}});
+    }
     return cluster;
   };
 
-  auto submit_campaign = [&](Cluster& cluster, u64 seed) {
+  auto submit_campaign = [&](ShardedCluster& cluster, u64 seed) {
     Rng lr(seed);
     for (u64 id = 1; id <= 12; ++id) {
       const dock::Molecule lig = dock::random_ligand(lr, 10, 120);
@@ -401,7 +413,7 @@ TEST(DockingOnCluster, HeterogeneousPlacementBeatsCpuOnly) {
     }
   };
 
-  auto campaign_finish = [](const rtrm::Cluster& cluster) {
+  auto campaign_finish = [](const ShardedCluster& cluster) {
     double finish = 0.0;
     for (const Job& j : cluster.dispatcher().completed_jobs())
       finish = std::max(finish, j.finish_time_s);
@@ -419,8 +431,7 @@ TEST(DockingOnCluster, HeterogeneousPlacementBeatsCpuOnly) {
   EXPECT_LT(campaign_finish(*het), campaign_finish(*cpu_only));
   EXPECT_EQ(het->dispatcher().completed(), 12u);
   // The GPU actually absorbed work.
-  const Device& gpu = het->nodes()[0].device(1);
-  EXPECT_GT(gpu.completed_jobs(), 0u);
+  EXPECT_GT(het->device_completed_jobs(0, 1), 0u);
 }
 
 }  // namespace

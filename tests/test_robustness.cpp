@@ -11,7 +11,7 @@
 #include "dsl/weaver.hpp"
 #include "nav/nav.hpp"
 #include "power/model.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "tuner/autotuner.hpp"
 #include "vm/engine.hpp"
 
@@ -108,12 +108,21 @@ TEST(WeaverErrors, RecursiveAspectsAreCut) {
 // Cluster conservation laws
 // --------------------------------------------------------------------------
 
+/// One node with one Xeon on a single-shard ShardedCluster.
+void add_cpu_node(rtrm::ShardedCluster& cluster) {
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  cluster.add_node(60.0, {{cpu, {}}});
+}
+
+rtrm::ShardedClusterConfig one_shard() {
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 1;
+  return cfg;
+}
+
 TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
-  rtrm::ClusterConfig cfg;
-  rtrm::Cluster cluster(cfg);
-  rtrm::Node n("n0");
-  n.add_device(rtrm::Device("c0", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  rtrm::ShardedCluster cluster(one_shard());
+  add_cpu_node(cluster);
 
   rtrm::Job j;
   j.id = 1;
@@ -138,11 +147,8 @@ TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
 }
 
 TEST(ClusterInvariants, JobAccountingBalances) {
-  rtrm::ClusterConfig cfg;
-  rtrm::Cluster cluster(cfg);
-  rtrm::Node n("n0");
-  n.add_device(rtrm::Device("c0", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  rtrm::ShardedCluster cluster(one_shard());
+  add_cpu_node(cluster);
   for (u64 id = 1; id <= 5; ++id) {
     rtrm::Job j;
     j.id = id;

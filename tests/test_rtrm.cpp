@@ -1,12 +1,16 @@
 // Tests for the runtime resource & power manager: device execution, node
-// aggregation, governors, the hierarchical power controllers, the thermal
-// guard, job dispatch policies, and whole-cluster simulation invariants.
+// aggregation, the thermal guard and job dispatch on the legacy objects;
+// governors, the node power controller, the facility cap and whole-cluster
+// control on rtrm::ShardedCluster; and the legacy rtrm::Cluster's end-to-end
+// runs.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "rtrm/cluster.hpp"
 #include "rtrm/controllers.hpp"
 #include "rtrm/dispatcher.hpp"
-#include "rtrm/governor.hpp"
+#include "rtrm/sharded_cluster.hpp"
 
 namespace antarex::rtrm {
 namespace {
@@ -26,6 +30,33 @@ WorkloadModel simple_work(double gcycles = 10.0, double mem_s = 0.0) {
   w.cores_used = 12;
   w.activity = 0.9;
   return w;
+}
+
+/// A single-shard ShardedCluster of `nodes` nodes, each with `cpus` Xeons
+/// and `base_w` of node base power.
+std::unique_ptr<ShardedCluster> cpu_cluster(ClusterConfig base,
+                                            std::size_t nodes = 1,
+                                            std::size_t cpus = 1,
+                                            double base_w = 60.0) {
+  ShardedClusterConfig cfg;
+  cfg.base = base;
+  cfg.shards = 1;
+  auto cluster = std::make_unique<ShardedCluster>(cfg);
+  const u32 cpu = cluster->add_spec(DeviceSpec::xeon_haswell());
+  const std::vector<std::pair<u32, power::Variability>> devices(cpus,
+                                                                {cpu, {}});
+  for (std::size_t i = 0; i < nodes; ++i) cluster->add_node(base_w, devices);
+  return cluster;
+}
+
+/// A CPU-only job of `units` work units of `w`.
+Job cpu_job(u64 id, double units, const WorkloadModel& w) {
+  Job j;
+  j.id = id;
+  j.name = "job" + std::to_string(id);
+  j.units = units;
+  j.profiles[DeviceType::Cpu] = w;
+  return j;
 }
 
 // --------------------------------------------------------------------------
@@ -106,64 +137,71 @@ TEST(Device, RejectsDoubleAssign) {
 }
 
 // --------------------------------------------------------------------------
-// Governors
+// Governors (ShardedCluster: one control period proposes every P-state)
 // --------------------------------------------------------------------------
 
+/// The P-state the governor picks for device 0 of a one-device cluster after
+/// one control period, with `job` (if any) running on it.
+std::size_t governed_op(GovernorPolicy g, const Job* job,
+                        double base_w = 60.0) {
+  ClusterConfig cfg;
+  cfg.governor = g;
+  auto c = cpu_cluster(cfg, 1, 1, base_w);
+  if (job) c->submit(*job);
+  c->run_for(0.25, 0.25);
+  return c->device_op_index(0, 0);
+}
+
 TEST(Governor, PerformanceAndPowersave) {
-  Device d = make_cpu();
-  apply_governor(d, GovernorPolicy::Powersave);
-  EXPECT_EQ(d.op_index(), 0u);
-  apply_governor(d, GovernorPolicy::Performance);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  const std::size_t top = DeviceSpec::xeon_haswell().dvfs.size() - 1;
+  EXPECT_EQ(governed_op(GovernorPolicy::Powersave, nullptr), 0u);
+  EXPECT_EQ(governed_op(GovernorPolicy::Performance, nullptr), top);
 }
 
 TEST(Governor, OndemandTracksLoad) {
-  Device d = make_cpu();
-  apply_governor(d, GovernorPolicy::Ondemand);
-  EXPECT_EQ(d.op_index(), 0u);  // idle -> min
-  d.assign(simple_work(1000.0), 1.0, 1);
-  apply_governor(d, GovernorPolicy::Ondemand);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);  // busy -> max
+  const std::size_t top = DeviceSpec::xeon_haswell().dvfs.size() - 1;
+  auto c = cpu_cluster({});
+  c->run_for(0.25, 0.25);
+  EXPECT_EQ(c->device_op_index(0, 0), 0u);  // idle -> min
+  c->submit(cpu_job(1, 1.0, simple_work(1000.0)));
+  c->run_for(1.0, 0.25);  // the next control period sees it busy
+  EXPECT_TRUE(c->device_busy(0, 0));
+  EXPECT_EQ(c->device_op_index(0, 0), top);  // busy -> max
 }
 
 TEST(Governor, EnergyAwarePicksInteriorPointForComputeBound) {
-  Device d = make_cpu();
-  d.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(d, GovernorPolicy::EnergyAware);
   // The device-level optimum lies strictly below the top P-state (leakage-
-  // time tradeoff) — and for memory-bound work it is lower still.
-  const std::size_t compute_idx = d.op_index();
-  EXPECT_LT(compute_idx, d.num_ops() - 1);
+  // time tradeoff) — and for memory-bound work it is lower still. Zero base
+  // power leaves no base-power share in the objective.
+  const Job compute = cpu_job(1, 1.0, simple_work(1000.0, 0.0));
+  const std::size_t compute_idx =
+      governed_op(GovernorPolicy::EnergyAware, &compute, 0.0);
+  EXPECT_LT(compute_idx, DeviceSpec::xeon_haswell().dvfs.size() - 1);
 
-  Device m = make_cpu("mem");
-  m.assign(simple_work(10.0, 5.0), 1.0, 2);
-  apply_governor(m, GovernorPolicy::EnergyAware);
-  EXPECT_LE(m.op_index(), compute_idx);
+  const Job memory = cpu_job(2, 1.0, simple_work(10.0, 5.0));
+  EXPECT_LE(governed_op(GovernorPolicy::EnergyAware, &memory, 0.0),
+            compute_idx);
 }
 
 TEST(Governor, EnergyAwareBasePowerShareRaisesTheOptimum) {
   // Without a base-power share, device-only energy favours very low
   // frequencies (powersave-like). Charging the node's always-on power to the
-  // job makes finishing sooner worthwhile: the chosen P-state must rise.
-  Device a = make_cpu("a");
-  a.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(a, GovernorPolicy::EnergyAware, 0.0);
-  const std::size_t without_share = a.op_index();
-
-  Device b = make_cpu("b");
-  b.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(b, GovernorPolicy::EnergyAware, 60.0);
-  EXPECT_GT(b.op_index(), without_share);
+  // job (base power / device count) makes finishing sooner worthwhile: the
+  // chosen P-state must rise.
+  const Job job = cpu_job(1, 1.0, simple_work(1000.0, 0.0));
+  EXPECT_GT(governed_op(GovernorPolicy::EnergyAware, &job, 60.0),
+            governed_op(GovernorPolicy::EnergyAware, &job, 0.0));
 }
 
 TEST(Governor, EnergyAwareBeatsOndemandOnEnergyToSolution) {
   // Same job, same device; ondemand runs at max, energy-aware at optimum.
   auto run = [](GovernorPolicy g) {
-    Device d = make_cpu();
-    d.assign(simple_work(50.0, 0.4), 1.0, 1);
-    apply_governor(d, g);
-    while (d.busy()) d.step(0.05, 22.0);
-    return d.rapl().total_j();
+    ClusterConfig cfg;
+    cfg.governor = g;
+    auto c = cpu_cluster(cfg, 1, 1, 0.0);
+    c->submit(cpu_job(1, 1.0, simple_work(50.0, 0.4)));
+    while (c->dispatcher().completed() == 0) c->run_for(0.05, 0.05);
+    return c->device_energy_j(0, 0);
   };
   EXPECT_LT(run(GovernorPolicy::EnergyAware), run(GovernorPolicy::Ondemand));
 }
@@ -193,79 +231,75 @@ TEST(Node, ReportsCompletions) {
 }
 
 // --------------------------------------------------------------------------
-// Power controllers
+// Power controllers (ShardedCluster)
 // --------------------------------------------------------------------------
 
-TEST(NodePowerController, ThrottlesUntilUnderBudget) {
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  const double unconstrained = n.power_w();
-  NodePowerController ctl(0.6 * unconstrained);
-  for (int i = 0; i < 32; ++i) ctl.step(n);
-  EXPECT_LE(n.power_w(), 0.6 * unconstrained + 1.0);
-  EXPECT_LT(d.op_index(), d.num_ops() - 1);
+// Authority model: the governor proposes a P-state each control period; the
+// node controller owns persistent per-device ceilings and clamps the
+// proposal, so a budget violation lowers a ceiling that stays down until
+// headroom returns. The control hook runs the controller after the governor.
+
+TEST(NodeBudget, ThrottlesUntilUnderBudget) {
+  auto c = cpu_cluster({}, 1, 1, 30.0);
+  c->submit(cpu_job(1, 1.0, simple_work(1e6)));
+  c->run_for(0.25, 0.25);
+  const double unconstrained = c->node_power_w(0);
+  c->apply_node_budget(0, 0.6 * unconstrained);
+  c->run_for(0.25, 0.25);
+  EXPECT_LE(c->node_power_w(0), 0.6 * unconstrained + 1.0);
+  EXPECT_LT(c->device_op_index(0, 0), c->device_spec(0, 0).dvfs.size() - 1);
 }
 
-TEST(NodePowerController, RaisesCeilingWhenHeadroomReturns) {
-  // Authority model: the controller owns ceilings, the governor proposes.
+TEST(NodeBudget, RaisesCeilingWhenHeadroomReturns) {
   // Start throttled; with an unlimited budget the ceiling must recover all
   // the way up so a performance-governor proposal survives the clamp.
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  NodePowerController ctl(40.0);  // tiny: forces ceilings to the floor
-  for (int i = 0; i < 32; ++i) ctl.step(n);
-  EXPECT_EQ(ctl.ceiling(0), 0u);
-  EXPECT_EQ(d.op_index(), 0u);
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::Performance;
+  auto c = cpu_cluster(cfg, 1, 1, 30.0);
+  double budget_w = 40.0;  // tiny: forces the ceiling to the floor
+  c->set_control_hook(
+      [&budget_w](ShardedCluster& cl, double) { cl.apply_node_budget(0, budget_w); });
+  c->submit(cpu_job(1, 1.0, simple_work(1e6)));
+  c->run_for(8.0, 0.25);
+  EXPECT_EQ(c->device_op_index(0, 0), 0u);
 
-  ctl.set_budget_w(1e5);  // headroom returns
-  for (int i = 0; i < 32; ++i) {
-    apply_governor(d, GovernorPolicy::Performance);  // proposes the top
-    ctl.step(n);
-  }
-  EXPECT_EQ(ctl.ceiling(0), d.num_ops() - 1);
-  apply_governor(d, GovernorPolicy::Performance);
-  ctl.clamp(n);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  budget_w = 1e5;  // headroom returns: one notch per control period
+  c->run_for(32.0, 0.25);
+  EXPECT_EQ(c->device_op_index(0, 0), c->device_spec(0, 0).dvfs.size() - 1);
 }
 
-TEST(NodePowerController, CeilingOverridesGovernorEveryPeriod) {
-  // The loop the old design got wrong: ondemand re-proposes the top P-state
-  // every period; the persistent ceiling must keep power bounded anyway.
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  const double unconstrained = n.power_w();
-  NodePowerController ctl(0.6 * unconstrained);
+TEST(NodeBudget, CeilingOverridesGovernorEveryPeriod) {
+  // Ondemand re-proposes the top P-state every period; the persistent
+  // ceiling must keep power bounded anyway.
+  auto c = cpu_cluster({}, 1, 1, 30.0);
+  c->submit(cpu_job(1, 1.0, simple_work(1e6)));
+  c->run_for(0.25, 0.25);
+  const double budget_w = 0.6 * c->node_power_w(0);
+  c->set_control_hook(
+      [budget_w](ShardedCluster& cl, double) { cl.apply_node_budget(0, budget_w); });
   for (int i = 0; i < 64; ++i) {
-    apply_governor(d, GovernorPolicy::Ondemand);  // fights the cap
-    ctl.step(n);
+    c->run_for(1.0, 0.25);
+    EXPECT_LE(c->node_power_w(0), budget_w + 1.0) << "period " << i;
   }
-  EXPECT_LE(n.power_w(), 0.6 * unconstrained + 1.0);
 }
 
-TEST(ClusterPowerManager, RespectsFacilityBudget) {
-  std::vector<Node> nodes;
-  for (int i = 0; i < 4; ++i) {
-    Node n("n" + std::to_string(i), 30.0);
-    Device& d = n.add_device(make_cpu());
-    d.assign(simple_work(1e6), 1.0, static_cast<u64>(i + 1));
-    nodes.push_back(std::move(n));
-  }
-  double unconstrained = 0.0;
-  for (auto& n : nodes) unconstrained += n.power_w();
+TEST(FacilityCap, RespectsFacilityBudget) {
+  auto busy_cluster = [](ClusterConfig cfg) {
+    auto c = cpu_cluster(cfg, 4, 1, 30.0);
+    for (u64 id = 1; id <= 4; ++id) c->submit(cpu_job(id, 1.0, simple_work(1e6)));
+    return c;
+  };
+  auto uncapped = busy_cluster({});
+  uncapped->run_for(64.0, 0.25);
+  const double unconstrained = uncapped->it_power_w();
 
-  ClusterPowerManager mgr(0.7 * unconstrained);
-  for (int i = 0; i < 64; ++i) mgr.step(nodes);
-
-  double constrained = 0.0;
-  for (auto& n : nodes) constrained += n.power_w();
-  EXPECT_LE(constrained, 0.7 * unconstrained + 5.0);
-  // Allocation sums to about the budget.
-  double alloc = 0.0;
-  for (double a : mgr.allocations_w()) alloc += a;
-  EXPECT_NEAR(alloc, 0.7 * unconstrained, 1.0);
+  ClusterConfig cfg;
+  cfg.facility_cap_w = 0.7 * unconstrained;
+  auto capped = busy_cluster(cfg);
+  capped->run_for(64.0, 0.25);
+  EXPECT_LE(capped->it_power_w(), *cfg.facility_cap_w + 5.0);
+  // The budget is handed out, not hoarded: the nodes run close to it.
+  EXPECT_GT(capped->it_power_w(), 0.85 * *cfg.facility_cap_w);
 }
 
 TEST(ThermalGuard, ThrottlesHotDevice) {
@@ -474,63 +508,6 @@ TEST(Cluster, RunsJobsToCompletion) {
             cluster.telemetry().it_energy_j);
 }
 
-TEST(Cluster, EnergyAwareGovernorSavesEnergyOnSameJobs) {
-  auto run = [](GovernorPolicy g) {
-    ClusterConfig cfg;
-    cfg.governor = g;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu());
-    cluster.add_node(std::move(n));
-    Job j = make_job(1, 4.0);
-    j.profiles[DeviceType::Cpu].mem_seconds = 0.3;  // partly memory-bound
-    j.profiles.erase(DeviceType::Gpu);
-    cluster.submit(std::move(j));
-    EXPECT_TRUE(cluster.run_until_idle(4000.0));
-    return cluster.telemetry().it_energy_j;
-  };
-  const double ondemand = run(GovernorPolicy::Ondemand);
-  const double energy_aware = run(GovernorPolicy::EnergyAware);
-  EXPECT_LT(energy_aware, ondemand);
-}
-
-TEST(Cluster, FacilityCapHoldsPeakPower) {
-  ClusterConfig cfg;
-  cfg.governor = GovernorPolicy::Performance;
-  Cluster uncapped(cfg);
-  {
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(make_cpu("c1"));
-    uncapped.add_node(std::move(n));
-  }
-  for (u64 i = 1; i <= 2; ++i) {
-    Job j = make_job(i, 50.0);
-    j.profiles.erase(DeviceType::Gpu);
-    uncapped.submit(std::move(j));
-  }
-  uncapped.run_for(30.0);
-  const double peak_uncapped = uncapped.telemetry().peak_it_power_w;
-
-  cfg.facility_cap_w = 0.7 * peak_uncapped;
-  Cluster capped(cfg);
-  {
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(make_cpu("c1"));
-    capped.add_node(std::move(n));
-  }
-  for (u64 i = 1; i <= 2; ++i) {
-    Job j = make_job(i, 50.0);
-    j.profiles.erase(DeviceType::Gpu);
-    capped.submit(std::move(j));
-  }
-  capped.run_for(60.0);
-  // Transients are allowed (one control period); the bulk must respect it.
-  EXPECT_LT(capped.telemetry().peak_it_power_w, peak_uncapped);
-  EXPECT_LT(capped.it_power_w(), *cfg.facility_cap_w + 10.0);
-}
-
 TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
   auto run = [](double ambient) {
     ClusterConfig cfg;
@@ -552,20 +529,49 @@ TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
   EXPECT_GT(summer.facility_energy_j, 1.08 * winter.facility_energy_j);
 }
 
-TEST(Cluster, ThermalGuardKeepsDevicesUnderCritical) {
+// --------------------------------------------------------------------------
+// ShardedCluster end-to-end control
+// --------------------------------------------------------------------------
+
+TEST(ShardedCluster, EnergyAwareGovernorSavesEnergyOnSameJobs) {
+  auto run = [](GovernorPolicy g) {
+    ClusterConfig cfg;
+    cfg.governor = g;
+    auto c = cpu_cluster(cfg);
+    c->submit(cpu_job(1, 4.0, simple_work(5.0, 0.3)));  // partly memory-bound
+    EXPECT_TRUE(c->run_until_idle(4000.0));
+    return c->telemetry().it_energy_j;
+  };
+  EXPECT_LT(run(GovernorPolicy::EnergyAware), run(GovernorPolicy::Ondemand));
+}
+
+TEST(ShardedCluster, FacilityCapHoldsPeakPower) {
+  auto run = [](ClusterConfig cfg, double seconds) {
+    cfg.governor = GovernorPolicy::Performance;
+    auto c = cpu_cluster(cfg, 1, 2);
+    for (u64 i = 1; i <= 2; ++i) c->submit(cpu_job(i, 50.0, simple_work(5.0)));
+    c->run_for(seconds);
+    return c;
+  };
+  const double peak_uncapped = run({}, 30.0)->telemetry().peak_it_power_w;
+
+  ClusterConfig cfg;
+  cfg.facility_cap_w = 0.7 * peak_uncapped;
+  const auto capped = run(cfg, 60.0);
+  // Transients are allowed (one control period); the bulk must respect it.
+  EXPECT_LT(capped->telemetry().peak_it_power_w, peak_uncapped);
+  EXPECT_LT(capped->it_power_w(), *cfg.facility_cap_w + 10.0);
+}
+
+TEST(ShardedCluster, ThermalGuardKeepsDevicesUnderCritical) {
   ClusterConfig cfg;
   cfg.governor = GovernorPolicy::Performance;
   cfg.t_crit_c = 70.0;
   cfg.ambient_c = 35.0;
-  Cluster cluster(cfg);
-  Node n("n0");
-  n.add_device(make_cpu());
-  cluster.add_node(std::move(n));
-  Job j = make_job(1, 100.0);
-  j.profiles.erase(DeviceType::Gpu);
-  cluster.submit(std::move(j));
-  cluster.run_for(300.0);
-  EXPECT_LT(cluster.telemetry().max_temperature_c, 70.0 + 10.0);
+  auto c = cpu_cluster(cfg);
+  c->submit(cpu_job(1, 100.0, simple_work(5.0)));
+  c->run_for(300.0);
+  EXPECT_LT(c->telemetry().max_temperature_c, 70.0 + 10.0);
 }
 
 }  // namespace

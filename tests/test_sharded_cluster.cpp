@@ -7,17 +7,14 @@
 // shards and 1/2/8 exec workers, with and without injected crash/repair
 // schedules. The sharded_replay_* fixtures pin the golden scenario the same
 // way, mirroring fault_replay_*.
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "exec/pool.hpp"
-#include "fault/injector.hpp"
 #include "sharded_common.hpp"
 
 namespace antarex::rtrm {
@@ -47,24 +44,10 @@ ClusterConfig base_config(const Scenario& sc) {
   return cfg;
 }
 
-std::string legacy_run(u64 seed, const Scenario& sc,
-                       std::vector<std::string>* fault_log = nullptr) {
-  Cluster cluster(base_config(sc));
-  ClusterBlueprint::exascale(seed, kNodes).build(cluster);
-  if (sc.op_step_down > 0) cluster.set_op_step_down(sc.op_step_down);
-  submit_job_mix(cluster, seed, kJobs);
-  std::optional<fault::FaultInjector> injector;
-  if (sc.faults)
-    injector.emplace(cluster, make_fault_schedule(kNodes, kHorizon, seed));
-  cluster.run_for(kHorizon, kDt);
-  cluster.run_until_idle(kIdleLimit, kDt);
-  if (injector && fault_log) *fault_log = injector->log();
-  return state_trace(cluster);
-}
-
-std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
-                        int threads,
-                        std::vector<std::string>* fault_log = nullptr) {
+/// One scenario's run in the golden_document format every fixture uses: the
+/// state trace, then the fault/dispatcher log.
+std::string sharded_document(u64 seed, const Scenario& sc, std::size_t shards,
+                             int threads) {
   ShardedClusterConfig cfg;
   cfg.base = base_config(sc);
   cfg.shards = shards;
@@ -79,33 +62,15 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   cluster.set_pool(&pool);
   cluster.run_for(kHorizon, kDt);
   cluster.run_until_idle(kIdleLimit, kDt);
-  if (driver && fault_log) *fault_log = driver->log();
-  return state_trace(cluster);
-}
-
-/// Trace plus fault log: the golden_document format every fixture uses.
-std::string document(const std::string& trace,
-                     const std::vector<std::string>& log) {
-  std::string doc = trace;
+  std::string doc = state_trace(cluster);
   doc += "--- fault log ---\n";
-  for (const std::string& line : log) {
-    doc += line;
-    doc += '\n';
+  if (driver) {
+    for (const std::string& line : driver->log()) {
+      doc += line;
+      doc += '\n';
+    }
   }
   return doc;
-}
-
-std::string legacy_document(u64 seed, const Scenario& sc) {
-  std::vector<std::string> log;
-  const std::string trace = legacy_run(seed, sc, &log);
-  return document(trace, log);
-}
-
-std::string sharded_document(u64 seed, const Scenario& sc, std::size_t shards,
-                             int threads) {
-  std::vector<std::string> log;
-  const std::string trace = sharded_run(seed, sc, shards, threads, &log);
-  return document(trace, log);
 }
 
 std::string read_file(const std::string& path) {
@@ -132,7 +97,6 @@ constexpr ShardCase kShardCases[] = {{1, 1}, {4, 2}, {16, 8}};
 void expect_equivalent(u64 seed, const Scenario& sc) {
   const std::string fixture = diff_fixture(seed);
   ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_" << seed;
-  EXPECT_EQ(legacy_document(seed, sc), fixture) << "legacy seed=" << seed;
   for (const ShardCase& c : kShardCases) {
     EXPECT_EQ(sharded_document(seed, sc, c.shards, c.threads), fixture)
         << "diverged at shards=" << c.shards << " threads=" << c.threads
@@ -178,7 +142,6 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
   sc.faults = true;
   const std::string fixture = diff_fixture(29u);
   ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_29";
-  EXPECT_EQ(legacy_document(29u, sc), fixture);
   for (std::size_t shards : {3u, 5u, 7u, 24u}) {
     EXPECT_EQ(sharded_document(29u, sc, shards, 2), fixture)
         << "shards=" << shards;
@@ -186,8 +149,8 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
 }
 
 // --------------------------------------------------------------------------
-// Golden fixtures: the legacy stepper generates them, the sharded engine
-// must reproduce them byte-for-byte (regen with ANTAREX_UPDATE_GOLDEN=1).
+// Golden fixtures: the legacy stepper recorded them, the sharded engine must
+// reproduce them byte-for-byte.
 // --------------------------------------------------------------------------
 
 Scenario golden_scenario() {
@@ -203,22 +166,11 @@ class GoldenSharded : public ::testing::TestWithParam<u64> {};
 
 TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
   const u64 seed = GetParam();
-  const Scenario sc = golden_scenario();
-  const std::string legacy = legacy_document(seed, sc);
-
   const std::string path = std::string(ANTAREX_GOLDEN_DIR) +
                            "/sharded_replay_" + std::to_string(seed) + ".txt";
-  if (const char* update = std::getenv("ANTAREX_UPDATE_GOLDEN");
-      update && update[0] == '1') {
-    std::ofstream out(path, std::ios::binary);
-    out << legacy;  // the fixture is always the legacy stepper's output
-    GTEST_SKIP() << "regenerated " << path;
-  }
   const std::string fixture = read_file(path);
-  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path
-                                << " (run with ANTAREX_UPDATE_GOLDEN=1)";
-  EXPECT_EQ(legacy, fixture);
-  EXPECT_EQ(sharded_document(seed, sc, 4, 2), fixture);
+  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path;
+  EXPECT_EQ(sharded_document(seed, golden_scenario(), 4, 2), fixture);
 }
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
