@@ -13,8 +13,12 @@ Cluster::Cluster(ClusterConfig config)
       thermal_guard_(config.t_crit_c) {
   ANTAREX_REQUIRE(config_.control_period_s > 0.0,
                   "Cluster: non-positive control period");
-  if (config_.facility_cap_w)
-    power_manager_.emplace(*config_.facility_cap_w);
+  ANTAREX_REQUIRE(config_.governor == GovernorPolicy::Ondemand,
+                  "Cluster: only the Ondemand governor (use ShardedCluster)");
+  ANTAREX_REQUIRE(config_.placement != PlacementPolicy::EnergyAware,
+                  "Cluster: no EnergyAware placement (use ShardedCluster)");
+  ANTAREX_REQUIRE(!config_.facility_cap_w,
+                  "Cluster: no facility power cap (use ShardedCluster)");
 }
 
 Node& Cluster::add_node(Node node) {
@@ -44,24 +48,10 @@ void Cluster::control_step() {
   TELEMETRY_SPAN("rtrm.control_step");
   for (auto& node : nodes_) {
     if (node.failed()) continue;  // no governor/guard action on a dead node
-    const double base_share =
-        node.device_count() > 0
-            ? node.base_power_w() / static_cast<double>(node.device_count())
-            : 0.0;
     for (auto& d : node.devices()) {
-      apply_governor(d, config_.governor, base_share);
+      // Ondemand: the top P-state while busy, the lowest while idle.
+      d.set_op_index(d.busy() ? d.num_ops() - 1 : 0);
       if (config_.thermal_guard) thermal_guard_.step(d);
-    }
-  }
-  if (power_manager_) power_manager_->step(nodes_);
-  if (op_step_down_ > 0) {
-    for (auto& node : nodes_) {
-      if (node.failed()) continue;
-      for (auto& d : node.devices()) {
-        const std::size_t ceiling =
-            d.num_ops() > op_step_down_ ? d.num_ops() - 1 - op_step_down_ : 0;
-        if (d.op_index() > ceiling) d.set_op_index(ceiling);
-      }
     }
   }
 }
@@ -145,7 +135,5 @@ double Cluster::it_power_w() const {
   for (const auto& node : nodes_) p += node.power_w();
   return p;
 }
-
-double Cluster::pue() const { return cooling_.pue(it_power_w(), config_.ambient_c); }
 
 }  // namespace antarex::rtrm

@@ -1,18 +1,18 @@
-// The top-level simulated supercomputer: nodes + dispatcher + governors +
-// hierarchical controllers + cooling plant, advanced on a logical clock.
-//
-// This is the "runtime resource manager (RTRM)" box of the paper's Figure 1
-// together with the plant it manages.
+// The legacy per-object plant: Node/Device objects + dispatcher + the
+// Ondemand governor + thermal guard + cooling plant, advanced on a logical
+// clock. rtrm::ShardedCluster is the plant every workload runs; this one
+// keeps only what bench_monitor and the legacy fault/monitor attach tests
+// still run (crash handling, backfill, FirstFit/FastestFirst placement), and
+// rejects a ClusterConfig asking for anything else.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "power/cooling.hpp"
+#include "rtrm/config.hpp"
 #include "rtrm/controllers.hpp"
 #include "rtrm/dispatcher.hpp"
-#include "rtrm/governor.hpp"
 #include "rtrm/node.hpp"
 #include "support/sim_clock.hpp"
 
@@ -22,29 +22,10 @@ class ThreadPool;
 
 namespace antarex::rtrm {
 
-struct ClusterConfig {
-  GovernorPolicy governor = GovernorPolicy::Ondemand;
-  PlacementPolicy placement = PlacementPolicy::FirstFit;
-  bool backfill = false;  ///< EASY backfilling in the job dispatcher
-  double control_period_s = 1.0;          ///< governor/controller cadence
-  double ambient_c = 18.0;                ///< machine-room ambient
-  std::optional<double> facility_cap_w;   ///< cluster power cap, if any
-  bool thermal_guard = true;
-  double t_crit_c = 85.0;
-};
-
-struct ClusterTelemetry {
-  double time_s = 0.0;
-  double it_energy_j = 0.0;       ///< integrated IT (node) energy
-  double facility_energy_j = 0.0; ///< IT + cooling + overhead
-  double peak_it_power_w = 0.0;
-  double max_temperature_c = 0.0;
-  u64 jobs_completed = 0;
-  u64 jobs_failed = 0;  ///< jobs that exhausted their retry budget
-};
-
 class Cluster {
  public:
+  /// Throws unless `config` asks only for what this engine keeps: the
+  /// Ondemand governor, FirstFit or FastestFirst placement, no facility cap.
   explicit Cluster(ClusterConfig config = {});
 
   Node& add_node(Node node);
@@ -54,8 +35,6 @@ class Cluster {
   Dispatcher& dispatcher() { return dispatcher_; }
   const Dispatcher& dispatcher() const { return dispatcher_; }
   const ClusterConfig& config() const { return config_; }
-  void set_ambient_c(double c) { config_.ambient_c = c; }
-  void set_governor(GovernorPolicy g) { config_.governor = g; }
 
   void submit(Job job) { dispatcher_.submit(std::move(job)); }
 
@@ -84,13 +63,6 @@ class Cluster {
   /// Returns true if everything completed.
   bool run_until_idle(double max_s = 1e7, double dt_s = 0.25);
 
-  /// Global DVFS actuation: clamp every device to
-  /// (num_ops - 1 - steps) at each control step, i.e. `steps` P-states below
-  /// its top. 0 restores nominal. Composes with per-device ceilings — the
-  /// lower clamp wins.
-  void set_op_step_down(std::size_t steps) { op_step_down_ = steps; }
-  std::size_t op_step_down() const { return op_step_down_; }
-
   /// Observe every simulation step after it lands:
   /// fn(now_s, it_power_w, dt_s). Lets the obs layer drive energy sampling
   /// and policy ticks off the simulation clock. Pass nullptr to detach all
@@ -110,7 +82,6 @@ class Cluster {
 
   double now_s() const { return clock_.now(); }
   double it_power_w() const;
-  double pue() const;
   const ClusterTelemetry& telemetry() const { return telemetry_; }
   const power::CoolingModel& cooling() const { return cooling_; }
 
@@ -121,13 +92,11 @@ class Cluster {
   std::vector<Node> nodes_;
   Dispatcher dispatcher_;
   power::CoolingModel cooling_;
-  std::optional<ClusterPowerManager> power_manager_;
   ThermalGuard thermal_guard_;
   SimClock clock_;
   double next_control_s_ = 0.0;
   ClusterTelemetry telemetry_;
   std::vector<std::function<void(double, double, double)>> step_observers_;
-  std::size_t op_step_down_ = 0;
   exec::ThreadPool* pool_ = nullptr;
   std::size_t down_count_ = 0;
 };

@@ -3,22 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
-#include "power/model.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::rtrm {
 
-const char* placement_name(PlacementPolicy p) {
-  switch (p) {
-    case PlacementPolicy::FirstFit: return "first-fit";
-    case PlacementPolicy::FastestFirst: return "fastest-first";
-    case PlacementPolicy::EnergyAware: return "energy-aware";
-  }
-  return "?";
-}
-
 Dispatcher::Dispatcher(PlacementPolicy policy, bool backfill)
-    : policy_(policy), backfill_(backfill) {}
+    : policy_(policy), backfill_(backfill) {
+  ANTAREX_REQUIRE(policy_ != PlacementPolicy::EnergyAware,
+                  "Dispatcher: no EnergyAware placement (use ShardedCluster)");
+}
 
 void Dispatcher::submit(Job job) {
   ANTAREX_REQUIRE(!job.profiles.empty(), "Dispatcher: job with no device profiles");
@@ -35,14 +28,10 @@ Device* Dispatcher::choose_device(std::vector<Node>& nodes, const Job& job) cons
     for (auto& d : node.devices()) {
       if (d.busy() || !job.can_run_on(d.spec().type)) continue;
       if (policy_ == PlacementPolicy::FirstFit) return &d;
+      // FastestFirst: shortest predicted time at the current P-state.
       const power::WorkloadModel& w = job.profile(d.spec().type);
-      double score = 0.0;
-      if (policy_ == PlacementPolicy::FastestFirst) {
-        score = w.execution_time_s(d.op()) * d.slowdown() * job.units_remaining();
-      } else {  // EnergyAware
-        score = power::energy_j(d.power_model(), w, d.op(), job.units_remaining(),
-                                d.temperature_c());
-      }
+      const double score =
+          w.execution_time_s(d.op()) * d.slowdown() * job.units_remaining();
       if (!best || score < best_score) {
         best = &d;
         best_score = score;

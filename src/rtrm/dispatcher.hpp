@@ -1,7 +1,6 @@
-// Job dispatcher: maps queued jobs to free devices.
-//
-// Placement policies model the paper's Sec. VII-a observation that "dynamic
-// load balancing and task placement are critical" on heterogeneous systems.
+// Job dispatcher of the legacy per-object plant: maps queued jobs to free
+// devices under FirstFit or FastestFirst placement (ShardedDispatcher alone
+// also scores EnergyAware placement).
 //
 // Resilience (antarex::fault): jobs interrupted by node crashes are restored
 // from their last checkpoint and requeued with per-attempt exponential
@@ -15,21 +14,15 @@
 #include <utility>
 #include <vector>
 
+#include "rtrm/config.hpp"
 #include "rtrm/job.hpp"
 #include "rtrm/node.hpp"
 
 namespace antarex::rtrm {
 
-enum class PlacementPolicy {
-  FirstFit,      ///< first free compatible device
-  FastestFirst,  ///< free compatible device with the shortest predicted time
-  EnergyAware,   ///< free compatible device with the lowest predicted energy
-};
-
-const char* placement_name(PlacementPolicy p);
-
 class Dispatcher {
  public:
+  /// Throws on EnergyAware placement, which only ShardedDispatcher scores.
   explicit Dispatcher(PlacementPolicy policy = PlacementPolicy::FirstFit,
                       bool backfill = false);
 

@@ -8,6 +8,7 @@
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
 #include "power/thermal.hpp"
+#include "rtrm/cluster.hpp"
 #include "support/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -596,7 +597,7 @@ void ShardedCluster::set_reading_offset_j(std::size_t node, std::size_t dev,
 }
 
 // ---------------------------------------------------------------------------
-// Control loops (transliterated from governor.cpp / controllers.cpp)
+// Control loops (the rules the legacy stepper recorded the fixtures with)
 // ---------------------------------------------------------------------------
 
 void ShardedCluster::governor_step(u32 d, GovernorPolicy policy,

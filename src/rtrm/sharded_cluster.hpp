@@ -1,17 +1,18 @@
-// Exascale-sharded cluster simulation (ROADMAP item 1).
+// Exascale-sharded cluster simulation: the plant every workload runs.
 //
-// ShardedCluster re-implements the rtrm::Cluster plant over compact
-// structure-of-arrays state partitioned into shards of contiguous nodes:
-// per-device scalars live in flat arrays instead of Node/Device objects, and
-// each shard keeps a sorted calendar of *active* nodes so settled (parked)
-// nodes cost nothing per tick. Shards step independently — in parallel on the
-// antarex::exec pool — and their results merge serially in fixed shard order,
-// so a run is byte-identical across 1/2/8 workers and any shard count, and
-// byte-identical to the legacy per-object Cluster (the differential suite in
-// tests/test_sharded_cluster.cpp asserts exactly that).
+// ShardedCluster implements the RTRM plant over compact structure-of-arrays
+// state partitioned into shards of contiguous nodes: per-device scalars live
+// in flat arrays instead of Node/Device objects, and each shard keeps a
+// sorted calendar of *active* nodes so settled (parked) nodes cost nothing
+// per tick. Shards step independently — in parallel on the antarex::exec
+// pool — and their results merge serially in fixed shard order, so a run is
+// byte-identical across 1/2/8 workers and any shard count, and byte-identical
+// to the legacy per-object rtrm::Cluster stepper: tests/test_sharded_cluster.cpp
+// replays fixtures that stepper recorded (tests/golden/sharded_diff_*,
+// sharded_replay_*).
 //
 // Bit-identity is by construction, not by tolerance: every floating-point
-// expression of the legacy path (power::PowerModel, power::ThermalModel,
+// expression of the legacy stepper (power::PowerModel, power::ThermalModel,
 // device/node stepping, governors, controllers, dispatcher scoring) is
 // evaluated through the *same* shared static helpers, in the same order.
 // Parking is an exact-arithmetic shortcut: a device parks only when one more
@@ -32,7 +33,7 @@
 #include "power/cooling.hpp"
 #include "power/dvfs.hpp"
 #include "power/model.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/config.hpp"
 #include "rtrm/job.hpp"
 #include "support/sim_clock.hpp"
 
@@ -42,12 +43,14 @@ class ThreadPool;
 
 namespace antarex::rtrm {
 
+class Cluster;
 class ShardedCluster;
 
 /// The legacy Dispatcher's exact placement/backfill/retry semantics over the
 /// SoA device arrays: per-type free-device index sets replace the
 /// all-nodes-all-devices scan, visited in ascending global device index so
-/// every policy keeps the legacy first-seen tie-break.
+/// every policy keeps the legacy first-seen tie-break. It alone scores
+/// EnergyAware placement.
 class ShardedDispatcher {
  public:
   using EventHook = std::function<void(const char* kind, u64 job_id, double t)>;
@@ -389,8 +392,9 @@ class ShardedCluster {
   std::vector<double> pm_demand_;
 };
 
-/// A cluster description buildable on either engine — the differential tests
-/// and scale benches construct byte-identical twins from one blueprint.
+/// A cluster description buildable on either engine: the scale benches build
+/// the sharded plant from it, and the legacy-attach monitor test builds a
+/// byte-identical legacy twin.
 struct ClusterBlueprint {
   struct NodeDef {
     double base_power_w = 60.0;

@@ -2,7 +2,7 @@
 // aggregation, the thermal guard and job dispatch on the legacy objects;
 // governors, the node power controller, the facility cap and whole-cluster
 // control on rtrm::ShardedCluster; and the legacy rtrm::Cluster's end-to-end
-// runs.
+// runs and the capabilities it rejects.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -506,6 +506,19 @@ TEST(Cluster, RunsJobsToCompletion) {
   EXPECT_GT(cluster.telemetry().it_energy_j, 0.0);
   EXPECT_GE(cluster.telemetry().facility_energy_j,
             cluster.telemetry().it_energy_j);
+}
+
+TEST(Cluster, RejectsCapabilitiesOnlyShardedClusterKeeps) {
+  ClusterConfig governor;
+  governor.governor = GovernorPolicy::EnergyAware;
+  EXPECT_THROW(Cluster{governor}, Error);
+  ClusterConfig placement;
+  placement.placement = PlacementPolicy::EnergyAware;
+  EXPECT_THROW(Cluster{placement}, Error);
+  ClusterConfig cap;
+  cap.facility_cap_w = 500.0;
+  EXPECT_THROW(Cluster{cap}, Error);
+  EXPECT_THROW(Dispatcher(PlacementPolicy::EnergyAware), Error);
 }
 
 TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
