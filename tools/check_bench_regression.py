@@ -7,6 +7,10 @@ within --tolerance (relative) of the produced value. Keys that vary run-to-run
 (wall time, machine thread counts, measured_* wall-clock metrics) are never
 baselined: --update strips them while regenerating baselines from a produced
 directory, so the committed files contain deterministic model outputs only.
+The verdict's `measured` text is stripped from a new baseline too, since it
+may quote host timings; but where the baseline being replaced carries it, the
+re-recorded baseline keeps it (with the produced text), so a re-record never
+drops a check the gate was making.
 
 Usage:
   check_bench_regression.py [--tolerance 0.10] <baseline_dir> <produced_dir>
@@ -28,7 +32,7 @@ VOLATILE_TOP_LEVEL = {"wall_seconds", "threads"}
 VOLATILE_METRIC_PREFIXES = ("measured_",)
 
 
-def strip_volatile(report):
+def strip_volatile(report, keep_measured=False):
     out = {}
     for key, value in report.items():
         if key in VOLATILE_TOP_LEVEL:
@@ -43,8 +47,10 @@ def strip_volatile(report):
             continue
         if key == "verdict" and isinstance(value, dict):
             # The measured text may quote host timings (e.g. the trace
-            # overhead bench); the boolean shape_reproduced is the gate.
-            out[key] = {k: v for k, v in value.items() if k != "measured"}
+            # overhead bench); the boolean shape_reproduced is the gate
+            # unless the baseline already pins the text.
+            out[key] = {k: v for k, v in value.items()
+                        if keep_measured or k != "measured"}
             continue
         out[key] = value
     return out
@@ -115,9 +121,13 @@ def main():
                 print(f"error: no produced report for {sorted(missing)}")
                 return 2
         for name in names:
-            with open(os.path.join(args.produced_dir, name)) as f:
-                report = strip_volatile(json.load(f))
             dest = os.path.join(args.baseline_dir, name)
+            keep_measured = False
+            if os.path.exists(dest):
+                with open(dest) as f:
+                    keep_measured = "measured" in json.load(f).get("verdict", {})
+            with open(os.path.join(args.produced_dir, name)) as f:
+                report = strip_volatile(json.load(f), keep_measured)
             with open(dest, "w") as f:
                 json.dump(report, f, indent=2, sort_keys=True)
                 f.write("\n")
