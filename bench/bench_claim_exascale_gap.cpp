@@ -17,8 +17,6 @@
 // Gated metrics are deterministic (node counts, bytes/node, device steps,
 // simulated joules, equivalence); wall-clock throughput is measured_* only.
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -77,27 +75,18 @@ void submit_equiv_jobs(ShardedCluster& cluster) {
 /// The compared end state at %.17g: telemetry, then per-node energy and
 /// per-device P-state, temperature and energy — the format of
 /// tests/golden/exascale_equiv_2026.txt.
-void line(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out += buf;
-}
-
 std::string equiv_document(ShardedCluster& c) {
   const ClusterTelemetry& t = c.telemetry();
-  std::string out;
-  line(out, "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g done=%llu\n",
-       t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
-       static_cast<unsigned long long>(t.jobs_completed));
+  std::string out =
+      format("final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g done=%llu\n",
+             t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
+             static_cast<unsigned long long>(t.jobs_completed));
   for (std::size_t i = 0; i < c.node_count(); ++i) {
-    line(out, "node %zu e=%.17g\n", i, c.node_energy_j(i));
+    out += format("node %zu e=%.17g\n", i, c.node_energy_j(i));
     for (std::size_t d = 0; d < c.node_device_count(i); ++d)
-      line(out, "  dev %zu op=%zu temp=%.17g e=%.17g\n", d,
-           c.device_op_index(i, d), c.device_temperature_c(i, d),
-           c.device_energy_j(i, d));
+      out += format("  dev %zu op=%zu temp=%.17g e=%.17g\n", d,
+                    c.device_op_index(i, d), c.device_temperature_c(i, d),
+                    c.device_energy_j(i, d));
   }
   return out;
 }

@@ -15,8 +15,6 @@ Cluster::Cluster(ClusterConfig config)
                   "Cluster: non-positive control period");
   ANTAREX_REQUIRE(config_.governor == GovernorPolicy::Ondemand,
                   "Cluster: only the Ondemand governor (use ShardedCluster)");
-  ANTAREX_REQUIRE(config_.placement != PlacementPolicy::EnergyAware,
-                  "Cluster: no EnergyAware placement (use ShardedCluster)");
   ANTAREX_REQUIRE(!config_.facility_cap_w,
                   "Cluster: no facility power cap (use ShardedCluster)");
 }

@@ -25,7 +25,8 @@ namespace antarex::rtrm {
 class Cluster {
  public:
   /// Throws unless `config` asks only for what this engine keeps: the
-  /// Ondemand governor, FirstFit or FastestFirst placement, no facility cap.
+  /// Ondemand governor, FirstFit or FastestFirst placement (the Dispatcher
+  /// checks that one), no facility cap.
   explicit Cluster(ClusterConfig config = {});
 
   Node& add_node(Node node);
