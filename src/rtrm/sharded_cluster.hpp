@@ -7,9 +7,9 @@
 // per tick. Shards step independently — in parallel on the antarex::exec
 // pool — and their results merge serially in fixed shard order, so a run is
 // byte-identical across 1/2/8 workers and any shard count, and byte-identical
-// to the legacy per-object rtrm::Cluster stepper: tests/test_sharded_cluster.cpp
-// replays fixtures that stepper recorded (tests/golden/sharded_diff_*,
-// sharded_replay_*).
+// to the legacy per-object rtrm::Cluster stepper:
+// tests/test_sharded_cluster.cpp replays fixtures that stepper recorded
+// (tests/golden/sharded_diff_*, sharded_replay_*).
 //
 // Bit-identity is by construction, not by tolerance: every floating-point
 // expression of the legacy stepper (power::PowerModel, power::ThermalModel,

@@ -108,20 +108,14 @@ TEST(WeaverErrors, RecursiveAspectsAreCut) {
 // Cluster conservation laws
 // --------------------------------------------------------------------------
 
-/// One node with one Xeon on a single-shard ShardedCluster.
+/// One node with one Xeon (a one-node cluster has one shard).
 void add_cpu_node(rtrm::ShardedCluster& cluster) {
   const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
   cluster.add_node(60.0, {{cpu, {}}});
 }
 
-rtrm::ShardedClusterConfig one_shard() {
-  rtrm::ShardedClusterConfig cfg;
-  cfg.shards = 1;
-  return cfg;
-}
-
 TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
-  rtrm::ShardedCluster cluster(one_shard());
+  rtrm::ShardedCluster cluster;
   add_cpu_node(cluster);
 
   rtrm::Job j;
@@ -147,7 +141,7 @@ TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
 }
 
 TEST(ClusterInvariants, JobAccountingBalances) {
-  rtrm::ShardedCluster cluster(one_shard());
+  rtrm::ShardedCluster cluster;
   add_cpu_node(cluster);
   for (u64 id = 1; id <= 5; ++id) {
     rtrm::Job j;

@@ -257,8 +257,9 @@ TEST(NodeBudget, RaisesCeilingWhenHeadroomReturns) {
   cfg.governor = GovernorPolicy::Performance;
   auto c = cpu_cluster(cfg, 1, 1, 30.0);
   double budget_w = 40.0;  // tiny: forces the ceiling to the floor
-  c->set_control_hook(
-      [&budget_w](ShardedCluster& cl, double) { cl.apply_node_budget(0, budget_w); });
+  c->set_control_hook([&budget_w](ShardedCluster& cl, double) {
+    cl.apply_node_budget(0, budget_w);
+  });
   c->submit(cpu_job(1, 1.0, simple_work(1e6)));
   c->run_for(8.0, 0.25);
   EXPECT_EQ(c->device_op_index(0, 0), 0u);
@@ -275,8 +276,9 @@ TEST(NodeBudget, CeilingOverridesGovernorEveryPeriod) {
   c->submit(cpu_job(1, 1.0, simple_work(1e6)));
   c->run_for(0.25, 0.25);
   const double budget_w = 0.6 * c->node_power_w(0);
-  c->set_control_hook(
-      [budget_w](ShardedCluster& cl, double) { cl.apply_node_budget(0, budget_w); });
+  c->set_control_hook([budget_w](ShardedCluster& cl, double) {
+    cl.apply_node_budget(0, budget_w);
+  });
   for (int i = 0; i < 64; ++i) {
     c->run_for(1.0, 0.25);
     EXPECT_LE(c->node_power_w(0), budget_w + 1.0) << "period " << i;
@@ -286,7 +288,8 @@ TEST(NodeBudget, CeilingOverridesGovernorEveryPeriod) {
 TEST(FacilityCap, RespectsFacilityBudget) {
   auto busy_cluster = [](ClusterConfig cfg) {
     auto c = cpu_cluster(cfg, 4, 1, 30.0);
-    for (u64 id = 1; id <= 4; ++id) c->submit(cpu_job(id, 1.0, simple_work(1e6)));
+    for (u64 id = 1; id <= 4; ++id)
+      c->submit(cpu_job(id, 1.0, simple_work(1e6)));
     return c;
   };
   auto uncapped = busy_cluster({});
