@@ -91,11 +91,10 @@ std::string equiv_document(ShardedCluster& c) {
   return out;
 }
 
-/// The fixture recorded from the legacy stepper, found next to this source.
+/// The fixture recorded from the legacy stepper, in the tests' golden dir.
 std::string equiv_fixture() {
-  std::string path = __FILE__;
-  path = path.substr(0, path.find_last_of('/') + 1) +
-         "../tests/golden/exascale_equiv_2026.txt";
+  const std::string path =
+      std::string(ANTAREX_GOLDEN_DIR) + "/exascale_equiv_2026.txt";
   std::ifstream in(path, std::ios::binary);
   std::ostringstream ss;
   ss << in.rdbuf();

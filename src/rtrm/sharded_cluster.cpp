@@ -16,6 +16,10 @@ namespace antarex::rtrm {
 
 namespace {
 constexpr double kNoParkedTemp = std::numeric_limits<double>::lowest();
+
+// The microjoules one power::RaplDomain::accumulate sample adds to the
+// power.energy_uj counter (truncated per sample).
+u64 rapl_uj(double joules) { return static_cast<u64>(joules * 1e6); }
 }
 
 // ---------------------------------------------------------------------------
@@ -414,17 +418,27 @@ double ShardedCluster::node_floor_w(std::size_t node) const {
 // Parking / catch-up
 // ---------------------------------------------------------------------------
 
+double ShardedCluster::parked_device_j(u32 d) const {
+  // Offline parked devices accumulate exact zeros (rapl.accumulate(0, dt)).
+  if (node_failed_[dev_node_[d]]) return 0.0;
+  // One skipped idle step added (energy/dt)*dt with energy = idle_power*dt;
+  // the parked temperature (and hence idle power) was constant, so the
+  // addend is the same double every step.
+  const double e = dev_power_[d] * sync_dt_;
+  return (e / sync_dt_) * sync_dt_;
+}
+
+double ShardedCluster::parked_node_j(std::size_t node) const {
+  // A failed node's rapl.accumulate(0, dt) adds exactly nothing.
+  return node_failed_[node] ? 0.0 : node_power_[node] * sync_dt_;
+}
+
 void ShardedCluster::catch_up_device(u32 d) {
   u64 k = steps_done_ - dev_upto_[d];
   if (k == 0) return;
   dev_upto_[d] = steps_done_;
-  // Offline parked devices accumulate exact zeros (rapl.accumulate(0, dt)).
-  if (node_failed_[dev_node_[d]]) return;
-  // One skipped idle step added (energy/dt)*dt with energy = idle_power*dt;
-  // the parked temperature (and hence idle power) was constant, so the
-  // addend is the same double every step — replay the additions verbatim.
-  const double e = dev_power_[d] * sync_dt_;
-  const double add = (e / sync_dt_) * sync_dt_;
+  // Replay the skipped additions verbatim.
+  const double add = parked_device_j(d);
   if (add == 0.0) return;
   for (; k > 0; --k) dev_energy_j_[d] += add;
 }
@@ -435,11 +449,20 @@ void ShardedCluster::catch_up_node(std::size_t node) {
   node_upto_[node] = steps_done_;
   if (node_failed_[node]) {
     for (; k > 0; --k) node_downtime_s_[node] += sync_dt_;
-    return;  // node rapl.accumulate(0, dt): exact no-op
+    return;
   }
-  const double add = node_power_[node] * sync_dt_;
+  const double add = parked_node_j(node);
   if (add == 0.0) return;
   for (; k > 0; --k) node_energy_j_[node] += add;
+}
+
+void ShardedCluster::reprice_parked() {
+  u64 uj = 0;
+  for (std::size_t i = 0; i < node_count(); ++i)
+    if (node_parked_[i]) uj += rapl_uj(parked_node_j(i));
+  for (u32 d = 0; d < device_count(); ++d)
+    if (dev_parked_[d]) uj += rapl_uj(parked_device_j(d));
+  parked_uj_.store(uj, std::memory_order_relaxed);
 }
 
 void ShardedCluster::touch_device(u32 d) {
@@ -447,8 +470,14 @@ void ShardedCluster::touch_device(u32 d) {
   catch_up_node(node);
   catch_up_device(d);
   node_quiet_[node] = 0;
-  dev_parked_[d] = 0;
+  if (dev_parked_[d]) {
+    parked_uj_.fetch_sub(rapl_uj(parked_device_j(d)),
+                         std::memory_order_relaxed);
+    dev_parked_[d] = 0;
+  }
   if (node_parked_[node]) {
+    parked_uj_.fetch_sub(rapl_uj(parked_node_j(node)),
+                         std::memory_order_relaxed);
     node_parked_[node] = 0;
     Shard& sh = shards_[node_shard_[node]];
     const u32 ni = static_cast<u32>(node);
@@ -458,18 +487,13 @@ void ShardedCluster::touch_device(u32 d) {
 }
 
 void ShardedCluster::touch_node(std::size_t node) {
+  // A node parks only with all of its devices (and never without any), so
+  // touching them unparks it.
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
   for (u32 d = begin; d < end; ++d) touch_device(d);
   catch_up_node(node);
   node_quiet_[node] = 0;
-  if (node_parked_[node]) {
-    node_parked_[node] = 0;
-    Shard& sh = shards_[node_shard_[node]];
-    const u32 ni = static_cast<u32>(node);
-    sh.active.insert(std::lower_bound(sh.active.begin(), sh.active.end(), ni),
-                     ni);
-  }
 }
 
 void ShardedCluster::global_sync() {
@@ -482,6 +506,7 @@ void ShardedCluster::unpark_all() {
   std::fill(dev_parked_.begin(), dev_parked_.end(), u8{0});
   std::fill(node_parked_.begin(), node_parked_.end(), u8{0});
   std::fill(node_quiet_.begin(), node_quiet_.end(), u8{0});
+  parked_uj_.store(0, std::memory_order_relaxed);
   for (Shard& sh : shards_) {
     sh.active.clear();
     for (u32 i = sh.begin_node; i < sh.end_node; ++i) sh.active.push_back(i);
@@ -819,6 +844,8 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
   sh.power_changed = false;
   const double ambient = config_.base.ambient_c;
   double step_max = sh.parked_max_c;
+  u64 uj = 0;         // RAPL microjoules the active entities integrate
+  u64 parked_uj = 0;  // per-step microjoules of the entities parking now
   std::size_t w = 0;  // compact the active calendar in place
   for (std::size_t idx = 0; idx < sh.active.size(); ++idx) {
     const u32 i = sh.active[idx];
@@ -890,7 +917,9 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
                                                     op, temp) *
                     idle_s;
         const double pw = energy / dt_s;
-        dev_energy_j_[d] += pw * dt_s;  // RaplDomain::accumulate rounding
+        const double joules = pw * dt_s;  // RaplDomain::accumulate rounding
+        dev_energy_j_[d] += joules;
+        uj += rapl_uj(joules);
         dev_temp_[d] = power::ThermalModel::stepped_c(temp, pw, ambient, dt_s);
         dev_throttle_s_[d] = std::max(0.0, dev_throttle_s_[d] - dt_s);
         ++sh.full_steps;
@@ -903,6 +932,7 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
         if (no_throttle && dev_throttle_s_[d] == 0.0 &&
             !(dev_units_[d] > 0.0) && dev_temp_[d] == temp) {
           dev_parked_[d] = 1;
+          parked_uj += rapl_uj(parked_device_j(d));
           sh.parked_max_c = std::max(sh.parked_max_c, dev_temp_[d]);
         } else {
           all_parked = false;
@@ -916,16 +946,20 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
         sh.power_changed = true;
       }
       node_energy_j_[i] += np * dt_s;
+      uj += rapl_uj(np * dt_s);
       node_upto_[i] = steps_done_ + 1;
     }
     if (all_parked && count > 0) {
       node_parked_[i] = 1;  // drops off the calendar until touched
+      parked_uj += rapl_uj(parked_node_j(i));
     } else {
       sh.active[w++] = i;
     }
   }
   sh.active.resize(w);
   sh.step_max_c = step_max;
+  step_uj_.fetch_add(uj, std::memory_order_relaxed);
+  parked_uj_.fetch_add(parked_uj, std::memory_order_relaxed);
 }
 
 void ShardedCluster::run_for(double duration_s, double dt_s) {
@@ -940,6 +974,7 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
     if (step != sync_dt_) {
       global_sync();
       sync_dt_ = step;
+      reprice_parked();
     }
 
     dispatcher_.place(clock_.now());
@@ -951,6 +986,7 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
     // Shards own disjoint node ranges: they step in parallel and merge
     // serially in fixed shard order, so the run is byte-identical for any
     // worker count (and to the legacy per-object stepper).
+    const u64 parked_uj = parked_uj_.load(std::memory_order_relaxed);
     const auto body = [&](std::size_t b, std::size_t e) {
       for (std::size_t s = b; s < e; ++s) step_shard(s, step);
     };
@@ -982,6 +1018,10 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
 
     TELEMETRY_GAUGE("rtrm.it_power_w", it_power_);
     TELEMETRY_GAUGE("rtrm.power_draw_w", it_power_);
+    // One RAPL sample per node and per device each step, parked or not.
+    TELEMETRY_COUNT("power.rapl_samples", node_count() + device_count());
+    TELEMETRY_COUNT("power.energy_uj",
+                    parked_uj + step_uj_.exchange(0, std::memory_order_relaxed));
     telemetry_.time_s = clock_.now();
     telemetry_.it_energy_j += it_power_ * step;
     telemetry_.facility_energy_j +=

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <set>
@@ -208,6 +209,9 @@ class ShardedCluster {
   /// IT power committed by the most recent step (chain-summed in node order).
   double it_power_w() const { return it_power_; }
   double node_power_w(std::size_t node) const { return node_power_[node]; }
+  /// The budget the node's power controller last ran against (the facility
+  /// power manager's allocation, or the last apply_node_budget).
+  double node_budget_w(std::size_t node) const { return node_budget_w_[node]; }
   double node_base_power_w(std::size_t node) const {
     return node_base_w_[node];
   }
@@ -309,10 +313,15 @@ class ShardedCluster {
                      u64 job_id);
   void unpark_all();
 
-  /// Replay the per-step additions a parked entity skipped, using the step
-  /// size in force since the last global sync.
+  /// Joules one skipped step adds to a parked entity's energy, using the
+  /// step size in force since the last global sync.
+  double parked_device_j(u32 d) const;
+  double parked_node_j(std::size_t node) const;
+  /// Replay the per-step additions a parked entity skipped.
   void catch_up_device(u32 d);
   void catch_up_node(std::size_t node);
+  /// Re-sum parked_uj_ after the step size changes.
+  void reprice_parked();
   /// Catch up + unpark a device (and reactivate its node in the shard
   /// calendar) before any serial mutation or stateful read.
   void touch_device(u32 d);
@@ -381,6 +390,10 @@ class ShardedCluster {
   bool it_dirty_ = true;
   u64 steps_done_ = 0;
   double sync_dt_ = 0.0;  ///< step size shared by all skipped steps
+  // power.energy_uj per step: what the active entities integrate (shards add
+  // in parallel) plus the fixed per-step share of every parked entity.
+  std::atomic<u64> step_uj_{0};
+  std::atomic<u64> parked_uj_{0};
 
   // Dispatcher support: free (idle, alive-node) devices per type, plus the
   // full per-type device lists for backfill reservations.

@@ -301,7 +301,12 @@ TEST(FacilityCap, RespectsFacilityBudget) {
   auto capped = busy_cluster(cfg);
   capped->run_for(64.0, 0.25);
   EXPECT_LE(capped->it_power_w(), *cfg.facility_cap_w + 5.0);
-  // The budget is handed out, not hoarded: the nodes run close to it.
+  // The budget is handed out, not hoarded: the allocations sum to it.
+  double alloc = 0.0;
+  for (std::size_t i = 0; i < capped->node_count(); ++i)
+    alloc += capped->node_budget_w(i);
+  EXPECT_NEAR(alloc, *cfg.facility_cap_w, 1.0);
+  // ...and the nodes run close to it.
   EXPECT_GT(capped->it_power_w(), 0.85 * *cfg.facility_cap_w);
 }
 

@@ -16,6 +16,7 @@
 
 #include "exec/pool.hpp"
 #include "sharded_common.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace antarex::rtrm {
 namespace {
@@ -35,6 +36,36 @@ struct Scenario {
   std::size_t op_step_down = 0;
 };
 
+/// The scenario each differential fixture was recorded from.
+Scenario diff_scenario(u64 seed) {
+  Scenario sc;
+  switch (seed) {
+    case 11:
+      sc.governor = GovernorPolicy::EnergyAware;
+      sc.placement = PlacementPolicy::EnergyAware;
+      sc.backfill = true;
+      break;
+    case 13:
+      sc.governor = GovernorPolicy::EnergyAware;
+      sc.placement = PlacementPolicy::FastestFirst;
+      sc.backfill = true;
+      sc.faults = true;
+      sc.op_step_down = 1;
+      break;
+    case 17:
+      sc.placement = PlacementPolicy::EnergyAware;
+      sc.facility_cap_w = 120.0 * static_cast<double>(kNodes);
+      sc.faults = true;
+      break;
+    case 29:
+      sc.faults = true;
+      break;
+    default:  // 7: healthy Ondemand first-fit
+      break;
+  }
+  return sc;
+}
+
 ClusterConfig base_config(const Scenario& sc) {
   ClusterConfig cfg;
   cfg.governor = sc.governor;
@@ -45,9 +76,11 @@ ClusterConfig base_config(const Scenario& sc) {
 }
 
 /// One scenario's run in the golden_document format every fixture uses: the
-/// state trace, then the fault/dispatcher log.
+/// state trace, then the fault/dispatcher log. A positive `idle_tail_s` runs
+/// the idle plant that long after the jobs drain, then submits six more CPU
+/// jobs and runs kHorizon more.
 std::string sharded_document(u64 seed, const Scenario& sc, std::size_t shards,
-                             int threads) {
+                             int threads, double idle_tail_s = 0.0) {
   ShardedClusterConfig cfg;
   cfg.base = base_config(sc);
   cfg.shards = shards;
@@ -62,6 +95,22 @@ std::string sharded_document(u64 seed, const Scenario& sc, std::size_t shards,
   cluster.set_pool(&pool);
   cluster.run_for(kHorizon, kDt);
   cluster.run_until_idle(kIdleLimit, kDt);
+  if (idle_tail_s > 0.0) {
+    cluster.run_for(idle_tail_s, kDt);
+    for (u64 id = 1001; id <= 1006; ++id) {
+      Job job;
+      job.id = id;
+      job.name = "wake" + std::to_string(id);
+      job.units = 2.0;
+      power::WorkloadModel cpu;
+      cpu.cpu_gcycles = 30.0;
+      cpu.cores_used = 12;
+      cpu.activity = 0.9;
+      job.profiles[power::DeviceType::Cpu] = cpu;
+      cluster.submit(std::move(job));
+    }
+    cluster.run_for(kHorizon, kDt);
+  }
   std::string doc = state_trace(cluster);
   doc += "--- fault log ---\n";
   if (driver) {
@@ -94,58 +143,75 @@ struct ShardCase {
 };
 constexpr ShardCase kShardCases[] = {{1, 1}, {4, 2}, {16, 8}};
 
-void expect_equivalent(u64 seed, const Scenario& sc) {
+void expect_equivalent(u64 seed) {
   const std::string fixture = diff_fixture(seed);
   ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_" << seed;
   for (const ShardCase& c : kShardCases) {
-    EXPECT_EQ(sharded_document(seed, sc, c.shards, c.threads), fixture)
+    EXPECT_EQ(sharded_document(seed, diff_scenario(seed), c.shards, c.threads),
+              fixture)
         << "diverged at shards=" << c.shards << " threads=" << c.threads
         << " seed=" << seed;
   }
 }
 
-TEST(ShardedDifferential, HealthyOndemandFirstFit) {
-  Scenario sc;
-  expect_equivalent(7u, sc);
-}
+TEST(ShardedDifferential, HealthyOndemandFirstFit) { expect_equivalent(7u); }
 
 TEST(ShardedDifferential, HealthyEnergyAwarePlacementAndGovernor) {
-  Scenario sc;
-  sc.governor = GovernorPolicy::EnergyAware;
-  sc.placement = PlacementPolicy::EnergyAware;
-  sc.backfill = true;
-  expect_equivalent(11u, sc);
+  expect_equivalent(11u);
 }
 
 TEST(ShardedDifferential, FaultedFastestFirstBackfill) {
-  Scenario sc;
-  sc.governor = GovernorPolicy::EnergyAware;
-  sc.placement = PlacementPolicy::FastestFirst;
-  sc.backfill = true;
-  sc.faults = true;
-  sc.op_step_down = 1;
-  expect_equivalent(13u, sc);
+  expect_equivalent(13u);
 }
 
-TEST(ShardedDifferential, FaultedFacilityCap) {
-  Scenario sc;
-  sc.placement = PlacementPolicy::EnergyAware;
-  sc.facility_cap_w = 120.0 * static_cast<double>(kNodes);
-  sc.faults = true;
-  expect_equivalent(17u, sc);
-}
+TEST(ShardedDifferential, FaultedFacilityCap) { expect_equivalent(17u); }
 
 TEST(ShardedDifferential, OddShardCountsMatchToo) {
   // Shard counts that do not divide the node count exercise the uneven
   // range partition; the merge must still commit in node order.
-  Scenario sc;
-  sc.faults = true;
   const std::string fixture = diff_fixture(29u);
   ASSERT_FALSE(fixture.empty()) << "missing fixture sharded_diff_29";
   for (std::size_t shards : {3u, 5u, 7u, 24u}) {
-    EXPECT_EQ(sharded_document(29u, sc, shards, 2), fixture)
+    EXPECT_EQ(sharded_document(29u, diff_scenario(29u), shards, 2), fixture)
         << "shards=" << shards;
   }
+}
+
+// The power.* counters the legacy stepper's per-node and per-device
+// RaplDomains fed over each differential run with a 600.1 s idle tail and
+// six late jobs, recorded from that stepper: one sample per node and per
+// device each step, and the microjoules of each sample truncated as
+// RaplDomain::accumulate truncates them. In the idle tail every device and
+// node parks and the last step is 0.1 s, so the parked energy is counted at
+// both step sizes; the late jobs then wake parked devices.
+constexpr double kIdleTail = 600.1;
+struct RaplCounts {
+  u64 seed;
+  u64 samples;
+  u64 energy_uj;
+};
+constexpr RaplCounts kLegacyRapl[] = {{7, 229908, 2575577227253},
+                                      {11, 224434, 2345357194431},
+                                      {13, 224434, 2326691899804},
+                                      {17, 229908, 2475193006987},
+                                      {29, 221697, 2413513489610}};
+
+TEST(ShardedDifferential, RaplCountersMatchLegacyStepper) {
+  auto& reg = telemetry::Registry::global();
+  for (const RaplCounts& want : kLegacyRapl) {
+    for (const ShardCase& c : kShardCases) {
+      reg.reset();
+      telemetry::set_enabled(true);
+      sharded_document(want.seed, diff_scenario(want.seed), c.shards,
+                       c.threads, kIdleTail);
+      telemetry::set_enabled(false);
+      EXPECT_EQ(reg.counter("power.rapl_samples").value(), want.samples)
+          << "seed=" << want.seed << " shards=" << c.shards;
+      EXPECT_EQ(reg.counter("power.energy_uj").value(), want.energy_uj)
+          << "seed=" << want.seed << " shards=" << c.shards;
+    }
+  }
+  reg.reset();
 }
 
 // --------------------------------------------------------------------------
