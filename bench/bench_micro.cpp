@@ -4,10 +4,13 @@
 // scoring. These back the per-stage cost numbers quoted in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "cir/parser.hpp"
 #include "dock/dock.hpp"
 #include "dsl/runtime.hpp"
 #include "dsl/weaver.hpp"
+#include "govern/sharded_cap.hpp"
 #include "monitor/fabric.hpp"
 #include "nav/nav.hpp"
 #include "passes/pass_manager.hpp"
@@ -266,6 +269,60 @@ void BM_ClusterTickSharded(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<i64>(nodes));
 }
 BENCHMARK(BM_ClusterTickSharded)->Arg(256)->Arg(1024)->Arg(16384);
+
+// Cluster tick of a 1,024-node fleet whose devices are still cooling from
+// their boot temperature towards their idle fixed point, so every device
+// runs the full step math. The fleet is rebuilt (untimed) every 64 ticks,
+// long before any device parks (~1,700 ticks at this dt). Per node.
+void BM_ClusterTickWarm(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1024;
+  constexpr int kTicksPerFleet = 64;
+  const auto blueprint = rtrm::ClusterBlueprint::exascale(7, kNodes);
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 8;
+  std::optional<rtrm::ShardedCluster> cluster;
+  int ticks = kTicksPerFleet;
+  for (auto _ : state) {
+    if (ticks == kTicksPerFleet) {
+      state.PauseTiming();
+      cluster.emplace(cfg);
+      blueprint.build(*cluster);
+      ticks = 0;
+      state.ResumeTiming();
+    }
+    cluster->run_for(0.25, 0.25);
+    ++ticks;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(kNodes));
+}
+BENCHMARK(BM_ClusterTickWarm);
+
+// The govern control hook per node: a settled 1,024-node fleet under a
+// ShardedCapCoordinator whose cap sits 5% above the fleet's idle floor (as in
+// fleet_hour), with a control step on every tick. The hook clamps every live
+// node to its budget; the epoch never closes, so no renegotiation is timed.
+// The parked tick it rides on is BM_ClusterTickSharded's ~360 ns per fleet.
+void BM_CapControl(benchmark::State& state) {
+  constexpr std::size_t kNodes = 1024;
+  constexpr double kDt = 0.25;
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 8;
+  cfg.base.control_period_s = kDt;
+  rtrm::ShardedCluster cluster(cfg);
+  rtrm::ClusterBlueprint::exascale(7, kNodes).build(cluster);
+  cluster.run_for(600.0, kDt);
+  double floor_w = 0.0;
+  for (std::size_t i = 0; i < kNodes; ++i) floor_w += cluster.node_floor_w(i);
+  govern::ShardedCapConfig cap_cfg;
+  cap_cfg.cluster_cap_w = 1.05 * floor_w;
+  cap_cfg.epoch_s = 1e9;
+  govern::ShardedCapCoordinator cap(cluster, cap_cfg);
+  cap.attach();
+  cluster.run_for(4 * kDt, kDt);  // let the first clamps settle
+  for (auto _ : state) cluster.run_for(kDt, kDt);
+  state.SetItemsProcessed(state.iterations() * static_cast<i64>(kNodes));
+}
+BENCHMARK(BM_CapControl);
 
 // Monitor cost per node-sample: the settled 1,024-node fleet from above with
 // a MonitorFabric sampling every step (sample_period_s == dt). One item is

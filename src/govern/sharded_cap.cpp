@@ -242,33 +242,33 @@ void ShardedCapCoordinator::renegotiate() {
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
 
   // Node priority weight: the heaviest-priority job currently on the node.
-  std::vector<double> prio(n, 1.0);
+  prio_.assign(n, 1.0);
   const rtrm::ShardedDispatcher& disp = cluster_.dispatcher();
   for (const auto& job : disp.running_jobs()) {
     if (job.priority <= 0.0) continue;
-    double& p = prio[cluster_.node_of_device(disp.device_of(job.id))];
+    double& p = prio_[cluster_.node_of_device(disp.device_of(job.id))];
     p = std::max(p, job.priority);
   }
 
   // Pass 1: per-node floors and weights, aggregated per shard. Demand is the
   // mean draw over the epoch so far (the floor before any step is seen).
-  std::vector<double> floor_w(n, 0.0);
-  std::vector<double> weight(n, 0.0);
-  std::vector<double> shard_floor(n_shards, 0.0);
-  std::vector<double> shard_weight(n_shards, 0.0);
+  floor_w_.assign(n, 0.0);
+  weight_.assign(n, 0.0);
+  shard_floor_.assign(n_shards, 0.0);
+  shard_weight_.assign(n_shards, 0.0);
   double floor_total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (cluster_.node_failed(i)) continue;  // dead: zero budget
-    floor_w[i] = cluster_.node_floor_w(i);
+    floor_w_[i] = cluster_.node_floor_w(i);
     const double mean =
-        epoch_t_ > 0.0 ? node_epoch_j_[i] / epoch_t_ : floor_w[i];
-    const double demand = std::max(mean, floor_w[i]);
-    weight[i] =
-        std::pow(demand, cfg_.fairness_alpha) * prio[i] * node_weight(i);
+        epoch_t_ > 0.0 ? node_epoch_j_[i] / epoch_t_ : floor_w_[i];
+    const double demand = std::max(mean, floor_w_[i]);
+    weight_[i] =
+        std::pow(demand, cfg_.fairness_alpha) * prio_[i] * node_weight(i);
     const std::size_t s = cluster_.shard_of_node(i);
-    shard_floor[s] += floor_w[i];
-    shard_weight[s] += weight[i];
-    floor_total += floor_w[i];
+    shard_floor_[s] += floor_w_[i];
+    shard_weight_[s] += weight_[i];
+    floor_total += floor_w_[i];
   }
   if (floor_total <= 0.0) return;  // every node down: nothing draws power
 
@@ -276,9 +276,9 @@ void ShardedCapCoordinator::renegotiate() {
     // Infeasible even at idle: scale the floors. Budgets still sum to the
     // effective cap (conservation), controllers pin everything to P-state 0.
     for (std::size_t i = 0; i < n; ++i)
-      budgets_w_[i] = eff_cap * floor_w[i] / floor_total;
+      budgets_w_[i] = eff_cap * floor_w_[i] / floor_total;
     for (std::size_t s = 0; s < n_shards; ++s)
-      shard_budget_w_[s] = eff_cap * shard_floor[s] / floor_total;
+      shard_budget_w_[s] = eff_cap * shard_floor_[s] / floor_total;
     return;
   }
 
@@ -287,15 +287,17 @@ void ShardedCapCoordinator::renegotiate() {
   // positive for every alive node, so a shard with none alive gets nothing.
   const double distributable = eff_cap - floor_total;
   double weight_total = 0.0;
-  for (std::size_t s = 0; s < n_shards; ++s) weight_total += shard_weight[s];
+  for (std::size_t s = 0; s < n_shards; ++s) weight_total += shard_weight_[s];
   for (std::size_t s = 0; s < n_shards; ++s) {
-    if (shard_weight[s] <= 0.0) continue;
-    const double shard_slice = distributable * (shard_weight[s] / weight_total);
-    shard_budget_w_[s] = shard_floor[s] + shard_slice;
+    if (shard_weight_[s] <= 0.0) continue;
+    const double shard_slice =
+        distributable * (shard_weight_[s] / weight_total);
+    shard_budget_w_[s] = shard_floor_[s] + shard_slice;
     const auto [first, last] = cluster_.shard_node_range(s);
     for (std::size_t i = first; i < last; ++i) {
       if (cluster_.node_failed(i)) continue;
-      budgets_w_[i] = floor_w[i] + shard_slice * (weight[i] / shard_weight[s]);
+      budgets_w_[i] =
+          floor_w_[i] + shard_slice * (weight_[i] / shard_weight_[s]);
     }
   }
 }

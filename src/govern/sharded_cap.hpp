@@ -123,6 +123,13 @@ class ShardedCapCoordinator {
   std::vector<double> node_epoch_j_;    ///< per-node energy this epoch
   std::vector<double> ext_weight_;      ///< set_node_weight multipliers
   std::vector<double> device_weight_;   ///< running job priority, per device
+  // renegotiate() scratch, kept across epochs so a 25k-node fleet does not
+  // reallocate five node- or shard-sized vectors per epoch.
+  std::vector<double> prio_;          ///< heaviest job priority, per node
+  std::vector<double> floor_w_;       ///< node floor, per node
+  std::vector<double> weight_;        ///< node share weight, per node
+  std::vector<double> shard_floor_;   ///< summed floors, per shard
+  std::vector<double> shard_weight_;  ///< summed weights, per shard
   obs::AttributionTable job_energy_;
 
   bool attached_ = false;

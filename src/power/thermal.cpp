@@ -10,18 +10,13 @@ ThermalModel::ThermalModel(double r_th_c_per_w, double tau_s, double initial_c)
 }
 
 void ThermalModel::step(double power_w, double ambient_c, double dt_s) {
-  temp_c_ = stepped_c(temp_c_, power_w, ambient_c, dt_s, r_th_, tau_s_);
+  temp_c_ = relaxed_c(temp_c_, power_w, ambient_c, decay(dt_s, tau_s_), r_th_);
 }
 
-double ThermalModel::stepped_c(double temp_c, double power_w, double ambient_c,
-                               double dt_s, double r_th_c_per_w,
-                               double tau_s) {
+double ThermalModel::decay(double dt_s, double tau_s) {
   ANTAREX_REQUIRE(dt_s >= 0.0, "ThermalModel: negative time step");
-  const double target = ambient_c + power_w * r_th_c_per_w;
   // Exact exponential integration — stable for any dt.
-  const double alpha = 1.0 - std::exp(-dt_s / tau_s);
-  temp_c += (target - temp_c) * alpha;
-  return temp_c;
+  return 1.0 - std::exp(-dt_s / tau_s);
 }
 
 double ThermalModel::steady_state_c(double power_w, double ambient_c) const {

@@ -24,12 +24,17 @@ class ThermalModel {
   /// Advance by dt with the given dissipated power and ambient temperature.
   void step(double power_w, double ambient_c, double dt_s);
 
-  /// Stateless core of step(): the temperature after one dt. Shared with the
-  /// SoA cluster engine so both paths run identical machine code; the
-  /// instance method delegates here.
-  static double stepped_c(double temp_c, double power_w, double ambient_c,
-                          double dt_s, double r_th_c_per_w = kDefaultRth,
-                          double tau_s = kDefaultTau);
+  /// Stateless core of step(), shared with the SoA cluster engine so both
+  /// paths run identical arithmetic. decay() is the fraction of the gap to
+  /// the target closed in one dt, 1 - exp(-dt/tau); it depends on dt and tau
+  /// only, so a caller stepping many devices by the same dt evaluates it
+  /// once. relaxed_c() is the temperature after that step.
+  static double decay(double dt_s, double tau_s = kDefaultTau);
+  static double relaxed_c(double temp_c, double power_w, double ambient_c,
+                          double decay, double r_th_c_per_w = kDefaultRth) {
+    const double target = ambient_c + power_w * r_th_c_per_w;
+    return temp_c + (target - temp_c) * decay;
+  }
 
   double temperature_c() const { return temp_c_; }
   void reset(double temp_c) { temp_c_ = temp_c; }

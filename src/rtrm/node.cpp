@@ -57,10 +57,4 @@ double Node::power_w() const {
   return p;
 }
 
-double Node::peak_gflops() const {
-  double g = 0.0;
-  for (const auto& d : devices_) g += d.spec().peak_gflops(d.op());
-  return g;
-}
-
 }  // namespace antarex::rtrm

@@ -39,9 +39,6 @@ class Node {
   /// Mutable counter access for sensor-glitch injection (antarex::fault).
   power::RaplDomain& rapl() { return rapl_; }
 
-  /// Aggregate peak compute at the devices' current operating points.
-  double peak_gflops() const;
-
   // --- failure state --------------------------------------------------------
   /// Crash the node: every running job is interrupted and returned as
   /// (job id, units unfinished) for the dispatcher to reschedule. Idempotent

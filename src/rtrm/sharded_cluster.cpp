@@ -318,6 +318,7 @@ std::size_t ShardedCluster::add_node(
     dev_guard_ceil_.push_back(static_cast<u32>(num_ops - 1));
     dev_pm_ceil_.push_back(static_cast<u32>(num_ops - 1));
     dev_power_.push_back(0.0);
+    dev_power_ok_.push_back(0);
     dev_parked_.push_back(0);
     dev_upto_.push_back(0);
   }
@@ -392,12 +393,12 @@ double ShardedCluster::fresh_device_power_w(u32 d) const {
                                           temp);
 }
 
-double ShardedCluster::fresh_node_power_w(std::size_t node) const {
+double ShardedCluster::node_power_now_w(std::size_t node) const {
   if (node_failed_[node]) return 0.0;
   double p = node_base_w_[node];
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
-  for (u32 d = begin; d < end; ++d) p += fresh_device_power_w(d);
+  for (u32 d = begin; d < end; ++d) p += device_power_now_w(d);
   return p;
 }
 
@@ -406,6 +407,12 @@ double ShardedCluster::node_floor_w(std::size_t node) const {
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
   for (u32 d = begin; d < end; ++d) {
+    // A valid cache of an idle device at P-state 0 (dvfs.lowest()) already
+    // holds this device's floor.
+    if (dev_power_ok_[d] && !(dev_units_[d] > 0.0) && eff_op_index(d) == 0) {
+      f += dev_power_[d];
+      continue;
+    }
     const power::DeviceSpec& spec = specs_[dev_spec_[d]];
     f += power::PowerModel::idle_power_w(spec, dev_var_[d],
                                          spec_vnom_[dev_spec_[d]],
@@ -470,6 +477,7 @@ void ShardedCluster::touch_device(u32 d) {
   catch_up_node(node);
   catch_up_device(d);
   node_quiet_[node] = 0;
+  dev_power_ok_[d] = 0;
   if (dev_parked_[d]) {
     parked_uj_.fetch_sub(rapl_uj(parked_device_j(d)),
                          std::memory_order_relaxed);
@@ -688,7 +696,7 @@ void ShardedCluster::pm_clamp(std::size_t node) {
 bool ShardedCluster::node_controller_step(
     std::size_t node, const std::vector<double>* device_weight) {
   pm_clamp(node);
-  const double p = fresh_node_power_w(node);
+  const double p = node_power_now_w(node);
   const double budget = node_budget_w_[node];
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
@@ -701,7 +709,7 @@ bool ShardedCluster::node_controller_step(
     for (u32 d = begin; d < end; ++d) {
       if (dev_pm_ceil_[d] == 0) continue;
       const double w = device_weight ? (*device_weight)[d] : 1.0;
-      const double dp = fresh_device_power_w(d) / w;
+      const double dp = device_power_now_w(d) / w;
       if (dp > worst) {
         worst = dp;
         victim = d;
@@ -726,7 +734,7 @@ bool ShardedCluster::node_controller_step(
           w.activity * (1.0 - mem_frac) + 0.25 * w.activity * mem_frac;
       const double raised = power::PowerModel::total_power_w(
           spec, dev_var_[d], spec_vnom_[dev_spec_[d]], next, act, dev_temp_[d]);
-      const double delta = raised - fresh_device_power_w(d);
+      const double delta = raised - device_power_now_w(d);
       if (candidate == ShardedDispatcher::kInvalidDevice ||
           delta < cheapest_raise) {
         candidate = d;
@@ -752,7 +760,7 @@ void ShardedCluster::power_manager_step() {
   double demand_total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     pm_floor_[i] = node_floor_w(i);
-    pm_demand_[i] = std::max(fresh_node_power_w(i), pm_floor_[i]);
+    pm_demand_[i] = std::max(node_power_now_w(i), pm_floor_[i]);
     floor_total += pm_floor_[i];
     demand_total += pm_demand_[i];
   }
@@ -780,7 +788,7 @@ void ShardedCluster::apply_node_budget(
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
   for (u32 d = begin; d < end; ++d) notches += specs_[dev_spec_[d]].dvfs.size();
-  while (notches-- > 0 && fresh_node_power_w(node) > budget_w &&
+  while (notches-- > 0 && node_power_now_w(node) > budget_w &&
          node_controller_step(node, device_weight)) {
   }
 }
@@ -843,6 +851,7 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
   sh.finished.clear();
   sh.power_changed = false;
   const double ambient = config_.base.ambient_c;
+  const double decay = power::ThermalModel::decay(dt_s);
   double step_max = sh.parked_max_c;
   u64 uj = 0;         // RAPL microjoules the active entities integrate
   u64 parked_uj = 0;  // per-step microjoules of the entities parking now
@@ -861,7 +870,7 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
         dev_throttle_s_[d] = std::max(0.0, dev_throttle_s_[d] - dt_s);
         const double t_before = dev_temp_[d];
         dev_temp_[d] =
-            power::ThermalModel::stepped_c(t_before, 0.0, ambient, dt_s);
+            power::ThermalModel::relaxed_c(t_before, 0.0, ambient, decay);
         ++sh.full_steps;
         dev_upto_[d] = steps_done_ + 1;
         step_max = std::max(step_max, dev_temp_[d]);
@@ -884,8 +893,12 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
         const double v_nom = spec_vnom_[dev_spec_[d]];
         const bool no_throttle = dev_throttle_s_[d] == 0.0;
         const power::OperatingPoint& op = eff_op(d);
+        // The model power of the state the step starts from: busy power if a
+        // job runs, else idle power.
+        const double p0 = device_power_now_w(d);
+        const bool busy0 = dev_units_[d] > 0.0;
         double active_s = 0.0;
-        if (dev_units_[d] > 0.0) {
+        if (busy0) {
           const double unit_time =
               dev_wl_[d].execution_time_s(op) * dev_slowdown_[d];
           const double progress = dt_s / unit_time;
@@ -902,29 +915,23 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
         dev_busy_s_[d] += active_s;
         const double temp = dev_temp_[d];
         double energy = 0.0;
-        if (active_s > 0.0) {
-          const power::WorkloadModel& wl = dev_wl_[d];
-          const double mem_frac = wl.memory_boundedness(op);
-          const double act =
-              wl.activity * (1.0 - mem_frac) + 0.25 * wl.activity * mem_frac;
-          energy += power::PowerModel::total_power_w(spec, dev_var_[d], v_nom,
-                                                     op, act, temp) *
-                    active_s;
-        }
+        if (active_s > 0.0) energy += p0 * active_s;
         const double idle_s = dt_s - active_s;
-        if (idle_s > 0.0)
-          energy += power::PowerModel::idle_power_w(spec, dev_var_[d], v_nom,
-                                                    op, temp) *
+        if (idle_s > 0.0)  // a finishing job leaves an idle share to price
+          energy += (busy0 ? power::PowerModel::idle_power_w(
+                                 spec, dev_var_[d], v_nom, op, temp)
+                           : p0) *
                     idle_s;
         const double pw = energy / dt_s;
         const double joules = pw * dt_s;  // RaplDomain::accumulate rounding
         dev_energy_j_[d] += joules;
         uj += rapl_uj(joules);
-        dev_temp_[d] = power::ThermalModel::stepped_c(temp, pw, ambient, dt_s);
+        dev_temp_[d] = power::ThermalModel::relaxed_c(temp, pw, ambient, decay);
         dev_throttle_s_[d] = std::max(0.0, dev_throttle_s_[d] - dt_s);
         ++sh.full_steps;
         dev_upto_[d] = steps_done_ + 1;
         dev_power_[d] = fresh_device_power_w(d);  // post-step cache
+        dev_power_ok_[d] = 1;
         step_max = std::max(step_max, dev_temp_[d]);
         // Park: idle, no throttle at either end of the step, and the
         // temperature landed on its discrete fixed point — one more step
@@ -1106,7 +1113,8 @@ std::size_t ShardedCluster::approx_state_bytes() const {
            vec(dev_units_) + vec(dev_job_) + vec(dev_wl_) + vec(dev_busy_s_) +
            vec(dev_done_) + vec(dev_interrupted_) + vec(dev_throttle_s_) +
            vec(dev_slowdown_) + vec(dev_guard_ceil_) + vec(dev_pm_ceil_) +
-           vec(dev_power_) + vec(dev_parked_) + vec(dev_upto_);
+           vec(dev_power_) + vec(dev_power_ok_) + vec(dev_parked_) +
+           vec(dev_upto_);
   bytes += vec(node_base_w_) + vec(node_dev_begin_) + vec(node_dev_count_) +
            vec(node_failed_) + vec(node_crashes_) + vec(node_downtime_s_) +
            vec(node_energy_j_) + vec(node_power_) + vec(node_budget_w_) +

@@ -19,7 +19,10 @@
 // step would provably reproduce its state bit-for-bit (temperature at the
 // discrete fixed point, idle, no throttle decay), and the skipped per-step
 // energy/downtime additions are replayed as the identical sequence of
-// additions when the device is next observed or mutated.
+// additions when the device is next observed or mutated. Likewise a device's
+// power model is evaluated once per state change: the live step caches it,
+// touch_device invalidates it, and every reader shares the cached value
+// (DESIGN.md decision 12d).
 #pragma once
 
 #include <array>
@@ -252,7 +255,7 @@ class ShardedCluster {
   /// ShardedDispatcher::device_of reports for a running job).
   std::size_t node_of_device(u32 device) const { return dev_node_[device]; }
   double device_power_w(u32 device) const {
-    return fresh_device_power_w(device);
+    return device_power_now_w(device);
   }
   double device_energy_j(std::size_t node, std::size_t dev);
   /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
@@ -291,12 +294,21 @@ class ShardedCluster {
                     "ShardedCluster: device index out of range");
     return node_dev_begin_[node] + static_cast<u32>(dev);
   }
-  const power::OperatingPoint& eff_op(u32 d) const {
-    return specs_[dev_spec_[d]].dvfs.at(dev_throttle_s_[d] > 0.0 ? 0
-                                                                 : dev_op_[d]);
+  /// P-state the device runs at: the lowest while throttled.
+  std::size_t eff_op_index(u32 d) const {
+    return dev_throttle_s_[d] > 0.0 ? 0 : dev_op_[d];
   }
+  const power::OperatingPoint& eff_op(u32 d) const {
+    return specs_[dev_spec_[d]].dvfs.at(eff_op_index(d));
+  }
+  /// The device's power model evaluated on its current state.
   double fresh_device_power_w(u32 d) const;
-  double fresh_node_power_w(std::size_t node) const;
+  /// The same value, read from the post-step cache while it is valid.
+  double device_power_now_w(u32 d) const {
+    return dev_power_ok_[d] ? dev_power_[d] : fresh_device_power_w(d);
+  }
+  /// Base plus device_power_now_w of every device (0 on a failed node).
+  double node_power_now_w(std::size_t node) const;
 
   std::size_t shard_span() const;  ///< nodes per shard
   void finalize();
@@ -323,7 +335,8 @@ class ShardedCluster {
   /// Re-sum parked_uj_ after the step size changes.
   void reprice_parked();
   /// Catch up + unpark a device (and reactivate its node in the shard
-  /// calendar) before any serial mutation or stateful read.
+  /// calendar) and invalidate its power cache before any serial mutation
+  /// or stateful read.
   void touch_device(u32 d);
   void touch_node(std::size_t node);
   void global_sync();
@@ -366,6 +379,9 @@ class ShardedCluster {
   std::vector<u32> dev_guard_ceil_;
   std::vector<u32> dev_pm_ceil_;
   std::vector<double> dev_power_;  ///< post-step power (idle power if parked)
+  /// dev_power_[d] equals fresh_device_power_w(d): set by the live step that
+  /// writes it, cleared by touch_device, never set on a failed node.
+  std::vector<u8> dev_power_ok_;
   std::vector<u8> dev_parked_;
   std::vector<u64> dev_upto_;  ///< steps fully applied to this device
 

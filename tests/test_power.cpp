@@ -256,6 +256,33 @@ TEST(Thermal, StableForLargeTimeSteps) {
   EXPECT_NEAR(t.temperature_c(), t.steady_state_c(120.0, 25.0), 1e-6);
 }
 
+// The sharded plant evaluates decay() once per step and applies relaxed_c()
+// per device. That must reproduce step() — and the single-expression update
+// step() used before the split — bit for bit, or every golden would drift.
+TEST(Thermal, HoistedDecayMatchesStepBitForBit) {
+  const double dts[] = {0.0, 1e-3, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 1e6};
+  const double taus[] = {0.5, 5.0, 12.0, 60.0};
+  const double powers[] = {0.0, 7.5, 88.25, 310.0};
+  for (const double tau : taus)
+    for (const double dt : dts) {
+      const double decay = ThermalModel::decay(dt, tau);
+      for (const double p : powers)
+        for (double t0 = 18.0; t0 < 100.0; t0 += 7.3) {
+          ThermalModel m(0.3, tau, t0);
+          m.step(p, 21.0, dt);
+          const double hoisted =
+              ThermalModel::relaxed_c(t0, p, 21.0, decay, 0.3);
+          double fused = t0;
+          fused += (21.0 + p * 0.3 - fused) * (1.0 - std::exp(-dt / tau));
+          EXPECT_EQ(hoisted, m.temperature_c())
+              << "dt=" << dt << " tau=" << tau << " p=" << p << " t0=" << t0;
+          EXPECT_EQ(hoisted, fused)
+              << "dt=" << dt << " tau=" << tau << " p=" << p << " t0=" << t0;
+        }
+    }
+  EXPECT_THROW(ThermalModel::decay(-1.0), Error);
+}
+
 // --------------------------------------------------------------------------
 // RAPL
 // --------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 // and the sharded engine must reproduce it byte-for-byte across 1/4/16
 // shards and 1/2/8 exec workers, with and without injected crash/repair
 // schedules. The sharded_replay_* fixtures pin the golden scenario the same
-// way, mirroring fault_replay_*.
+// way, mirroring fault_replay_*. PowerCacheProps checks the plant's cached
+// device powers against the power model after random mutations.
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "exec/pool.hpp"
+#include "power_cache_props.hpp"
 #include "sharded_common.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -241,6 +243,10 @@ TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
                          ::testing::Values(42u, 1337u));
+
+// The power cache's exactness property (tests/power_cache_props.hpp);
+// test_sharded_long.cpp runs the 1000-seed sweep.
+INSTANTIATE_TEST_SUITE_P(Seeds, PowerCacheProps, ::testing::Range<u64>(1, 49));
 
 }  // namespace
 }  // namespace antarex::rtrm
