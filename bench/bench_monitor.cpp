@@ -10,8 +10,11 @@
 //     gated to stay within 2x from 1k to 100k nodes (the per-device sampler
 //     edge state, which necessarily scales with the plant, is reported
 //     separately);
-//   - monitoring overhead: wall seconds inside the fabric's observer over
-//     wall seconds of everything else, gated at <= 5% at 100k nodes;
+//   - monitoring cost: wall seconds inside the fabric's observer per
+//     node-sample (one frame sampled, published, aggregated and screened),
+//     gated at <= 1 us at 100k nodes. The ratio to the plant's own wall time
+//     is reported too, but not gated: it moves with the plant's speed, not
+//     the fabric's;
 //   - detection quality against antarex::fault ground truth: precision and
 //     recall per anomaly kind, gated at >= 0.8 for the progress-drop kinds
 //     (throttle, slow-node) at every scale;
@@ -39,6 +42,8 @@ namespace {
 constexpr u64 kSeed = 42;
 constexpr double kHorizonS = 30.0;
 constexpr double kDtS = 0.5;
+/// The verdict's cost bound: fabric wall time per node-sample at 100k nodes.
+constexpr double kMaxNsPerNodeSample = 1000.0;
 
 struct ScaleResult {
   std::size_t nodes = 0;
@@ -47,6 +52,7 @@ struct ScaleResult {
   std::size_t sampler_bytes = 0;
   std::size_t episodes = 0;
   double overhead_pct = 0.0;
+  double ns_per_node_sample = 0.0;
   double wall_s = 0.0;
   monitor::EvalResult eval;
   std::string digest;
@@ -120,6 +126,8 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   const double plant_s = res.wall_s - self_s;
   res.overhead_pct = plant_s > 0.0 ? 100.0 * self_s / plant_s : 0.0;
   res.frames = fabric.broker().delivered();
+  res.ns_per_node_sample =
+      res.frames ? 1e9 * self_s / static_cast<double>(res.frames) : 0.0;
   res.core_bytes = fabric.approx_bytes();
   res.sampler_bytes = fabric.sampler_bytes();
   const std::vector<monitor::Episode> episodes = fabric.detector().episodes();
@@ -143,15 +151,15 @@ int run(int argc, char** argv) {
   bench::parse_telemetry(argc, argv);
   bench::header("MONITOR",
                 "Examon-style monitoring fabric at 1k/10k/100k nodes: "
-                "bounded memory, <= 5% overhead, ground-truthed detection");
+                "bounded memory, <= 1 us per node-sample, ground-truthed detection");
   const int threads = bench::parse_threads(
       argc, argv, static_cast<int>(std::thread::hardware_concurrency()));
 
   const std::vector<std::pair<std::size_t, const char*>> scales = {
       {1000, "1k"}, {10000, "10k"}, {100000, "100k"}};
 
-  Table table({"nodes", "frames", "core KiB", "sampler KiB", "overhead %",
-               "P/R throttle", "P/R slow", "episodes"});
+  Table table({"nodes", "frames", "core KiB", "sampler KiB", "ns/sample",
+               "overhead %", "P/R throttle", "P/R slow", "episodes"});
   std::vector<ScaleResult> results;
   u64 total_frames = 0;
   for (const auto& [n, label] : scales) {
@@ -162,6 +170,7 @@ int run(int argc, char** argv) {
     table.add_row({std::to_string(n), std::to_string(r.frames),
                format("%.1f", r.core_bytes / 1024.0),
                format("%.1f", r.sampler_bytes / 1024.0),
+               format("%.0f", r.ns_per_node_sample),
                format("%.2f", r.overhead_pct),
                format("%.2f/%.2f", st.precision(), st.recall()),
                format("%.2f/%.2f", ss.precision(), ss.recall()),
@@ -177,6 +186,8 @@ int run(int argc, char** argv) {
     bench::metric(format("r_slow_%s", label), ss.recall());
     bench::metric(format("p_spike_%s", label), sp.precision());
     bench::metric(format("measured_overhead_pct_%s", label), r.overhead_pct);
+    bench::metric(format("measured_ns_per_node_sample_%s", label),
+                  r.ns_per_node_sample);
     bench::metric(format("measured_wall_s_%s", label), r.wall_s);
     total_frames += r.frames;
     results.push_back(std::move(r));
@@ -199,8 +210,8 @@ int run(int argc, char** argv) {
   const monitor::KindScore& ss = big.eval.of(monitor::AnomalyKind::SlowNode);
   const bool quality_ok = st.precision() >= 0.8 && st.recall() >= 0.8 &&
                           ss.precision() >= 0.8 && ss.recall() >= 0.8;
-  const bool shape = mem_ratio <= 2.0 && big.overhead_pct <= 5.0 &&
-                     quality_ok && identical;
+  const bool cost_ok = big.ns_per_node_sample <= kMaxNsPerNodeSample;
+  const bool shape = mem_ratio <= 2.0 && cost_ok && quality_ok && identical;
 
   bench::metric("iterations", static_cast<double>(total_frames));
   bench::metric("mem_ratio_100k_over_1k", mem_ratio);
@@ -213,11 +224,12 @@ int run(int argc, char** argv) {
   bench::verdict(
       "Examon-style hierarchical monitoring scales to Exascale node counts "
       "with bounded footprint and negligible overhead",
-      // Overhead is wall-clock-dependent; keep the verdict string stable for
+      // The cost is wall-clock-dependent; keep the verdict string stable for
       // the baseline gate and report the exact figure as a measured_ metric.
-      format("core RAM x%.2f at 100x nodes, overhead %s 5%% budget at 100k, "
-             "throttle P/R %.2f/%.2f, slow-node P/R %.2f/%.2f, %s",
-             mem_ratio, big.overhead_pct <= 5.0 ? "within" : "OVER",
+      format("core RAM x%.2f at 100x nodes, fabric %s 1 us/node-sample "
+             "budget at 100k, throttle P/R %.2f/%.2f, slow-node P/R "
+             "%.2f/%.2f, %s",
+             mem_ratio, cost_ok ? "within" : "OVER",
              st.precision(), st.recall(),
              ss.precision(), ss.recall(),
              identical ? "deterministic" : "nondeterministic"),
