@@ -64,13 +64,9 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   ScaleResult res;
   res.nodes = n_nodes;
 
-  rtrm::Cluster cluster;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  rtrm::ShardedCluster cluster(rtrm::ShardedClusterConfig{});
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < n_nodes; ++i) cluster.add_node(40.0, {{cpu, {}}});
   // Homogeneous ranks of one long application (shard-level baselines assume
   // partition-homogeneous work), moderate activity so the thermal guard
   // stays out of the picture.
@@ -108,7 +104,7 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   monitor::MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
 
-  fault::FaultInjector injector(
+  fault::ShardFaultDriver driver(
       cluster, monitor::strip_warmup_faults(
                    fault::generate_schedule(model, n_nodes, 1, kHorizonS,
                                             kSeed),
@@ -133,7 +129,7 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   const std::vector<monitor::Episode> episodes = fabric.detector().episodes();
   res.episodes = episodes.size();
   res.eval =
-      evaluate(ground_truth(injector.schedule(), ecfg), episodes, ecfg);
+      evaluate(ground_truth(driver.schedule(), ecfg), episodes, ecfg);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < monitor::kAnomalyKindCount; ++k) {
