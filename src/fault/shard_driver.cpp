@@ -28,8 +28,8 @@ void ShardFaultDriver::on_step(double now_s, double /*it_power_w*/,
     stats_.time_under_fault_s += dt_s;
     stats_.node_downtime_s += static_cast<double>(down) * dt_s;
   }
-  // Apply everything due by now: the same fixed quantization as the legacy
-  // injector, so both engines see each event on the same step boundary.
+  // Apply everything due by now. Events land at the first step boundary at or
+  // after their timestamp — a fixed quantization, identical in every replay.
   while (cursor_ < schedule_.events.size() &&
          schedule_.events[cursor_].at_s <= now_s + 1e-12) {
     apply(schedule_.events[cursor_]);
@@ -96,6 +96,23 @@ std::string ShardFaultDriver::replay_trace() const {
   for (const std::string& line : log_) {
     out += line;
     out += '\n';
+  }
+  // Registry counters: only the simulation-side prefixes. exec.* (tasks,
+  // steals, retries) legitimately differ across thread counts; the simulated
+  // plant must not.
+  const auto counters = telemetry::Registry::global().counters();
+  for (const auto& [name, c] : counters) {
+    if (name.rfind("rtrm.", 0) != 0 && name.rfind("fault.", 0) != 0 &&
+        name.rfind("power.", 0) != 0)
+      continue;
+    // A zero counter only tells us the instrument object exists, which
+    // depends on what else ran in this process before the replay — skip so
+    // the trace reflects the run alone.
+    if (c->value() == 0) continue;
+    char line[160];
+    std::snprintf(line, sizeof(line), "counter %s=%llu\n", name.c_str(),
+                  static_cast<unsigned long long>(c->value()));
+    out += line;
   }
   const rtrm::ClusterTelemetry& t = cluster_.telemetry();
   char line[256];

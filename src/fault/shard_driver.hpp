@@ -1,11 +1,16 @@
-// Fault replay against the SoA engine (rtrm::ShardedCluster).
+// antarex::fault — the fault driver.
 //
-// ShardFaultDriver is the FaultInjector's exact counterpart for the sharded
-// plant: the same step-boundary quantization (events land at the first step
-// whose time is >= at_s - 1e-12), the same per-event log lines, and the same
-// stats — so a (seed, schedule) pair applied to a legacy Cluster and to a
-// ShardedCluster produces the same plant trajectory and the same replay log,
-// which is exactly what the legacy-recorded differential fixtures pin.
+// A ShardFaultDriver binds a FaultSchedule to a live rtrm::ShardedCluster: it
+// attaches itself as a step observer and, after every simulation step,
+// applies all scheduled events whose timestamp has been reached. Events carry
+// virtual timestamps, injection is driven purely by the schedule and the
+// cluster's logical clock, and the dispatcher's lifecycle hook is folded into
+// the same log — so a (seed, schedule) pair replays bit-identically, across
+// shard counts and exec thread counts alike (see replay_trace()).
+//
+// Every injection is also emitted as telemetry (fault.* counters and the
+// fault.inject span), so obs attribution and the HTML report can show
+// time-under-fault alongside energy.
 #pragma once
 
 #include <cstddef>
@@ -29,11 +34,12 @@ class ShardFaultDriver {
   std::size_t applied() const { return cursor_; }
   const std::vector<std::string>& log() const { return log_; }
 
-  /// Replay log + final cluster scalars at full precision. Unlike
-  /// FaultInjector::replay_trace this omits the global telemetry counters:
-  /// the SoA engine batches RAPL accounting (no per-accumulate power.*
-  /// counter traffic), so registry counts are not comparable across engines —
-  /// the differential tests compare plant state instead.
+  /// Canonical trace of a completed faulted run: the schedule, the replay
+  /// log, the nonzero rtrm./fault./power. counters of the global telemetry
+  /// registry (sorted by name; exec.* counters are excluded — they
+  /// legitimately vary with thread count), and the cluster's final scalars,
+  /// all at full precision. Two runs are replays of each other iff these
+  /// strings are byte-identical.
   std::string replay_trace() const;
 
  private:

@@ -1,12 +1,12 @@
 // Shared property-based invariant suite for antarex::fault.
 //
-// Each seed builds a randomized small cluster + fault environment, runs it
-// through a faulted window plus a drain phase, and checks the three core
-// resilience invariants:
+// Each seed builds a randomized small rtrm::ShardedCluster + fault
+// environment, runs it through a faulted window plus a drain phase, and
+// checks the three core resilience invariants:
 //   1. No lost jobs — every submitted job ends Done or Failed.
 //   2. Energy conservation — the cluster's integrated IT energy equals the
-//      sum of the per-node RAPL counters (glitches corrupt readings, never
-//      the ground truth).
+//      sum of the per-node energies (glitches corrupt readings, never the
+//      ground truth).
 //   3. Monotone virtual time — step observers and applied fault events see
 //      strictly/weakly increasing timestamps.
 //
@@ -46,15 +46,13 @@ inline ScenarioResult run_fault_scenario(u64 seed) {
   cfg.backfill = rng.bernoulli(0.5);
   cfg.placement = rng.bernoulli(0.5) ? rtrm::PlacementPolicy::FirstFit
                                      : rtrm::PlacementPolicy::FastestFirst;
-  rtrm::Cluster cluster(cfg);
+  rtrm::ShardedClusterConfig scfg;
+  scfg.base = cfg;
+  rtrm::ShardedCluster cluster(scfg);
 
   const std::size_t n_nodes = 2 + rng.index(3);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < n_nodes; ++i) cluster.add_node(40.0, {{cpu, {}}});
 
   const std::size_t n_jobs = 6 + rng.index(8);
   for (std::size_t j = 0; j < n_jobs; ++j) {
@@ -86,7 +84,7 @@ inline ScenarioResult run_fault_scenario(u64 seed) {
   model.slowdown_factor = 2.0;
   model.slowdown_duration_s = 10.0;
 
-  FaultInjector injector(
+  ShardFaultDriver driver(
       cluster, generate_schedule(model, n_nodes, 1, horizon_s, seed));
 
   ScenarioResult res;
@@ -106,15 +104,15 @@ inline ScenarioResult run_fault_scenario(u64 seed) {
   res.completed = cluster.dispatcher().completed();
   res.failed = cluster.dispatcher().failed();
   res.it_energy_j = cluster.telemetry().it_energy_j;
-  for (const auto& node : cluster.nodes()) res.rapl_sum_j += node.rapl().total_j();
+  for (std::size_t i = 0; i < n_nodes; ++i) res.rapl_sum_j += cluster.node_energy_j(i);
 
   double last_event_s = 0.0;
-  for (std::size_t i = 0; i < injector.applied(); ++i) {
-    const double t = injector.schedule().events[i].at_s;
+  for (std::size_t i = 0; i < driver.applied(); ++i) {
+    const double t = driver.schedule().events[i].at_s;
     if (t < last_event_s) res.monotone_events = false;
     last_event_s = t;
   }
-  res.trace = injector.replay_trace();
+  res.trace = driver.replay_trace();
   return res;
 }
 

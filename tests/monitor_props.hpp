@@ -1,7 +1,7 @@
 // Shared property-based invariant suite for antarex::monitor.
 //
-// Each seed builds a randomized monitored cluster (8-24 nodes over 2-8
-// shards) under a randomized glitch/throttle/slowdown fault environment,
+// Each seed builds a randomized monitored rtrm::ShardedCluster (8-24 nodes
+// over 2-8 topic shards) under a randomized glitch/throttle/slowdown fault environment,
 // runs it for a faulted window, and checks the monitoring invariants:
 //   1. Frame accounting — every published frame is either delivered or
 //      counted as dropped, and the aggregator saw exactly the delivered ones.
@@ -64,13 +64,9 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
   res.n_nodes = 8 + rng.index(17);          // 8..24
   res.shards = static_cast<u16>(2 + rng.index(7));  // 2..8
 
-  rtrm::Cluster cluster;
-  for (std::size_t i = 0; i < res.n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  rtrm::ShardedCluster cluster;
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < res.n_nodes; ++i) cluster.add_node(40.0, {{cpu, {}}});
   // One long-running job per node, all ranks of the same application: the
   // shard-level baselines assume partition-homogeneous work (heterogeneous
   // jobs inflate the MAD until per-node deviations drown — by design, that
@@ -110,7 +106,7 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
 
   EvalConfig ecfg;
   ecfg.horizon_s = horizon_s;
-  fault::FaultInjector injector(
+  fault::ShardFaultDriver driver(
       cluster, strip_warmup_faults(
                    fault::generate_schedule(model,
                                             static_cast<u32>(res.n_nodes), 1,
@@ -130,7 +126,7 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
   res.episodes = fabric.detector().episodes();
 
-  res.eval = evaluate(ground_truth(injector.schedule(), ecfg), res.episodes,
+  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), res.episodes,
                       ecfg);
 
   res.digest = fabric.health_json();

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "causal/slo.hpp"
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
-#include "fault/shard_driver.hpp"
 #include "govern/sharded_cap.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/policy.hpp"
@@ -476,18 +476,15 @@ WorkloadModel cpu_work() {
   return w;
 }
 
-rtrm::Cluster make_cluster(std::size_t nodes) {
-  rtrm::Cluster c;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    rtrm::Node n("n" + std::to_string(i), 40.0);
-    n.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                              DeviceSpec::xeon_haswell()));
-    c.add_node(std::move(n));
-  }
+/// `nodes` single-Xeon nodes (40 W base) on the sharded plant.
+std::unique_ptr<rtrm::ShardedCluster> make_cluster(std::size_t nodes) {
+  auto c = std::make_unique<rtrm::ShardedCluster>(rtrm::ShardedClusterConfig{});
+  const u32 cpu = c->add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < nodes; ++i) c->add_node(40.0, {{cpu, {}}});
   return c;
 }
 
-void submit_long_jobs(rtrm::Cluster& c, std::size_t jobs) {
+void submit_long_jobs(rtrm::ShardedCluster& c, std::size_t jobs) {
   for (std::size_t j = 1; j <= jobs; ++j) {
     rtrm::Job job;
     job.id = j;
@@ -513,22 +510,22 @@ fault::FaultSchedule faulted_schedule(double horizon_s) {
 
 std::string run_monitored(int threads, double horizon_s,
                           std::string* health_out) {
-  rtrm::Cluster cluster = make_cluster(8);
-  submit_long_jobs(cluster, 8);
+  auto cluster = make_cluster(8);
+  submit_long_jobs(*cluster, 8);
 
   FabricConfig cfg;
   cfg.shards = 4;
   MonitorFabric fabric(cfg);
-  fabric.attach(cluster);
-  fault::FaultInjector injector(cluster, faulted_schedule(horizon_s));
+  fabric.attach(*cluster);
+  fault::ShardFaultDriver driver(*cluster, faulted_schedule(horizon_s));
 
   exec::ThreadPool pool(threads);
-  cluster.set_pool(&pool);
-  cluster.run_for(horizon_s, 0.25);
+  cluster->set_pool(&pool);
+  cluster->run_for(horizon_s, 0.25);
 
   EvalConfig ecfg;
   ecfg.horizon_s = horizon_s;
-  const auto gt = ground_truth(injector.schedule(), ecfg);
+  const auto gt = ground_truth(driver.schedule(), ecfg);
   const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
   std::string digest;
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k)
@@ -541,15 +538,15 @@ std::string run_monitored(int threads, double horizon_s,
 }
 
 TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
-  rtrm::Cluster cluster = make_cluster(8);
-  submit_long_jobs(cluster, 8);
+  auto cluster = make_cluster(8);
+  submit_long_jobs(*cluster, 8);
 
   FabricConfig cfg;
   cfg.shards = 4;
   MonitorFabric fabric(cfg);
-  fabric.attach(cluster);
-  fault::FaultInjector injector(cluster, faulted_schedule(60.0));
-  cluster.run_for(60.0, 0.25);
+  fabric.attach(*cluster);
+  fault::ShardFaultDriver driver(*cluster, faulted_schedule(60.0));
+  cluster->run_for(60.0, 0.25);
 
   // One frame per alive node per 1 s sampling sweep, zero drops.
   EXPECT_GE(fabric.samples(), 58u);
@@ -559,7 +556,7 @@ TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
 
   EvalConfig ecfg;
   ecfg.horizon_s = 60.0;
-  const auto gt = ground_truth(injector.schedule(), ecfg);
+  const auto gt = ground_truth(driver.schedule(), ecfg);
   const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
 
   // The injected throttle and slowdown are found, with nothing spurious.
@@ -599,17 +596,17 @@ TEST(Fabric, ByteIdenticalAcrossExecThreadCounts) {
 }
 
 TEST(Fabric, DownedNodesStopPublishing) {
-  rtrm::Cluster cluster = make_cluster(4);
-  submit_long_jobs(cluster, 4);
+  auto cluster = make_cluster(4);
+  submit_long_jobs(*cluster, 4);
   MonitorFabric fabric;
-  fabric.attach(cluster);
+  fabric.attach(*cluster);
 
   fault::FaultSchedule s;
   s.horizon_s = 30.0;
   s.events = {event(10.0, fault::FaultKind::NodeCrash, 0),
               event(20.0, fault::FaultKind::NodeRepair, 0)};
-  fault::FaultInjector injector(cluster, s);
-  cluster.run_for(30.0, 0.25);
+  fault::ShardFaultDriver driver(*cluster, s);
+  cluster->run_for(30.0, 0.25);
 
   // Node 0 was silent for ~10 of ~29 sampling sweeps.
   EXPECT_LT(fabric.broker().published(), 4 * fabric.samples());
@@ -641,8 +638,7 @@ rtrm::ClusterBlueprint twelve_node_blueprint() {
   return bp;
 }
 
-template <typename ClusterLike>
-void submit_blueprint_jobs(ClusterLike& cluster) {
+void submit_blueprint_jobs(rtrm::ShardedCluster& cluster) {
   for (u64 j = 1; j <= 12; ++j) {
     rtrm::Job job;
     job.id = j;
@@ -670,23 +666,25 @@ std::string sharded_blueprint_digest(const FabricConfig& cfg) {
   return fabric_digest(fabric);
 }
 
-// The two attach paths sample different engines through different
-// accessors; over one blueprint and one fault schedule they must publish the
-// same frames, so everything downstream of the broker agrees byte for byte.
-TEST(Fabric, LegacyAndShardedAttachAgree) {
+std::string read_golden(const std::string& name) {
+  const std::string path = std::string(ANTAREX_GOLDEN_DIR) + "/" + name;
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+// tests/golden/monitor_attach.txt is the fabric_digest the per-object plant
+// this repo used to carry published over the same blueprint and schedule,
+// through its own attach path and accessors: the sharded attach must
+// publish the same frames, so everything downstream of the broker agrees
+// byte for byte.
+TEST(Fabric, ShardedAttachMatchesPerObjectFixture) {
+  const std::string fixture = read_golden("monitor_attach.txt");
+  ASSERT_FALSE(fixture.empty()) << "missing fixture monitor_attach.txt";
   FabricConfig cfg;
   cfg.shards = 4;
-
-  rtrm::Cluster legacy;
-  twelve_node_blueprint().build(legacy);
-  submit_blueprint_jobs(legacy);
-  MonitorFabric legacy_fabric(cfg);
-  legacy_fabric.attach(legacy);
-  fault::FaultInjector injector(legacy, faulted_schedule(kBlueprintHorizonS));
-  legacy.run_for(kBlueprintHorizonS, 0.25);
-
-  EXPECT_FALSE(legacy_fabric.detector().episodes().empty());
-  EXPECT_EQ(fabric_digest(legacy_fabric), sharded_blueprint_digest(cfg));
+  EXPECT_EQ(sharded_blueprint_digest(cfg), fixture);
 }
 
 // --------------------------------------------------------------------------
@@ -738,13 +736,9 @@ std::string monitor_golden() {
 }
 
 TEST(MonitorGolden, HealthAndQuantilesMatchFixture) {
-  const std::string path =
-      std::string(ANTAREX_GOLDEN_DIR) + "/monitor_health.txt";
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream fixture;
-  fixture << in.rdbuf();
-  ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
-  EXPECT_EQ(monitor_golden(), fixture.str());
+  const std::string fixture = read_golden("monitor_health.txt");
+  ASSERT_FALSE(fixture.empty()) << "missing fixture monitor_health.txt";
+  EXPECT_EQ(monitor_golden(), fixture);
 }
 
 // --------------------------------------------------------------------------
@@ -974,13 +968,9 @@ std::string alert_golden() {
 }
 
 TEST(AlertGolden, TransitionsMatchFixture) {
-  const std::string path =
-      std::string(ANTAREX_GOLDEN_DIR) + "/alert_transitions.txt";
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream fixture;
-  fixture << in.rdbuf();
-  ASSERT_FALSE(fixture.str().empty()) << "missing fixture " << path;
-  EXPECT_EQ(alert_golden(), fixture.str());
+  const std::string fixture = read_golden("alert_transitions.txt");
+  ASSERT_FALSE(fixture.empty()) << "missing fixture alert_transitions.txt";
+  EXPECT_EQ(alert_golden(), fixture);
 }
 
 // --------------------------------------------------------------------------

@@ -1,15 +1,10 @@
-// Tests for the runtime resource & power manager: device execution, node
-// aggregation, the thermal guard and job dispatch on the legacy objects;
-// governors, the node power controller, the facility cap and whole-cluster
-// control on rtrm::ShardedCluster; and the legacy rtrm::Cluster's end-to-end
-// runs and the capabilities it rejects.
+// Tests for the runtime resource & power manager on rtrm::ShardedCluster:
+// device execution, node aggregation, governors, the node power controller,
+// the facility cap, the thermal guard, job dispatch and whole-cluster runs.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "rtrm/cluster.hpp"
-#include "rtrm/controllers.hpp"
-#include "rtrm/dispatcher.hpp"
 #include "rtrm/sharded_cluster.hpp"
 
 namespace antarex::rtrm {
@@ -18,10 +13,6 @@ namespace {
 using power::DeviceSpec;
 using power::DeviceType;
 using power::WorkloadModel;
-
-Device make_cpu(const std::string& name = "cpu0") {
-  return Device(name, DeviceSpec::xeon_haswell());
-}
 
 WorkloadModel simple_work(double gcycles = 10.0, double mem_s = 0.0) {
   WorkloadModel w;
@@ -49,6 +40,35 @@ std::unique_ptr<ShardedCluster> cpu_cluster(ClusterConfig base,
   return cluster;
 }
 
+/// A single-shard, single-node ShardedCluster with one device per spec in
+/// `specs`, in order.
+std::unique_ptr<ShardedCluster> node_cluster(ClusterConfig base,
+                                             const std::vector<DeviceSpec>& specs,
+                                             double base_w = 60.0) {
+  ShardedClusterConfig cfg;
+  cfg.base = base;
+  cfg.shards = 1;
+  auto cluster = std::make_unique<ShardedCluster>(cfg);
+  std::vector<std::pair<u32, power::Variability>> devices;
+  for (const DeviceSpec& spec : specs)
+    devices.emplace_back(cluster->add_spec(spec), power::Variability{});
+  cluster->add_node(base_w, devices);
+  return cluster;
+}
+
+/// Run until the dispatcher has completed `jobs` jobs, in steps of `dt_s`;
+/// returns the virtual time that took.
+double run_until_completed(ShardedCluster& c, std::size_t jobs, double dt_s,
+                           double max_s = 1000.0) {
+  const double t0 = c.now_s();
+  while (c.dispatcher().completed() < jobs) {
+    c.run_for(dt_s, dt_s);
+    EXPECT_LT(c.now_s() - t0, max_s);
+    if (c.now_s() - t0 >= max_s) break;
+  }
+  return c.now_s() - t0;
+}
+
 /// A CPU-only job of `units` work units of `w`.
 Job cpu_job(u64 id, double units, const WorkloadModel& w) {
   Job j;
@@ -63,77 +83,75 @@ Job cpu_job(u64 id, double units, const WorkloadModel& w) {
 // Device
 // --------------------------------------------------------------------------
 
+ClusterConfig performance() {
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::Performance;
+  return cfg;
+}
+
 TEST(Device, BootsAtHighestPState) {
-  Device d = make_cpu();
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  auto c = cpu_cluster({});
+  EXPECT_EQ(c->device_op_index(0, 0), c->device_spec(0, 0).dvfs.size() - 1);
 }
 
 TEST(Device, CompletesWorkInPredictedTime) {
-  Device d = make_cpu();
+  ClusterConfig cfg = performance();
+  cfg.ambient_c = 22.0;
+  auto c = cpu_cluster(cfg);
   const WorkloadModel w = simple_work();
-  const double unit_time = w.execution_time_s(d.op());
-  d.assign(w, 4.0, 1);
-
-  double elapsed = 0.0;
-  std::optional<u64> done;
-  while (!done) {
-    done = d.step(0.05, 22.0);
-    elapsed += 0.05;
-    ASSERT_LT(elapsed, 100.0);
-  }
-  EXPECT_EQ(*done, 1u);
+  const double unit_time = w.execution_time_s(c->device_spec(0, 0).dvfs.highest());
+  c->submit(cpu_job(1, 4.0, w));
+  const double elapsed = run_until_completed(*c, 1, 0.05, 100.0);
+  EXPECT_EQ(c->dispatcher().completed_jobs()[0].id, 1u);
   EXPECT_NEAR(elapsed, 4.0 * unit_time, 0.06);
-  EXPECT_FALSE(d.busy());
-  EXPECT_EQ(d.completed_jobs(), 1u);
+  EXPECT_FALSE(c->device_busy(0, 0));
+  EXPECT_EQ(c->device_completed_jobs(0, 0), 1u);
 }
 
 TEST(Device, LowerFrequencyRunsLonger) {
-  Device fast = make_cpu("fast");
-  Device slow = make_cpu("slow");
-  slow.set_op_index(0);
-  const WorkloadModel w = simple_work();
-  fast.assign(w, 1.0, 1);
-  slow.assign(w, 1.0, 2);
-  double t_fast = 0.0, t_slow = 0.0;
-  while (!fast.step(0.01, 22.0)) t_fast += 0.01;
-  while (!slow.step(0.01, 22.0)) t_slow += 0.01;
-  EXPECT_GT(t_slow, 2.0 * t_fast);
+  auto time_one_unit = [](GovernorPolicy g) {
+    ClusterConfig cfg;
+    cfg.governor = g;
+    auto c = cpu_cluster(cfg);
+    c->submit(cpu_job(1, 1.0, simple_work()));
+    return run_until_completed(*c, 1, 0.01);
+  };
+  EXPECT_GT(time_one_unit(GovernorPolicy::Powersave),
+            2.0 * time_one_unit(GovernorPolicy::Performance));
 }
 
 TEST(Device, AccumulatesEnergyAndHeatsUp) {
-  Device d = make_cpu();
-  d.assign(simple_work(200.0), 20.0, 1);  // ~93 s of work at the top P-state
-  const double t0 = d.temperature_c();
-  for (int i = 0; i < 100; ++i) d.step(0.5, 22.0);
-  EXPECT_TRUE(d.busy());  // still crunching after 50 s
-  EXPECT_GT(d.rapl().total_j(), 0.0);
-  EXPECT_GT(d.temperature_c(), t0 + 10.0);
+  ClusterConfig cfg = performance();
+  cfg.ambient_c = 22.0;
+  auto c = cpu_cluster(cfg);
+  const double t0 = c->device_temperature_c(0, 0);
+  c->submit(cpu_job(1, 20.0, simple_work(200.0)));  // ~93 s at the top P-state
+  c->run_for(50.0, 0.5);
+  EXPECT_TRUE(c->device_busy(0, 0));  // still crunching after 50 s
+  EXPECT_GT(c->device_energy_j(0, 0), 0.0);
+  EXPECT_GT(c->device_temperature_c(0, 0), t0 + 10.0);
 }
 
 TEST(Device, CoolsBackDownWhenIdle) {
-  Device d = make_cpu();
-  d.assign(simple_work(200.0), 1.0, 1);
-  for (int i = 0; i < 40; ++i) d.step(0.5, 22.0);  // finishes in ~4.6 s
-  EXPECT_FALSE(d.busy());
-  const double hot = d.temperature_c();
-  for (int i = 0; i < 200; ++i) d.step(0.5, 22.0);
-  EXPECT_LT(d.temperature_c(), hot);
+  ClusterConfig cfg = performance();
+  cfg.ambient_c = 22.0;
+  auto c = cpu_cluster(cfg);
+  c->submit(cpu_job(1, 1.0, simple_work(200.0)));
+  c->run_for(20.0, 0.5);  // finishes in ~4.6 s
+  EXPECT_FALSE(c->device_busy(0, 0));
+  const double hot = c->device_temperature_c(0, 0);
+  c->run_for(100.0, 0.5);
+  EXPECT_LT(c->device_temperature_c(0, 0), hot);
 }
 
 TEST(Device, IdleDrawsLittlePower) {
-  Device d = make_cpu();
-  d.step(1.0, 22.0);
-  const double idle_j = d.rapl().total_j();
-  Device busy = make_cpu("busy");
-  busy.assign(simple_work(1000.0), 1.0, 1);
-  busy.step(1.0, 22.0);
-  EXPECT_LT(idle_j, 0.35 * busy.rapl().total_j());
-}
-
-TEST(Device, RejectsDoubleAssign) {
-  Device d = make_cpu();
-  d.assign(simple_work(1000.0), 1.0, 1);
-  EXPECT_THROW(d.assign(simple_work(), 1.0, 2), Error);
+  // Both at the top P-state: the gap is activity, not frequency.
+  auto idle = cpu_cluster(performance());
+  idle->run_for(1.0, 1.0);
+  auto busy = cpu_cluster(performance());
+  busy->submit(cpu_job(1, 1.0, simple_work(1000.0)));
+  busy->run_for(1.0, 1.0);
+  EXPECT_LT(idle->device_energy_j(0, 0), 0.35 * busy->device_energy_j(0, 0));
 }
 
 // --------------------------------------------------------------------------
@@ -211,23 +229,26 @@ TEST(Governor, EnergyAwareBeatsOndemandOnEnergyToSolution) {
 // --------------------------------------------------------------------------
 
 TEST(Node, AggregatesPowerAndEnergy) {
-  Node n("n0", 50.0);
-  n.add_device(make_cpu("c0"));
-  n.add_device(make_cpu("c1"));
-  const double p = n.power_w();
+  ClusterConfig cfg = performance();
+  cfg.ambient_c = 22.0;
+  auto c = cpu_cluster(cfg, 1, 2, 50.0);
+  c->run_for(0.5, 0.5);
+  const double p = c->node_power_w(0);
   EXPECT_GT(p, 50.0);  // base + idle devices
-  n.step(2.0, 22.0);
-  EXPECT_NEAR(n.rapl().total_j(), p * 2.0, p * 0.2);  // temps drift slightly
+  EXPECT_DOUBLE_EQ(p, 50.0 + c->device_power_w(0) + c->device_power_w(1));
+  c->run_for(2.0, 0.5);
+  const double e = c->node_energy_j(0);
+  EXPECT_NEAR(e, p * 2.5, p * 0.2);  // temps drift slightly
+  EXPECT_GT(e, c->device_energy_j(0, 0) + c->device_energy_j(0, 1));
 }
 
 TEST(Node, ReportsCompletions) {
-  Node n("n0");
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1.0), 1.0, 42);
-  std::vector<u64> done;
-  for (int i = 0; i < 200 && done.empty(); ++i) done = n.step(0.05, 22.0);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0], 42u);
+  auto c = cpu_cluster({});
+  c->submit(cpu_job(42, 1.0, simple_work(1.0)));
+  run_until_completed(*c, 1, 0.05, 10.0);
+  ASSERT_EQ(c->dispatcher().completed(), 1u);
+  EXPECT_EQ(c->dispatcher().completed_jobs()[0].id, 42u);
+  EXPECT_EQ(c->device_completed_jobs(0, 0), 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -311,16 +332,16 @@ TEST(FacilityCap, RespectsFacilityBudget) {
 }
 
 TEST(ThermalGuard, ThrottlesHotDevice) {
-  Device d = make_cpu();
-  d.assign(simple_work(1e6), 1.0, 1);
-  ThermalGuard guard(60.0, 5.0);  // artificially low limit
-  // Heat up at full tilt.
-  for (int i = 0; i < 400; ++i) {
-    d.step(0.5, 35.0);
-    guard.step(d);
-  }
-  EXPECT_GT(guard.throttle_events(), 0u);
-  EXPECT_LT(d.temperature_c(), 60.0 + 8.0);  // held near the limit
+  // An artificially low critical temperature: the guard must lower the
+  // device's ceiling below the top P-state and hold it near the limit.
+  ClusterConfig cfg = performance();
+  cfg.t_crit_c = 60.0;
+  cfg.ambient_c = 35.0;
+  auto c = cpu_cluster(cfg);
+  c->submit(cpu_job(1, 1.0, simple_work(1e6)));
+  c->run_for(200.0, 0.5);
+  EXPECT_LT(c->device_op_index(0, 0), c->device_spec(0, 0).dvfs.size() - 1);
+  EXPECT_LT(c->device_temperature_c(0, 0), 60.0 + 8.0);
 }
 
 // --------------------------------------------------------------------------
@@ -340,141 +361,106 @@ Job make_job(u64 id, double units = 1.0) {
   return j;
 }
 
-TEST(Dispatcher, PlacesFcfsOnFreeDevices) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(make_cpu("c1"));
-  nodes.push_back(std::move(n));
+Job gpu_only(u64 id, double units = 1.0) {
+  Job j = make_job(id, units);
+  j.profiles.erase(DeviceType::Cpu);
+  return j;
+}
 
-  Dispatcher disp(PlacementPolicy::FirstFit);
-  disp.submit(make_job(1));
-  disp.submit(make_job(2));
-  disp.submit(make_job(3));
-  disp.place(nodes, 0.0);
-  EXPECT_EQ(disp.running(), 2u);
-  EXPECT_EQ(disp.queued(), 1u);
+Job cpu_only(u64 id, double units = 1.0) {
+  Job j = make_job(id, units);
+  j.profiles.erase(DeviceType::Gpu);
+  return j;
+}
+
+TEST(Dispatcher, PlacesFcfsOnFreeDevices) {
+  auto c = cpu_cluster({}, 1, 2);
+  for (u64 id = 1; id <= 3; ++id) c->submit(make_job(id, 100.0));
+  c->run_for(0.25, 0.25);
+  EXPECT_EQ(c->dispatcher().running(), 2u);
+  EXPECT_EQ(c->dispatcher().queued(), 1u);
+  // Queue order decides who waits.
+  EXPECT_EQ(c->dispatcher().device_of(1), 0u);
+  EXPECT_EQ(c->dispatcher().device_of(2), 1u);
+  EXPECT_EQ(c->dispatcher().device_of(3), ShardedDispatcher::kInvalidDevice);
 }
 
 TEST(Dispatcher, FastestFirstPrefersAccelerator) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(Device("g0", DeviceSpec::gpgpu()));
-  nodes.push_back(std::move(n));
-
-  Dispatcher disp(PlacementPolicy::FastestFirst);
-  disp.submit(make_job(1));
-  disp.place(nodes, 0.0);
-  ASSERT_EQ(disp.running(), 1u);
-  EXPECT_TRUE(nodes[0].device(1).busy());
-  EXPECT_FALSE(nodes[0].device(0).busy());
+  ClusterConfig cfg;
+  cfg.placement = PlacementPolicy::FastestFirst;
+  auto c = node_cluster(cfg, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
+  c->submit(make_job(1, 1e6));
+  c->run_for(0.25, 0.25);
+  ASSERT_EQ(c->dispatcher().running(), 1u);
+  EXPECT_TRUE(c->device_busy(0, 1));
+  EXPECT_FALSE(c->device_busy(0, 0));
 }
 
 TEST(Dispatcher, RespectsDeviceCompatibility) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(Device("m0", DeviceSpec::xeon_phi()));
-  nodes.push_back(std::move(n));
-
-  Dispatcher disp;
-  disp.submit(make_job(1));  // job runs on Cpu/Gpu only
-  disp.place(nodes, 0.0);
-  EXPECT_EQ(disp.running(), 0u);
-  EXPECT_EQ(disp.queued(), 1u);
+  auto c = node_cluster({}, {DeviceSpec::xeon_phi()});
+  c->submit(make_job(1));  // job runs on Cpu/Gpu only
+  c->run_for(0.25, 0.25);
+  EXPECT_EQ(c->dispatcher().running(), 0u);
+  EXPECT_EQ(c->dispatcher().queued(), 1u);
 }
 
 TEST(Dispatcher, BackfillLetsCompatibleJobsJumpTheQueue) {
   // Head needs a GPU (busy); CPU-only jobs behind it must backfill onto the
   // free CPU instead of waiting (EASY: they cannot delay the head, which is
   // reserved on the GPU).
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(Device("g0", DeviceSpec::gpgpu()));
-  nodes.push_back(std::move(n));
-
-  // Occupy the GPU.
-  {
-    Job warm = make_job(100);
-    warm.profiles.erase(DeviceType::Cpu);
-    Dispatcher seed(PlacementPolicy::FirstFit);
-    // Assign directly to the GPU to set up the scenario.
-    nodes[0].device(1).assign(warm.profile(DeviceType::Gpu), 5.0, 100);
-  }
-
-  auto gpu_only_job = [](u64 id) {
-    Job j = make_job(id);
-    j.profiles.erase(DeviceType::Cpu);
-    return j;
-  };
-  auto cpu_only_job = [](u64 id) {
-    Job j = make_job(id);
-    j.profiles.erase(DeviceType::Gpu);
-    return j;
+  auto blocked_head = [](bool backfill) {
+    ClusterConfig cfg;
+    cfg.backfill = backfill;
+    auto c =
+        node_cluster(cfg, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
+    c->submit(gpu_only(100, 1e6));  // occupies the GPU
+    c->run_for(0.25, 0.25);
+    EXPECT_TRUE(c->device_busy(0, 1));
+    c->submit(gpu_only(1));
+    c->submit(cpu_only(2, 100.0));
+    c->run_for(0.25, 0.25);
+    return c;
   };
 
   // FCFS: everything waits behind the GPU head.
-  Dispatcher fcfs(PlacementPolicy::FirstFit, false);
-  fcfs.submit(gpu_only_job(1));
-  fcfs.submit(cpu_only_job(2));
-  fcfs.place(nodes, 0.0);
-  EXPECT_EQ(fcfs.running(), 0u);
-  EXPECT_EQ(fcfs.queued(), 2u);
+  const auto fcfs = blocked_head(false);
+  EXPECT_EQ(fcfs->dispatcher().running(), 1u);
+  EXPECT_EQ(fcfs->dispatcher().queued(), 2u);
+  EXPECT_FALSE(fcfs->device_busy(0, 0));
 
   // Backfill: the CPU job runs now.
-  Dispatcher easy(PlacementPolicy::FirstFit, true);
-  easy.submit(gpu_only_job(3));
-  easy.submit(cpu_only_job(4));
-  easy.place(nodes, 0.0);
-  EXPECT_EQ(easy.running(), 1u);
-  EXPECT_EQ(easy.queued(), 1u);
-  EXPECT_EQ(easy.backfilled_jobs(), 1u);
-  EXPECT_TRUE(nodes[0].device(0).busy());
+  const auto easy = blocked_head(true);
+  EXPECT_EQ(easy->dispatcher().running(), 2u);
+  EXPECT_EQ(easy->dispatcher().queued(), 1u);
+  EXPECT_EQ(easy->dispatcher().backfilled_jobs(), 1u);
+  EXPECT_TRUE(easy->device_busy(0, 0));
 }
 
 TEST(Dispatcher, BackfillPreservesHeadPriority) {
   // When the head CAN start, backfill must not reorder anything.
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  nodes.push_back(std::move(n));
-  Dispatcher easy(PlacementPolicy::FirstFit, true);
-  Job a = make_job(1);
-  a.profiles.erase(DeviceType::Gpu);
-  Job b = make_job(2);
-  b.profiles.erase(DeviceType::Gpu);
-  easy.submit(std::move(a));
-  easy.submit(std::move(b));
-  easy.place(nodes, 0.0);
-  ASSERT_EQ(easy.running(), 1u);
-  EXPECT_EQ(easy.backfilled_jobs(), 0u);
-  EXPECT_EQ(nodes[0].device(0).running_job(), std::optional<u64>(1));
+  ClusterConfig cfg;
+  cfg.backfill = true;
+  auto c = cpu_cluster(cfg);
+  c->submit(cpu_only(1, 100.0));
+  c->submit(cpu_only(2, 100.0));
+  c->run_for(0.25, 0.25);
+  ASSERT_EQ(c->dispatcher().running(), 1u);
+  EXPECT_EQ(c->dispatcher().backfilled_jobs(), 0u);
+  EXPECT_EQ(c->dispatcher().running_jobs()[0].id, 1u);
 }
 
 TEST(Dispatcher, BackfillOnClusterImprovesThroughput) {
   auto run = [](bool backfill) {
     ClusterConfig cfg;
     cfg.backfill = backfill;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(Device("g0", DeviceSpec::gpgpu()));
-    cluster.add_node(std::move(n));
+    auto c =
+        node_cluster(cfg, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
     // Long GPU job, then another GPU job (blocks), then CPU jobs.
-    for (u64 id = 1; id <= 2; ++id) {
-      Job j = make_job(id, 8.0);
-      j.profiles.erase(DeviceType::Cpu);
-      cluster.submit(std::move(j));
-    }
-    for (u64 id = 3; id <= 5; ++id) {
-      Job j = make_job(id, 1.0);
-      j.profiles.erase(DeviceType::Gpu);
-      cluster.submit(std::move(j));
-    }
-    EXPECT_TRUE(cluster.run_until_idle(50000.0, 0.25));
+    for (u64 id = 1; id <= 2; ++id) c->submit(gpu_only(id, 8.0));
+    for (u64 id = 3; id <= 5; ++id) c->submit(cpu_only(id));
+    EXPECT_TRUE(c->run_until_idle(50000.0, 0.25));
     double cpu_jobs_done = 0.0;
-    for (const Job& j : cluster.dispatcher().completed_jobs())
+    for (const Job& j : c->dispatcher().completed_jobs())
       if (j.id >= 3) cpu_jobs_done = std::max(cpu_jobs_done, j.finish_time_s);
     return cpu_jobs_done;
   };
@@ -482,18 +468,17 @@ TEST(Dispatcher, BackfillOnClusterImprovesThroughput) {
 }
 
 TEST(Dispatcher, CompletionMovesJobToDone) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu());
-  nodes.push_back(std::move(n));
-  Dispatcher disp;
-  disp.submit(make_job(7));
-  disp.place(nodes, 0.0);
-  disp.on_finished(7, 3.5);
-  EXPECT_EQ(disp.completed(), 1u);
-  EXPECT_EQ(disp.completed_jobs()[0].state, JobState::Done);
-  EXPECT_DOUBLE_EQ(disp.completed_jobs()[0].finish_time_s, 3.5);
-  EXPECT_THROW(disp.on_finished(7, 4.0), Error);
+  auto c = cpu_cluster({});
+  c->submit(make_job(7));
+  run_until_completed(*c, 1, 0.25, 10.0);
+  ASSERT_EQ(c->dispatcher().completed(), 1u);
+  EXPECT_EQ(c->dispatcher().running(), 0u);
+  const Job& done = c->dispatcher().completed_jobs()[0];
+  EXPECT_EQ(done.id, 7u);
+  EXPECT_EQ(done.state, JobState::Done);
+  EXPECT_GT(done.finish_time_s, done.start_time_s);
+  EXPECT_LE(done.finish_time_s, c->now_s());
+  EXPECT_EQ(c->dispatcher().device_of(7), ShardedDispatcher::kInvalidDevice);
 }
 
 // --------------------------------------------------------------------------
@@ -501,47 +486,22 @@ TEST(Dispatcher, CompletionMovesJobToDone) {
 // --------------------------------------------------------------------------
 
 TEST(Cluster, RunsJobsToCompletion) {
-  ClusterConfig cfg;
-  cfg.governor = GovernorPolicy::Ondemand;
-  Cluster cluster(cfg);
-  Node n("n0");
-  n.add_device(make_cpu());
-  cluster.add_node(std::move(n));
-  for (u64 i = 1; i <= 3; ++i) cluster.submit(make_job(i, 0.5));
-
-  ASSERT_TRUE(cluster.run_until_idle(500.0));
-  EXPECT_EQ(cluster.dispatcher().completed(), 3u);
-  EXPECT_GT(cluster.telemetry().it_energy_j, 0.0);
-  EXPECT_GE(cluster.telemetry().facility_energy_j,
-            cluster.telemetry().it_energy_j);
-}
-
-TEST(Cluster, RejectsCapabilitiesOnlyShardedClusterKeeps) {
-  ClusterConfig governor;
-  governor.governor = GovernorPolicy::EnergyAware;
-  EXPECT_THROW(Cluster{governor}, Error);
-  ClusterConfig placement;
-  placement.placement = PlacementPolicy::EnergyAware;
-  EXPECT_THROW(Cluster{placement}, Error);
-  ClusterConfig cap;
-  cap.facility_cap_w = 500.0;
-  EXPECT_THROW(Cluster{cap}, Error);
-  EXPECT_THROW(Dispatcher(PlacementPolicy::EnergyAware), Error);
+  auto c = cpu_cluster({});
+  for (u64 i = 1; i <= 3; ++i) c->submit(make_job(i, 0.5));
+  ASSERT_TRUE(c->run_until_idle(500.0));
+  EXPECT_EQ(c->dispatcher().completed(), 3u);
+  EXPECT_GT(c->telemetry().it_energy_j, 0.0);
+  EXPECT_GE(c->telemetry().facility_energy_j, c->telemetry().it_energy_j);
 }
 
 TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
   auto run = [](double ambient) {
     ClusterConfig cfg;
     cfg.ambient_c = ambient;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu());
-    cluster.add_node(std::move(n));
-    Job j = make_job(1, 5.0);
-    j.profiles.erase(DeviceType::Gpu);
-    cluster.submit(std::move(j));
-    EXPECT_TRUE(cluster.run_until_idle(4000.0));
-    return cluster.telemetry();
+    auto c = cpu_cluster(cfg);
+    c->submit(cpu_only(1, 5.0));
+    EXPECT_TRUE(c->run_until_idle(4000.0));
+    return c->telemetry();
   };
   const auto winter = run(5.0);
   const auto summer = run(35.0);
