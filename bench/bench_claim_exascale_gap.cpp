@@ -25,7 +25,6 @@
 #include "exec/pool.hpp"
 #include "power/cooling.hpp"
 #include "power/model.hpp"
-#include "rtrm/node.hpp"
 #include "rtrm/sharded_cluster.hpp"
 
 namespace {
@@ -202,12 +201,15 @@ int main(int argc, char** argv) {
       static_cast<double>(fleet.approx_state_bytes()) /
       static_cast<double>(fleet.node_count());
   // What the legacy AoS layout costs per node before any heap spill (Node +
-  // Device objects, names, per-device history vectors) — compile-time sizes.
+  // Device objects, names, per-device history vectors). The two sizes are
+  // sizeof of that plant's Node and Device classes, measured with gcc 12 on
+  // x86-64 before the per-object plant was deleted.
+  constexpr double kLegacyNodeBytes = 136.0;
+  constexpr double kLegacyDeviceBytes = 344.0;
   const double avg_devices =
       static_cast<double>(total_devices) / static_cast<double>(fleet.node_count());
   const double legacy_bytes_per_node =
-      static_cast<double>(sizeof(Node)) +
-      avg_devices * static_cast<double>(sizeof(Device)) + 64.0;
+      kLegacyNodeBytes + avg_devices * kLegacyDeviceBytes + 64.0;
 
   Table fleet_t({"fleet metric", "value"});
   fleet_t.add_row({"nodes", format("%zu", fleet.node_count())});

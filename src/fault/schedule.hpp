@@ -84,7 +84,7 @@ FaultSchedule generate_schedule(const FaultModel& model, std::size_t nodes,
                                 std::size_t devices_per_node, double horizon_s,
                                 u64 seed);
 
-/// What applying a schedule did to a plant (FaultInjector, ShardFaultDriver).
+/// What applying a schedule did to a plant (ShardFaultDriver).
 struct InjectorStats {
   u64 crashes = 0;
   u64 repairs = 0;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "govern/sharded_cap.hpp"
+#include "power/rapl.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -25,24 +26,6 @@ MonitorFabric::MonitorFabric(FabricConfig cfg)
   });
 }
 
-void MonitorFabric::attach(rtrm::Cluster& cluster) {
-  ANTAREX_REQUIRE(!attached_, "MonitorFabric: attach() called twice");
-  attached_ = true;
-
-  dev_base_.clear();
-  std::size_t devices = 0;
-  for (const rtrm::Node& node : cluster.nodes()) {
-    dev_base_.push_back(devices);
-    devices += node.device_count();
-  }
-  prev_uj_.assign(devices, 0);
-
-  cluster.add_step_observer(
-      [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
-        on_step(cluster, now_s);
-      });
-}
-
 void MonitorFabric::attach(rtrm::ShardedCluster& cluster) {
   ANTAREX_REQUIRE(!attached_, "MonitorFabric: attach() called twice");
   attached_ = true;
@@ -57,27 +40,27 @@ void MonitorFabric::attach(rtrm::ShardedCluster& cluster) {
 
   cluster.add_step_observer(
       [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
-        on_step_sharded(cluster, now_s);
+        on_step(cluster, now_s);
       });
 }
 
-void MonitorFabric::prime_sharded(rtrm::ShardedCluster& cluster) {
+void MonitorFabric::prime(rtrm::ShardedCluster& cluster) {
   for (std::size_t i = 0; i < cluster.node_count(); ++i)
     for (std::size_t d = 0; d < cluster.node_device_count(i); ++d)
       prev_uj_[dev_base_[i] + d] = cluster.device_counter_uj(i, d);
 }
 
-void MonitorFabric::on_step_sharded(rtrm::ShardedCluster& cluster,
+void MonitorFabric::on_step(rtrm::ShardedCluster& cluster,
                                     double now_s) {
   if (now_s + 1e-9 < next_sample_s_) return;
   const auto t0 = std::chrono::steady_clock::now();
 
   if (!primed_) {
     // First sweep: record RAPL readings only; a delta needs two of them.
-    prime_sharded(cluster);
+    prime(cluster);
     primed_ = true;
   } else {
-    sample_sharded(cluster, now_s, now_s - last_sample_s_);
+    sample(cluster, now_s, now_s - last_sample_s_);
   }
   last_sample_s_ = now_s;
   while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
@@ -87,7 +70,7 @@ void MonitorFabric::on_step_sharded(rtrm::ShardedCluster& cluster,
           .count();
 }
 
-void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
+void MonitorFabric::sample(rtrm::ShardedCluster& cluster, double now_s,
                                    double elapsed_s) {
   ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
@@ -128,70 +111,6 @@ void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
 void MonitorFabric::add_episode_listener(EpisodeListener fn) {
   ANTAREX_REQUIRE(fn != nullptr, "MonitorFabric: null episode listener");
   listeners_.push_back(std::move(fn));
-}
-
-void MonitorFabric::on_step(rtrm::Cluster& cluster, double now_s) {
-  if (now_s + 1e-9 < next_sample_s_) return;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  if (!primed_) {
-    // First sweep: record RAPL readings only; a delta needs two of them.
-    for (std::size_t i = 0; i < cluster.nodes().size(); ++i) {
-      const rtrm::Node& node = cluster.nodes()[i];
-      for (std::size_t d = 0; d < node.device_count(); ++d)
-        prev_uj_[dev_base_[i] + d] = node.device(d).rapl().counter_uj();
-    }
-    primed_ = true;
-  } else {
-    sample(cluster, now_s, now_s - last_sample_s_);
-  }
-  last_sample_s_ = now_s;
-  while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
-
-  self_s_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-}
-
-void MonitorFabric::sample(rtrm::Cluster& cluster, double now_s,
-                           double elapsed_s) {
-  ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
-  for (std::size_t i = 0; i < cluster.nodes().size(); ++i) {
-    const rtrm::Node& node = cluster.nodes()[i];
-    double energy_j = 0.0;
-    double temp_c = 0.0;
-    double progress = 0.0;
-    u16 busy = 0;
-    for (std::size_t d = 0; d < node.device_count(); ++d) {
-      const rtrm::Device& dev = node.device(d);
-      const u32 cur = dev.rapl().counter_uj();
-      u32& prev = prev_uj_[dev_base_[i] + d];
-      energy_j += power::RaplDomain::delta_j(prev, cur);
-      prev = cur;
-      temp_c = std::max(temp_c, dev.temperature_c());
-      progress += dev.progress_rate_ups();
-      if (dev.busy()) ++busy;
-    }
-    // A downed node's sampler is down with it: readings refreshed (above),
-    // nothing published.
-    if (node.failed()) continue;
-
-    MetricFrame frame;
-    frame.t_s = now_s;
-    frame.node = static_cast<u32>(i);
-    frame.shard = shard_of(i);
-    frame.busy_devices = busy;
-    frame.power_w =
-        static_cast<float>(energy_j / elapsed_s + node.base_power_w());
-    frame.temp_c = static_cast<float>(temp_c);
-    frame.util = node.device_count()
-                     ? static_cast<float>(busy) /
-                           static_cast<float>(node.device_count())
-                     : 0.0f;
-    frame.progress_ups = static_cast<float>(progress);
-    broker_.publish(frame);
-  }
-  deliver();
 }
 
 void MonitorFabric::deliver() {

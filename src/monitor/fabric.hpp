@@ -1,6 +1,6 @@
 // antarex::monitor — the assembled monitoring fabric.
 //
-// MonitorFabric wires the Examon pipeline onto a live rtrm::Cluster:
+// MonitorFabric wires the Examon pipeline onto a live rtrm::ShardedCluster:
 //
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
@@ -13,8 +13,10 @@
 // real out-of-band sampler reads, glitches included), hottest-device
 // temperature, utilization, and the observable progress rate — publishes one
 // MetricFrame per node, drains the broker, and rolls the aggregation step.
-// Everything runs on the simulation thread; results are byte-identical at
-// any exec worker count.
+// Sampling reads the cluster's batched per-device counters (a read catches
+// parked state up without waking it, so monitoring never perturbs the plant
+// or its parking). Everything runs on the simulation thread; results are
+// byte-identical at any exec worker count.
 //
 // Memory split: the Sampler keeps one previous RAPL reading per device (edge
 // state, it lives with the node in the real system); the fabric core —
@@ -33,7 +35,6 @@
 #include "monitor/aggregate.hpp"
 #include "monitor/broker.hpp"
 #include "monitor/detector.hpp"
-#include "rtrm/cluster.hpp"
 
 namespace antarex::govern {
 class ShardedCapCoordinator;
@@ -58,11 +59,6 @@ class MonitorFabric {
 
   /// Install the sampling step observer on `cluster`. The fabric must
   /// outlive the cluster's run. Call once.
-  void attach(rtrm::Cluster& cluster);
-
-  /// Same fabric over the SoA engine: sampling reads the ShardedCluster's
-  /// batched per-device counters (a read catches parked state up without
-  /// waking it, so monitoring never perturbs the plant or its parking).
   void attach(rtrm::ShardedCluster& cluster);
 
   const FabricConfig& config() const { return cfg_; }
@@ -98,12 +94,10 @@ class MonitorFabric {
   std::string health_json() const;
 
  private:
-  void on_step(rtrm::Cluster& cluster, double now_s);
-  void sample(rtrm::Cluster& cluster, double now_s, double elapsed_s);
-  void on_step_sharded(rtrm::ShardedCluster& cluster, double now_s);
-  void sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
-                      double elapsed_s);
-  void prime_sharded(rtrm::ShardedCluster& cluster);
+  void on_step(rtrm::ShardedCluster& cluster, double now_s);
+  void sample(rtrm::ShardedCluster& cluster, double now_s, double elapsed_s);
+  /// Record every device's RAPL reading: a delta needs two of them.
+  void prime(rtrm::ShardedCluster& cluster);
   /// Drain the sweep's frames into the aggregator and detector and close
   /// the aggregation step.
   void deliver();

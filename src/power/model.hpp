@@ -83,7 +83,7 @@ struct WorkloadModel {
 };
 
 /// Energy to run `units` of a workload at a fixed operating point and
-/// temperature (temperature feedback is handled by rtrm::Node; this is the
+/// temperature (temperature feedback is handled by the plant; this is the
 /// building block).
 double energy_j(const PowerModel& pm, const WorkloadModel& w,
                 const OperatingPoint& op, double units, double temp_c);

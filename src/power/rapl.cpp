@@ -19,8 +19,8 @@ void RaplDomain::accumulate(double power_w, double dt_s) {
   TELEMETRY_COUNT("power.energy_uj", static_cast<u64>(joules * 1e6));
 }
 
-u32 RaplDomain::counter_uj() const {
-  const double uj = (total_j_ + reading_offset_j_) * 1e6;
+u32 RaplDomain::wrap_uj(double joules) {
+  const double uj = joules * 1e6;
   // Wraps every 2^32 uJ (~4295 J), as the real 32-bit MSR does. A negative
   // glitched reading folds into the wrap, exactly as MSR arithmetic would.
   const double wrapped = std::fmod(std::fmod(uj, 4294967296.0) + 4294967296.0,
@@ -35,7 +35,6 @@ double RaplDomain::delta_j(u32 before, u32 after) {
 
 void RaplDomain::reset() {
   total_j_ = 0.0;
-  reading_offset_j_ = 0.0;
 }
 
 EnergySample::EnergySample(const RaplDomain& domain)

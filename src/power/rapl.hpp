@@ -22,7 +22,11 @@ class RaplDomain {
 
   /// Raw wrapping counter in micro-joules (32-bit, like MSR_PKG_ENERGY_STATUS
   /// at the default 15.3 uJ unit scaled to 1 uJ for simplicity).
-  u32 counter_uj() const;
+  u32 counter_uj() const { return wrap_uj(total_j_); }
+
+  /// The counter reading for `joules` of integrated energy: the one
+  /// definition of the wrap, shared with the sharded plant's device counters.
+  static u32 wrap_uj(double joules);
 
   /// Wrap-aware difference between two counter reads, in joules.
   static double delta_j(u32 before, u32 after);
@@ -30,22 +34,12 @@ class RaplDomain {
   /// Non-wrapping total (ground truth for tests/benches).
   double total_j() const { return total_j_; }
 
-  /// Transient sensor glitch: offsets counter_uj() readings by `joules`
-  /// until cleared (0 restores honest readings). Ground truth (total_j) is
-  /// untouched — a glitch corrupts what consumers *see*, never the plant's
-  /// energy books, so conservation invariants survive injection. Installed by
-  /// antarex::fault; injectors must also call
-  /// telemetry::mark_samples_poisoned() so measuring consumers can discard.
-  void set_reading_offset_j(double joules) { reading_offset_j_ = joules; }
-  double reading_offset_j() const { return reading_offset_j_; }
-
   const std::string& name() const { return name_; }
   void reset();
 
  private:
   std::string name_;
   double total_j_ = 0.0;
-  double reading_offset_j_ = 0.0;
 };
 
 /// Convenience sampler: read-before / read-after energy measurement, the

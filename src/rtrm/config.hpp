@@ -1,5 +1,4 @@
-// Cluster configuration and telemetry shared by both plant engines
-// (rtrm::ShardedCluster and the legacy per-object rtrm::Cluster).
+// Cluster configuration and telemetry of the plant (rtrm::ShardedCluster).
 #pragma once
 
 #include <optional>

@@ -7,8 +7,8 @@
 
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
+#include "power/rapl.hpp"
 #include "power/thermal.hpp"
-#include "rtrm/cluster.hpp"
 #include "support/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -43,7 +43,7 @@ u32 ShardedDispatcher::device_of(u64 job_id) const {
 u32 ShardedDispatcher::choose_device(const Job& job) const {
   const ShardedCluster& c = *c_;
   // Merge-iterate the compatible types' free sets in ascending global device
-  // index — the exact visit order of the legacy all-nodes scan.
+  // index — the exact visit order of an all-nodes scan.
   struct Cursor {
     std::set<u32>::const_iterator it, end;
     const power::WorkloadModel* w;
@@ -375,7 +375,7 @@ void ShardedCluster::free_erase(u32 d) {
 }
 
 // ---------------------------------------------------------------------------
-// Power evaluation (shared static helpers => bit-identical to the legacy path)
+// Power evaluation (the shared power::PowerModel static helpers)
 // ---------------------------------------------------------------------------
 
 double ShardedCluster::fresh_device_power_w(u32 d) const {
@@ -630,7 +630,7 @@ void ShardedCluster::set_reading_offset_j(std::size_t node, std::size_t dev,
 }
 
 // ---------------------------------------------------------------------------
-// Control loops (the rules the legacy stepper recorded the fixtures with)
+// Control loops (the rules the per-object stepper recorded the fixtures with)
 // ---------------------------------------------------------------------------
 
 void ShardedCluster::governor_step(u32 d, GovernorPolicy policy,
@@ -864,8 +864,8 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
     if (node_failed_[i]) {
       for (u32 d = begin; d < begin + count; ++d) {
         if (dev_parked_[d]) continue;
-        // Device::step_offline: throttle decay + cooling; accumulate(0, dt)
-        // adds exactly 0.0 and is skipped.
+        // An offline device: throttle decay + cooling; its zero-power
+        // energy sample adds exactly 0.0 and is skipped.
         const bool no_throttle = dev_throttle_s_[d] == 0.0;
         dev_throttle_s_[d] = std::max(0.0, dev_throttle_s_[d] - dt_s);
         const double t_before = dev_temp_[d];
@@ -881,14 +881,14 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
           all_parked = false;
         }
       }
-      // Node::step on a failed node: rapl.accumulate(0, dt) is an exact
-      // no-op; node_power_ went to 0 when the crash was applied.
+      // A failed node's zero-power energy sample is an exact no-op;
+      // node_power_ went to 0 when the crash was applied.
       node_downtime_s_[i] += dt_s;
       node_upto_[i] = steps_done_ + 1;
     } else {
       for (u32 d = begin; d < begin + count; ++d) {
         if (dev_parked_[d]) continue;
-        // --- Device::step, transliterated over the SoA arrays -------------
+        // --- one device step over the SoA arrays --------------------------
         const power::DeviceSpec& spec = specs_[dev_spec_[d]];
         const double v_nom = spec_vnom_[dev_spec_[d]];
         const bool no_throttle = dev_throttle_s_[d] == 0.0;
@@ -945,7 +945,7 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
           all_parked = false;
         }
       }
-      // Node::power_w() after the device steps, then the node's accumulate.
+      // Node power after the device steps, then the node's energy sample.
       double np = node_base_w_[i];
       for (u32 d = begin; d < begin + count; ++d) np += dev_power_[d];
       if (np != node_power_[i]) {
@@ -992,7 +992,7 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
 
     // Shards own disjoint node ranges: they step in parallel and merge
     // serially in fixed shard order, so the run is byte-identical for any
-    // worker count (and to the legacy per-object stepper).
+    // worker count (and to the per-object stepper's fixtures).
     const u64 parked_uj = parked_uj_.load(std::memory_order_relaxed);
     const auto body = [&](std::size_t b, std::size_t e) {
       for (std::size_t s = b; s < e; ++s) step_shard(s, step);
@@ -1013,7 +1013,7 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
       dirty = dirty || sh.power_changed;
     }
     if (dirty) {
-      // Same chain sum, same order, as the legacy per-step reduction. When
+      // One chain sum in node order, as the fixtures were recorded. When
       // nothing changed the previous sum is bit-identical by definition.
       double p = 0.0;
       for (const double np : node_power_) p += np;
@@ -1085,11 +1085,7 @@ double ShardedCluster::device_energy_j(std::size_t node, std::size_t dev) {
 u32 ShardedCluster::device_counter_uj(std::size_t node, std::size_t dev) {
   const u32 d = dev_index(node, dev);
   catch_up_device(d);
-  // power::RaplDomain::counter_uj, verbatim.
-  const double uj = (dev_energy_j_[d] + dev_offset_j_[d]) * 1e6;
-  const double wrapped = std::fmod(
-      std::fmod(uj, 4294967296.0) + 4294967296.0, 4294967296.0);
-  return static_cast<u32>(wrapped);
+  return power::RaplDomain::wrap_uj(dev_energy_j_[d] + dev_offset_j_[d]);
 }
 
 double ShardedCluster::device_progress_rate_ups(std::size_t node,
@@ -1135,20 +1131,6 @@ std::size_t ShardedCluster::approx_state_bytes() const {
 // ---------------------------------------------------------------------------
 // ClusterBlueprint
 // ---------------------------------------------------------------------------
-
-void ClusterBlueprint::build(Cluster& cluster) const {
-  char buf[48];
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "n%zu", i);
-    Node node(buf, nodes[i].base_power_w);
-    for (std::size_t j = 0; j < nodes[i].devices.size(); ++j) {
-      const auto& [sid, var] = nodes[i].devices[j];
-      std::snprintf(buf, sizeof(buf), "n%zu.d%zu", i, j);
-      node.add_device(Device(buf, specs[sid], var));
-    }
-    cluster.add_node(std::move(node));
-  }
-}
 
 void ClusterBlueprint::build(ShardedCluster& cluster) const {
   std::vector<u32> ids;

@@ -7,12 +7,12 @@
 // per tick. Shards step independently — in parallel on the antarex::exec
 // pool — and their results merge serially in fixed shard order, so a run is
 // byte-identical across 1/2/8 workers and any shard count, and byte-identical
-// to the legacy per-object rtrm::Cluster stepper:
-// tests/test_sharded_cluster.cpp replays fixtures that stepper recorded
-// (tests/golden/sharded_diff_*, sharded_replay_*).
+// to the per-object (one Node/Device object per instance) stepper this repo
+// used to carry: tests/test_sharded_cluster.cpp replays fixtures that stepper
+// recorded (tests/golden/sharded_diff_*, sharded_replay_*).
 //
 // Bit-identity is by construction, not by tolerance: every floating-point
-// expression of the legacy stepper (power::PowerModel, power::ThermalModel,
+// expression of that stepper (power::PowerModel, power::ThermalModel,
 // device/node stepping, governors, controllers, dispatcher scoring) is
 // evaluated through the *same* shared static helpers, in the same order.
 // Parking is an exact-arithmetic shortcut: a device parks only when one more
@@ -47,14 +47,12 @@ class ThreadPool;
 
 namespace antarex::rtrm {
 
-class Cluster;
 class ShardedCluster;
 
-/// The legacy Dispatcher's exact placement/backfill/retry semantics over the
-/// SoA device arrays: per-type free-device index sets replace the
-/// all-nodes-all-devices scan, visited in ascending global device index so
-/// every policy keeps the legacy first-seen tie-break. It alone scores
-/// EnergyAware placement.
+/// FCFS job placement with EASY backfill and crash retry over the SoA device
+/// arrays: per-type free-device index sets replace an all-nodes-all-devices
+/// scan, visited in ascending global device index so every policy keeps the
+/// first-seen tie-break the recorded fixtures pin.
 class ShardedDispatcher {
  public:
   using EventHook = std::function<void(const char* kind, u64 job_id, double t)>;
@@ -258,8 +256,8 @@ class ShardedCluster {
     return device_power_now_w(device);
   }
   double device_energy_j(std::size_t node, std::size_t dev);
-  /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
-  /// power::RaplDomain::counter_uj.
+  /// Wrapping 32-bit RAPL counter view (power::RaplDomain::wrap_uj) of the
+  /// device's energy plus its glitch offset.
   u32 device_counter_uj(std::size_t node, std::size_t dev);
 
   // --- scale diagnostics ----------------------------------------------------
@@ -421,9 +419,8 @@ class ShardedCluster {
   std::vector<double> pm_demand_;
 };
 
-/// A cluster description buildable on either engine: the scale benches build
-/// the sharded plant from it, and the legacy-attach monitor test builds a
-/// byte-identical legacy twin.
+/// A cluster description the scale benches and the differential tests build
+/// the plant from.
 struct ClusterBlueprint {
   struct NodeDef {
     double base_power_w = 60.0;
@@ -432,7 +429,6 @@ struct ClusterBlueprint {
   std::vector<power::DeviceSpec> specs;
   std::vector<NodeDef> nodes;
 
-  void build(Cluster& cluster) const;
   void build(ShardedCluster& cluster) const;
 
   /// Heterogeneous Mont-Blanc-style mix (thin CPU / MIC / GPU nodes) with

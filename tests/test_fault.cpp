@@ -242,19 +242,8 @@ TEST(Crash, RetryBudgetExhaustionFailsJob) {
 // --------------------------------------------------------------------------
 
 TEST(Glitch, CorruptsReadingNotGroundTruth) {
-  power::RaplDomain r("pkg0");
-  r.accumulate(100.0, 10.0);  // 1000 J
-  const u32 honest = r.counter_uj();
-  const double truth = r.total_j();
-  r.set_reading_offset_j(50.0);
-  EXPECT_NE(r.counter_uj(), honest);
-  EXPECT_DOUBLE_EQ(r.total_j(), truth);
-  r.set_reading_offset_j(0.0);
-  EXPECT_EQ(r.counter_uj(), honest);
-}
-
-TEST(Glitch, PlantReadingShiftsWhileEnergyStays) {
-  // The plant's counter view carries the glitch offset; its energy does not.
+  // The counter view carries the glitch offset; the device's energy books
+  // do not, so conservation invariants survive injection.
   auto c = make_cluster(1);
   c->run_for(10.0);
   const u32 honest = c->device_counter_uj(0, 0);

@@ -331,7 +331,7 @@ TEST(FacilityCap, RespectsFacilityBudget) {
   EXPECT_GT(capped->it_power_w(), 0.85 * *cfg.facility_cap_w);
 }
 
-TEST(ThermalGuard, ThrottlesHotDevice) {
+TEST(ThermalLimit, ThrottlesHotDevice) {
   // An artificially low critical temperature: the guard must lower the
   // device's ceiling below the top P-state and hold it near the limit.
   ClusterConfig cfg = performance();
@@ -544,7 +544,7 @@ TEST(ShardedCluster, FacilityCapHoldsPeakPower) {
   EXPECT_LT(capped->it_power_w(), *cfg.facility_cap_w + 10.0);
 }
 
-TEST(ShardedCluster, ThermalGuardKeepsDevicesUnderCritical) {
+TEST(ShardedCluster, GuardKeepsDevicesUnderCritical) {
   ClusterConfig cfg;
   cfg.governor = GovernorPolicy::Performance;
   cfg.t_crit_c = 70.0;

@@ -1,8 +1,9 @@
 // Differential shard-equivalence suite: the SoA ShardedCluster must be an
-// exact drop-in for the legacy rtrm::Cluster stepper. Every scenario's
-// canonical state trace (tests/sharded_common.hpp) — every per-node and
-// per-device observable at full %.17g precision — plus its fault log was
-// recorded from the legacy stepper into tests/golden/sharded_diff_<seed>.txt,
+// exact drop-in for the per-object (one Node/Device object per instance)
+// stepper this repo used to carry. Every scenario's canonical state trace
+// (tests/sharded_common.hpp) — every per-node and per-device observable at
+// full %.17g precision — plus its fault log was recorded from that stepper
+// into tests/golden/sharded_diff_<seed>.txt,
 // and the sharded engine must reproduce it byte-for-byte across 1/4/16
 // shards and 1/2/8 exec workers, with and without injected crash/repair
 // schedules. The sharded_replay_* fixtures pin the golden scenario the same
