@@ -1,10 +1,12 @@
 // Tests for the runtime resource & power manager on rtrm::ShardedCluster:
 // device execution, node aggregation, governors, the node power controller,
-// the facility cap, the thermal guard, job dispatch and whole-cluster runs.
+// the facility cap, the thermal guard, job dispatch and whole-cluster runs,
+// serial and with plant shards stepped on the exec pool.
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "exec/pool.hpp"
 #include "rtrm/sharded_cluster.hpp"
 
 namespace antarex::rtrm {
@@ -492,6 +494,29 @@ TEST(Cluster, RunsJobsToCompletion) {
   EXPECT_EQ(c->dispatcher().completed(), 3u);
   EXPECT_GT(c->telemetry().it_energy_j, 0.0);
   EXPECT_GE(c->telemetry().facility_energy_j, c->telemetry().it_energy_j);
+}
+
+TEST(Cluster, PooledShardsMatchTheSerialRun) {
+  // Four plant shards stepped on a two-worker pool commit the same plant as
+  // one serial shard.
+  auto run = [](std::size_t shards, exec::ThreadPool* pool) {
+    ShardedClusterConfig cfg;
+    cfg.shards = shards;
+    auto c = std::make_unique<ShardedCluster>(cfg);
+    const u32 cpu = c->add_spec(DeviceSpec::xeon_haswell());
+    for (int i = 0; i < 8; ++i) c->add_node(60.0, {{cpu, {}}, {cpu, {}}});
+    for (u64 id = 1; id <= 24; ++id) c->submit(make_job(id, 2.0 + id % 3));
+    c->set_pool(pool);
+    EXPECT_TRUE(c->run_until_idle(500.0));
+    return c->telemetry();
+  };
+  exec::ThreadPool pool(2);
+  const ClusterTelemetry serial = run(1, nullptr);
+  const ClusterTelemetry pooled = run(4, &pool);
+  EXPECT_EQ(pooled.jobs_completed, 24u);
+  EXPECT_EQ(pooled.time_s, serial.time_s);
+  EXPECT_EQ(pooled.it_energy_j, serial.it_energy_j);
+  EXPECT_EQ(pooled.max_temperature_c, serial.max_temperature_c);
 }
 
 TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
