@@ -488,15 +488,6 @@ TEST(Dispatcher, CompletionMovesJobToDone) {
 // --------------------------------------------------------------------------
 
 TEST(Cluster, RunsJobsToCompletion) {
-  auto c = cpu_cluster({});
-  for (u64 i = 1; i <= 3; ++i) c->submit(make_job(i, 0.5));
-  ASSERT_TRUE(c->run_until_idle(500.0));
-  EXPECT_EQ(c->dispatcher().completed(), 3u);
-  EXPECT_GT(c->telemetry().it_energy_j, 0.0);
-  EXPECT_GE(c->telemetry().facility_energy_j, c->telemetry().it_energy_j);
-}
-
-TEST(Cluster, PooledShardsMatchTheSerialRun) {
   // Four plant shards stepped on a two-worker pool commit the same plant as
   // one serial shard.
   auto run = [](std::size_t shards, exec::ThreadPool* pool) {
@@ -505,7 +496,7 @@ TEST(Cluster, PooledShardsMatchTheSerialRun) {
     auto c = std::make_unique<ShardedCluster>(cfg);
     const u32 cpu = c->add_spec(DeviceSpec::xeon_haswell());
     for (int i = 0; i < 8; ++i) c->add_node(60.0, {{cpu, {}}, {cpu, {}}});
-    for (u64 id = 1; id <= 24; ++id) c->submit(make_job(id, 2.0 + id % 3));
+    for (u64 id = 1; id <= 24; ++id) c->submit(make_job(id, 0.5 + id % 3));
     c->set_pool(pool);
     EXPECT_TRUE(c->run_until_idle(500.0));
     return c->telemetry();
@@ -513,7 +504,10 @@ TEST(Cluster, PooledShardsMatchTheSerialRun) {
   exec::ThreadPool pool(2);
   const ClusterTelemetry serial = run(1, nullptr);
   const ClusterTelemetry pooled = run(4, &pool);
-  EXPECT_EQ(pooled.jobs_completed, 24u);
+  EXPECT_EQ(serial.jobs_completed, 24u);
+  EXPECT_GT(serial.it_energy_j, 0.0);
+  EXPECT_GE(serial.facility_energy_j, serial.it_energy_j);
+  EXPECT_EQ(pooled.jobs_completed, serial.jobs_completed);
   EXPECT_EQ(pooled.time_s, serial.time_s);
   EXPECT_EQ(pooled.it_energy_j, serial.it_energy_j);
   EXPECT_EQ(pooled.max_temperature_c, serial.max_temperature_c);
