@@ -63,10 +63,6 @@ double PowerModel::total_power_w(const OperatingPoint& op, double activity,
   return total_power_w(spec_, var_, v_nom_, op, activity, temp_c);
 }
 
-double PowerModel::idle_power_w(const OperatingPoint& op, double temp_c) const {
-  return idle_power_w(spec_, var_, v_nom_, op, temp_c);
-}
-
 double WorkloadModel::execution_time_s(const OperatingPoint& op) const {
   ANTAREX_REQUIRE(op.freq_ghz > 0.0, "WorkloadModel: zero frequency");
   ANTAREX_REQUIRE(cores_used >= 1, "WorkloadModel: cores_used must be >= 1");

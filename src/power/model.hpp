@@ -38,12 +38,11 @@ class PowerModel {
   double static_power_w(const OperatingPoint& op, double temp_c) const;
   double total_power_w(const OperatingPoint& op, double activity,
                        double temp_c) const;
-  double idle_power_w(const OperatingPoint& op, double temp_c) const;
 
   /// Stateless cores of the instance methods above. The SoA cluster engine
-  /// (rtrm::ShardedCluster) evaluates these directly so both simulation paths
-  /// execute the *same machine code* and stay bit-identical; the instance
-  /// methods delegate here.
+  /// (rtrm::ShardedCluster) evaluates these directly from its flat arrays;
+  /// the instance methods delegate here, so both execute the same machine
+  /// code.
   static double dynamic_power_w(const DeviceSpec& spec, const Variability& var,
                                 const OperatingPoint& op, double activity);
   static double static_power_w(const DeviceSpec& spec, const Variability& var,

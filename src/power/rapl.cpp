@@ -1,7 +1,5 @@
 #include "power/rapl.hpp"
 
-#include <cmath>
-
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::power {
@@ -17,15 +15,6 @@ void RaplDomain::accumulate(double power_w, double dt_s) {
   // step, energy accumulated in the MSR's micro-joule scale.
   TELEMETRY_COUNT("power.rapl_samples", 1);
   TELEMETRY_COUNT("power.energy_uj", static_cast<u64>(joules * 1e6));
-}
-
-u32 RaplDomain::wrap_uj(double joules) {
-  const double uj = joules * 1e6;
-  // Wraps every 2^32 uJ (~4295 J), as the real 32-bit MSR does. A negative
-  // glitched reading folds into the wrap, exactly as MSR arithmetic would.
-  const double wrapped = std::fmod(std::fmod(uj, 4294967296.0) + 4294967296.0,
-                                   4294967296.0);
-  return static_cast<u32>(wrapped);
 }
 
 double RaplDomain::delta_j(u32 before, u32 after) {

@@ -7,6 +7,7 @@
 // units that wraps around, sampled by difference.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "support/common.hpp"
@@ -26,7 +27,14 @@ class RaplDomain {
 
   /// The counter reading for `joules` of integrated energy: the one
   /// definition of the wrap, shared with the sharded plant's device counters.
-  static u32 wrap_uj(double joules);
+  /// It wraps every 2^32 uJ (~4295 J), as the real 32-bit MSR does; a
+  /// negative glitched reading folds into the wrap, exactly as MSR
+  /// arithmetic would.
+  static u32 wrap_uj(double joules) {
+    const double uj = joules * 1e6;
+    return static_cast<u32>(std::fmod(
+        std::fmod(uj, 4294967296.0) + 4294967296.0, 4294967296.0));
+  }
 
   /// Wrap-aware difference between two counter reads, in joules.
   static double delta_j(u32 before, u32 after);

@@ -97,7 +97,8 @@ TEST_F(PowerModelTest, LeakageGrowsExponentiallyWithTemperature) {
 
 TEST_F(PowerModelTest, IdleIsMuchCheaperThanBusy) {
   const auto& op = spec_.dvfs.highest();
-  EXPECT_LT(pm_.idle_power_w(op, 50.0), 0.35 * pm_.total_power_w(op, 0.9, 50.0));
+  EXPECT_LT(PowerModel::idle_power_w(spec_, {}, pm_.v_nom(), op, 50.0),
+            0.35 * pm_.total_power_w(op, 0.9, 50.0));
 }
 
 TEST(Variability, MeanNearOneAndDeterministic) {
@@ -229,37 +230,39 @@ TEST(NodeEnergy, SteadyTempHigherAtHighFrequency) {
 // ThermalModel
 // --------------------------------------------------------------------------
 
+/// Temperature after `steps` steps of `dt_s` at constant power and ambient.
+double relax(double temp_c, double power_w, double ambient_c, double tau_s,
+             double dt_s, int steps = 1, double r_th = 0.25) {
+  const double decay = ThermalModel::decay(dt_s, tau_s);
+  for (int i = 0; i < steps; ++i)
+    temp_c = ThermalModel::relaxed_c(temp_c, power_w, ambient_c, decay, r_th);
+  return temp_c;
+}
+
 TEST(Thermal, ConvergesToSteadyState) {
-  ThermalModel t(0.25, 10.0, 30.0);
-  for (int i = 0; i < 200; ++i) t.step(100.0, 20.0, 1.0);
-  EXPECT_NEAR(t.temperature_c(), t.steady_state_c(100.0, 20.0), 0.1);
-  EXPECT_NEAR(t.temperature_c(), 45.0, 0.1);
+  // Steady state: ambient + power * r_th = 20 + 100 * 0.25.
+  EXPECT_NEAR(relax(30.0, 100.0, 20.0, 10.0, 1.0, 200), 45.0, 0.1);
 }
 
 TEST(Thermal, TimeConstantGovernsRise) {
-  ThermalModel t(0.25, 10.0, 20.0);
-  t.step(100.0, 20.0, 10.0);  // one time constant
-  const double target = t.steady_state_c(100.0, 20.0);
-  // After one tau: ~63% of the way.
-  EXPECT_NEAR((t.temperature_c() - 20.0) / (target - 20.0), 0.632, 0.01);
+  const double t = relax(20.0, 100.0, 20.0, 10.0, 10.0);  // one time constant
+  // After one tau: ~63% of the way to 45 C.
+  EXPECT_NEAR((t - 20.0) / (45.0 - 20.0), 0.632, 0.01);
 }
 
 TEST(Thermal, CoolsWhenPowerDrops) {
-  ThermalModel t(0.25, 10.0, 80.0);
-  t.step(0.0, 20.0, 100.0);
-  EXPECT_NEAR(t.temperature_c(), 20.0, 0.5);
+  EXPECT_NEAR(relax(80.0, 0.0, 20.0, 10.0, 100.0), 20.0, 0.5);
 }
 
 TEST(Thermal, StableForLargeTimeSteps) {
-  ThermalModel t(0.25, 5.0, 40.0);
-  t.step(120.0, 25.0, 1e6);  // huge dt must not overshoot/oscillate
-  EXPECT_NEAR(t.temperature_c(), t.steady_state_c(120.0, 25.0), 1e-6);
+  // A huge dt must not overshoot or oscillate: it lands on 25 + 120 * 0.25.
+  EXPECT_NEAR(relax(40.0, 120.0, 25.0, 5.0, 1e6), 55.0, 1e-6);
 }
 
 // The sharded plant evaluates decay() once per step and applies relaxed_c()
-// per device. That must reproduce step() — and the single-expression update
-// step() used before the split — bit for bit, or every golden would drift.
-TEST(Thermal, HoistedDecayMatchesStepBitForBit) {
+// per device. That must reproduce the single-expression update the golden
+// fixtures were recorded with bit for bit, or every golden would drift.
+TEST(Thermal, HoistedDecayMatchesFusedUpdateBitForBit) {
   const double dts[] = {0.0, 1e-3, 0.1, 0.25, 0.5, 1.0, 2.5, 10.0, 1e6};
   const double taus[] = {0.5, 5.0, 12.0, 60.0};
   const double powers[] = {0.0, 7.5, 88.25, 310.0};
@@ -268,14 +271,10 @@ TEST(Thermal, HoistedDecayMatchesStepBitForBit) {
       const double decay = ThermalModel::decay(dt, tau);
       for (const double p : powers)
         for (double t0 = 18.0; t0 < 100.0; t0 += 7.3) {
-          ThermalModel m(0.3, tau, t0);
-          m.step(p, 21.0, dt);
           const double hoisted =
               ThermalModel::relaxed_c(t0, p, 21.0, decay, 0.3);
           double fused = t0;
           fused += (21.0 + p * 0.3 - fused) * (1.0 - std::exp(-dt / tau));
-          EXPECT_EQ(hoisted, m.temperature_c())
-              << "dt=" << dt << " tau=" << tau << " p=" << p << " t0=" << t0;
           EXPECT_EQ(hoisted, fused)
               << "dt=" << dt << " tau=" << tau << " p=" << p << " t0=" << t0;
         }
