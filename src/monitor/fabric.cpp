@@ -50,8 +50,7 @@ void MonitorFabric::prime(rtrm::ShardedCluster& cluster) {
       prev_uj_[dev_base_[i] + d] = cluster.device_counter_uj(i, d);
 }
 
-void MonitorFabric::on_step(rtrm::ShardedCluster& cluster,
-                                    double now_s) {
+void MonitorFabric::on_step(rtrm::ShardedCluster& cluster, double now_s) {
   if (now_s + 1e-9 < next_sample_s_) return;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -71,7 +70,7 @@ void MonitorFabric::on_step(rtrm::ShardedCluster& cluster,
 }
 
 void MonitorFabric::sample(rtrm::ShardedCluster& cluster, double now_s,
-                                   double elapsed_s) {
+                           double elapsed_s) {
   ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
   for (std::size_t i = 0; i < cluster.node_count(); ++i) {
     const std::size_t n_dev = cluster.node_device_count(i);

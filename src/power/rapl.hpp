@@ -30,11 +30,7 @@ class RaplDomain {
   /// It wraps every 2^32 uJ (~4295 J), as the real 32-bit MSR does; a
   /// negative glitched reading folds into the wrap, exactly as MSR
   /// arithmetic would.
-  static u32 wrap_uj(double joules) {
-    const double uj = joules * 1e6;
-    return static_cast<u32>(std::fmod(
-        std::fmod(uj, 4294967296.0) + 4294967296.0, 4294967296.0));
-  }
+  static u32 wrap_uj(double joules);
 
   /// Wrap-aware difference between two counter reads, in joules.
   static double delta_j(u32 before, u32 after);
@@ -49,6 +45,13 @@ class RaplDomain {
   std::string name_;
   double total_j_ = 0.0;
 };
+
+inline u32 RaplDomain::wrap_uj(double joules) {
+  const double uj = joules * 1e6;
+  const double wrapped = std::fmod(std::fmod(uj, 4294967296.0) + 4294967296.0,
+                                   4294967296.0);
+  return static_cast<u32>(wrapped);
+}
 
 /// Convenience sampler: read-before / read-after energy measurement, the
 /// idiom every RAPL consumer uses.
