@@ -614,6 +614,7 @@ void ShardedCluster::force_throttle(std::size_t node, std::size_t dev,
 }
 
 void ShardedCluster::set_node_slowdown(std::size_t node, double factor) {
+  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
   ANTAREX_REQUIRE(factor >= 1.0, "Device: slowdown factor must be >= 1");
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];

@@ -294,6 +294,8 @@ TEST(Slowdown, StretchesExecutionTime) {
   auto slow = make_cluster(1);
   slow->set_node_slowdown(0, 2.0);
   EXPECT_DOUBLE_EQ(slow->device_slowdown(0, 0), 2.0);
+  EXPECT_THROW(slow->set_node_slowdown(1, 2.0), Error);  // one node only
+  EXPECT_THROW(slow->set_node_slowdown(0, 0.5), Error);
   fast->submit(make_job(1, 4.0));
   slow->submit(make_job(1, 4.0));
   // Fine dt so idle detection doesn't quantize the measured makespans.

@@ -104,7 +104,7 @@ TEST(Device, CompletesWorkInPredictedTime) {
   const double unit_time = w.execution_time_s(c->device_spec(0, 0).dvfs.highest());
   c->submit(cpu_job(1, 4.0, w));
   const double elapsed = run_until_completed(*c, 1, 0.05, 100.0);
-  EXPECT_EQ(c->dispatcher().completed_jobs()[0].id, 1u);
+  ASSERT_EQ(c->dispatcher().completed(), 1u);
   EXPECT_NEAR(elapsed, 4.0 * unit_time, 0.06);
   EXPECT_FALSE(c->device_busy(0, 0));
   EXPECT_EQ(c->device_completed_jobs(0, 0), 1u);
