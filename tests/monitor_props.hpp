@@ -1,8 +1,9 @@
 // Shared property-based invariant suite for antarex::monitor.
 //
 // Each seed builds a randomized monitored rtrm::ShardedCluster (8-24 nodes
-// over 2-8 topic shards) under a randomized glitch/throttle/slowdown fault environment,
-// runs it for a faulted window, and checks the monitoring invariants:
+// over 2-8 topic shards) under a randomized glitch/throttle/slowdown fault
+// environment, runs it for a faulted window, and checks the monitoring
+// invariants:
 //   1. Frame accounting — every published frame is either delivered or
 //      counted as dropped, and the aggregator saw exactly the delivered ones.
 //   2. Detection quality — against the schedule's ground truth, the detector
