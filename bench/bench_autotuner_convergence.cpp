@@ -207,8 +207,6 @@ int main(int argc, char** argv) {
 
   // (c) phase change reaction.
   AutotunerConfig cfg;
-  cfg.phase_threshold = 0.5;
-  cfg.phase_confirm = 2;
   cfg.min_samples_for_phase = 2;
   Autotuner tuner(make_space(), std::make_unique<EpsilonGreedyStrategy>(0.4, 0.99),
                   cfg, 5);

@@ -108,7 +108,7 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
       cluster, monitor::strip_warmup_faults(
                    fault::generate_schedule(model, n_nodes, 1, kHorizonS,
                                             kSeed),
-                   ecfg.warmup_end_s));
+                   monitor::kEvalWarmupEndS));
 
   exec::ThreadPool pool(threads);
   cluster.set_pool(&pool);
@@ -128,8 +128,7 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   res.sampler_bytes = fabric.sampler_bytes();
   const std::vector<monitor::Episode> episodes = fabric.detector().episodes();
   res.episodes = episodes.size();
-  res.eval =
-      evaluate(ground_truth(driver.schedule(), ecfg), episodes, ecfg);
+  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < monitor::kAnomalyKindCount; ++k) {

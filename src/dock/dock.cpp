@@ -126,6 +126,16 @@ AffinityGrid AffinityGrid::synthetic_pocket(Rng& rng, std::size_t n,
 
 namespace {
 
+/// Early termination: a translation scan stops when its running score exceeds
+/// this fraction of the best; models the unpredictable per-ligand time (score
+/// landscapes differ between ligands).
+constexpr double kPruneThreshold = 0.25;
+/// refine_pose's annealing schedule (score units) and proposal steps.
+constexpr double kRefineTStart = 2.0;
+constexpr double kRefineTEnd = 0.01;
+constexpr double kMaxTranslate = 1.0;  ///< grid units
+constexpr double kMaxRotate = 0.35;    ///< radians
+
 /// A pose's ZYX Euler rotation with its six cosines and sines computed once,
 /// so scoring a pose costs six trig calls rather than six per atom.
 struct Rotation {
@@ -238,7 +248,7 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
         result.best_score = s;
         result.best_pose = pose;
       } else if (result.best_score < 0.0 &&
-                 s > params.prune_threshold * result.best_score) {
+                 s > kPruneThreshold * result.best_score) {
         // Landscape around this orientation is poor; skip to the next
         // orientation once the best found here is far off the incumbent.
         break;
@@ -251,8 +261,6 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
 DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
                        const Pose& start, const RefineParams& params, Rng& rng) {
   ANTAREX_REQUIRE(params.steps >= 1, "refine_pose: need at least one step");
-  ANTAREX_REQUIRE(params.t_start >= params.t_end && params.t_end > 0.0,
-                  "refine_pose: bad temperature schedule");
 
   DockResult result;
   Pose current = start;
@@ -265,21 +273,20 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
   result.best_pose = current;
   result.best_score = current_score;
 
-  const double cooling =
-      std::pow(params.t_end / params.t_start, 1.0 / params.steps);
-  double temperature = params.t_start;
+  const double cooling = std::pow(kRefineTEnd / kRefineTStart, 1.0 / params.steps);
+  double temperature = kRefineTStart;
 
   for (int step = 0; step < params.steps; ++step) {
     Pose proposal = current;
     // Perturb one degree of freedom at a time (better acceptance at low T).
     const i64 move = rng.uniform_int(0, 5);
     switch (move) {
-      case 0: proposal.tx += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 1: proposal.ty += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 2: proposal.tz += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 3: proposal.rx += rng.uniform(-params.max_rotate, params.max_rotate); break;
-      case 4: proposal.ry += rng.uniform(-params.max_rotate, params.max_rotate); break;
-      default: proposal.rz += rng.uniform(-params.max_rotate, params.max_rotate); break;
+      case 0: proposal.tx += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 1: proposal.ty += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 2: proposal.tz += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 3: proposal.rx += rng.uniform(-kMaxRotate, kMaxRotate); break;
+      case 4: proposal.ry += rng.uniform(-kMaxRotate, kMaxRotate); break;
+      default: proposal.rz += rng.uniform(-kMaxRotate, kMaxRotate); break;
     }
     const bool rotates = move >= 3;
     if (rotates) proposed_atoms.rotate(proposal);

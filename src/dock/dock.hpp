@@ -89,10 +89,6 @@ struct DockResult {
 struct DockParams {
   int rotations = 24;     ///< sampled orientations per ligand
   int translations = 64;  ///< sampled placements per orientation
-  /// Early-termination: stop a translation scan when the running score
-  /// exceeds this fraction of the best; models the unpredictable per-ligand
-  /// time (score landscapes differ between ligands).
-  double prune_threshold = 0.25;
 };
 
 /// Exhaustively dock one ligand. Deterministic given the rng seed (pose
@@ -101,11 +97,7 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
                        const DockParams& params, Rng& rng);
 
 struct RefineParams {
-  int steps = 400;
-  double t_start = 2.0;     ///< initial annealing temperature (score units)
-  double t_end = 0.01;
-  double max_translate = 1.0;  ///< proposal step (grid units)
-  double max_rotate = 0.35;    ///< proposal step (radians)
+  int steps = 400;  ///< annealing steps, cooling 2.0 -> 0.01 (score units)
 };
 
 /// Local pose refinement by simulated annealing, starting from `start`

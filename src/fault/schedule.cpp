@@ -40,6 +40,8 @@ std::string FaultSchedule::to_text() const {
 
 namespace {
 
+constexpr double kRepairSigma = 0.25;  ///< lognormal sigma of the repair time
+
 /// One generator per (seed, node, device, kind): streams stay independent
 /// when the topology or the enabled fault classes change.
 Rng stream(u64 seed, std::size_t node, std::size_t device, FaultKind kind) {
@@ -96,8 +98,8 @@ FaultSchedule generate_schedule(const FaultModel& model, std::size_t nodes,
           [&] { return rng.weibull(model.crash_weibull_shape, model.crash_mtbf_s); },
           [&] {
             const double mu = std::log(std::max(1e-9, model.repair_mean_s)) -
-                              0.5 * model.repair_sigma * model.repair_sigma;
-            return rng.lognormal(mu, model.repair_sigma);
+                              0.5 * kRepairSigma * kRepairSigma;
+            return rng.lognormal(mu, kRepairSigma);
           },
           [&](double t, double len) {
             push(t, FaultKind::NodeCrash, n, 0, 0.0, len);

@@ -40,11 +40,11 @@ struct FaultEvent {
 /// fault class, so a default-constructed model injects nothing.
 struct FaultModel {
   // Node crashes: Weibull interarrival (shape > 1 = wear-out), lognormal
-  // repair time. mtbf_s is the *scale* parameter of the interarrival.
+  // repair time (sigma 0.25). mtbf_s is the *scale* parameter of the
+  // interarrival.
   double crash_mtbf_s = 0.0;
   double crash_weibull_shape = 1.5;
   double repair_mean_s = 30.0;
-  double repair_sigma = 0.25;
 
   // Transient sensor glitches on per-device RAPL counters: Poisson arrivals,
   // fixed offset magnitude, fixed visibility window.

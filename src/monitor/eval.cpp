@@ -10,6 +10,9 @@ namespace antarex::monitor {
 
 namespace {
 
+constexpr u64 kMinSamples = 3;        ///< sampling instants inside a qualifying GT
+constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + cadence lag)
+
 /// Closed-interval overlap with symmetric slack.
 bool overlaps(double a1, double a2, double b1, double b2, double slack) {
   return a1 - slack <= b2 && b1 - slack <= a2;
@@ -76,9 +79,9 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
 
   for (GroundTruthEpisode& g : out) {
     g.qualifies =
-        g.start_s >= cfg.warmup_end_s &&
+        g.start_s >= kEvalWarmupEndS &&
         samples_inside(g.start_s, std::min(g.end_s, cfg.horizon_s),
-                       cfg.sample_period_s) >= cfg.min_samples;
+                       cfg.sample_period_s) >= kMinSamples;
   }
   std::sort(out.begin(), out.end(),
             [](const GroundTruthEpisode& a, const GroundTruthEpisode& b) {
@@ -89,10 +92,9 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
 }
 
 EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,
-                    const std::vector<Episode>& detections,
-                    const EvalConfig& cfg) {
+                    const std::vector<Episode>& detections) {
   EvalResult result;
-  const double slack = cfg.match_slack_s;
+  const double slack = kMatchSlackS;
 
   for (const GroundTruthEpisode& g : truth) {
     KindScore& score = result.kinds[static_cast<std::size_t>(g.kind)];

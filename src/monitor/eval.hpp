@@ -8,10 +8,10 @@
 //   AnomalyDetector::episodes() ──▶ evaluate()  (interval matching)
 //
 // Recall counts only *qualifying* ground-truth episodes: ones starting after
-// the detector's warmup window with at least min_samples sampling instants
+// the detector's warmup window with at least kMinSamples sampling instants
 // inside the run — an episode the detector never got a judged sample of is
 // not a miss, it is unobservable. Precision counts a detection as a true
-// positive when it overlaps (with match_slack_s of grace on both sides) a
+// positive when it overlaps (with kMatchSlackS of grace on both sides) a
 // same-kind episode on the same node; where a throttle and a slowdown
 // overlap on one node the power signature is genuinely ambiguous, so either
 // kind matches there.
@@ -32,12 +32,13 @@ struct GroundTruthEpisode {
   bool qualifies = false;  ///< counts toward the recall denominator
 };
 
+/// Ground truth starting before this never qualifies: the detector's
+/// baselines are still warming.
+constexpr double kEvalWarmupEndS = 12.0;
+
 struct EvalConfig {
   double sample_period_s = 1.0;  ///< the fabric's sampling cadence
-  double warmup_end_s = 12.0;    ///< GT starting earlier never qualifies
   double horizon_s = 0.0;        ///< run end (required by ground_truth)
-  u32 min_samples = 3;           ///< sampling instants inside a qualifying GT
-  double match_slack_s = 3.0;    ///< overlap grace (hysteresis + cadence lag)
 };
 
 struct KindScore {
@@ -79,8 +80,7 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
 
 /// Score detector episodes against the ground truth.
 EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,
-                    const std::vector<Episode>& detections,
-                    const EvalConfig& cfg);
+                    const std::vector<Episode>& detections);
 
 /// Drop fault episodes that begin before `quiet_s` (paired end events of
 /// dropped openers go with them; throttles carry their own duration). The

@@ -54,7 +54,6 @@ struct ClusterConfig {
   double control_period_s = 1.0;          ///< governor/controller cadence
   double ambient_c = 18.0;                ///< machine-room ambient
   std::optional<double> facility_cap_w;   ///< cluster power cap, if any
-  bool thermal_guard = true;
   double t_crit_c = 85.0;
 };
 

@@ -809,7 +809,7 @@ void ShardedCluster::control_step() {
       const u32 op_before = dev_op_[d];
       const u32 ceil_before = dev_guard_ceil_[d];
       governor_step(d, policy, base_share);
-      if (config_.base.thermal_guard) guard_step(d);
+      guard_step(d);
       mutated = mutated || dev_op_[d] != op_before ||
                 dev_guard_ceil_[d] != ceil_before;
     }

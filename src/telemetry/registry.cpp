@@ -47,8 +47,13 @@ void Histogram::reset() {
 
 // --- Series -----------------------------------------------------------------
 
-Series::Series(std::size_t window, double ewma_alpha)
-    : window_(window), ewma_(ewma_alpha) {}
+namespace {
+
+constexpr double kSeriesEwmaAlpha = 0.25;
+
+}  // namespace
+
+Series::Series(std::size_t window) : window_(window), ewma_(kSeriesEwmaAlpha) {}
 
 void Series::push(double sample) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -135,7 +135,7 @@ class Histogram {
 /// the window holds non-trivial state.
 class Series {
  public:
-  explicit Series(std::size_t window = 64, double ewma_alpha = 0.25);
+  explicit Series(std::size_t window = 64);
 
   void push(double sample);
 

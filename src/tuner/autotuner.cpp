@@ -6,6 +6,15 @@
 
 namespace antarex::tuner {
 
+namespace {
+
+/// Phase change: the relative deviation from the learned mean that raises
+/// suspicion, and the consecutive suspicious reports that confirm it.
+constexpr double kPhaseThreshold = 0.5;
+constexpr int kPhaseConfirm = 2;
+
+}  // namespace
+
 Autotuner::Autotuner(DesignSpace space, std::unique_ptr<Strategy> strategy,
                      AutotunerConfig config, u64 seed)
     : space_(std::move(space)),
@@ -80,8 +89,7 @@ void Autotuner::report_batch(
 }
 
 bool Autotuner::measurement_poisoned() const {
-  return config_.discard_poisoned &&
-         telemetry::poison_epoch() != poison_epoch_at_decide_;
+  return telemetry::poison_epoch() != poison_epoch_at_decide_;
 }
 
 void Autotuner::discard_one() {
@@ -103,8 +111,8 @@ void Autotuner::observe_one(const Configuration& config,
   if (learned) TELEMETRY_COUNT("tuner.kb_hits", 1);
   if (learned && knowledge_.samples(config) >= config_.min_samples_for_phase) {
     const double denom = std::max(1e-12, std::fabs(*learned));
-    if (std::fabs(y - *learned) / denom > config_.phase_threshold) {
-      if (++phase_suspicion_ >= config_.phase_confirm) {
+    if (std::fabs(y - *learned) / denom > kPhaseThreshold) {
+      if (++phase_suspicion_ >= kPhaseConfirm) {
         knowledge_.clear();
         strategy_->reset();
         ++phase_changes_;

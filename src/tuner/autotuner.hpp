@@ -27,21 +27,11 @@ struct AutotunerConfig {
   bool minimize = true;
   std::vector<Goal> goals;
 
-  /// Phase-change detection: if the observed objective for an
-  /// already-learned configuration deviates from its learned mean by more
-  /// than this relative factor for `confirm` consecutive reports, the
-  /// knowledge is stale — drop it and re-explore ("react promptly to changing
-  /// workloads", Sec. IV).
-  double phase_threshold = 0.5;
-  int phase_confirm = 2;
+  /// Phase-change detection: if the observed objective for a configuration
+  /// learned from at least this many samples deviates from its learned mean
+  /// by more than half for two consecutive reports, the knowledge is stale —
+  /// drop it and re-explore ("react promptly to changing workloads", Sec. IV).
   std::size_t min_samples_for_phase = 3;
-
-  /// Discard measurements taken while a sensor glitch was live: if
-  /// telemetry::poison_epoch() advanced between decide and report, the
-  /// sample may embed a corrupted energy/power reading, so it is dropped
-  /// instead of folded into the knowledge base (antarex::fault injects such
-  /// glitches; tuner.samples_discarded counts the drops).
-  bool discard_poisoned = true;
 };
 
 class Autotuner {
@@ -93,7 +83,9 @@ class Autotuner {
   /// The shared collect+analyse path behind report() and report_batch().
   void observe_one(const Configuration& config,
                    const std::map<std::string, double>& metrics);
-  /// True if a sensor glitch fired between the decide and this report.
+  /// True if a sensor glitch fired between the decide and this report
+  /// (telemetry::poison_epoch() advanced): the sample may embed a corrupted
+  /// energy/power reading, so it is dropped instead of learned.
   bool measurement_poisoned() const;
   void discard_one();
 

@@ -2,6 +2,12 @@
 
 namespace antarex::tuner {
 
+namespace {
+
+constexpr double kModelGuidedExploreRate = 0.15;
+
+}  // namespace
+
 Configuration random_config(const DesignSpace& space, Rng& rng) {
   ANTAREX_REQUIRE(space.knob_count() > 0, "random_config: empty design space");
   Configuration c(space.knob_count());
@@ -50,12 +56,6 @@ Configuration EpsilonGreedyStrategy::next(const DesignSpace& space,
   return random_config(space, rng);
 }
 
-ModelGuidedStrategy::ModelGuidedStrategy(double explore_rate)
-    : explore_rate_(explore_rate) {
-  ANTAREX_REQUIRE(explore_rate_ >= 0.0 && explore_rate_ <= 1.0,
-                  "ModelGuided: explore rate outside [0, 1]");
-}
-
 std::vector<double> ModelGuidedStrategy::features(const DesignSpace& space,
                                                   const Configuration& c) const {
   std::vector<double> f(space.knob_count());
@@ -79,7 +79,7 @@ Configuration ModelGuidedStrategy::next(const DesignSpace& space,
   // Bootstrap / exploration: random samples until the surrogate has seen
   // enough points to be least-squares determined.
   const std::size_t warmup = space.knob_count() + 2;
-  if (model_.updates() < warmup || rng.bernoulli(explore_rate_))
+  if (model_.updates() < warmup || rng.bernoulli(kModelGuidedExploreRate))
     return random_config(space, rng);
 
   // Score candidates by surrogate prediction. For tractability on huge

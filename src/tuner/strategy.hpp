@@ -72,11 +72,10 @@ class EpsilonGreedyStrategy final : public Strategy {
 };
 
 /// RLS-surrogate-guided search: predict the objective over the candidate
-/// space and run the predicted best (with a small exploration rate); the
-/// surrogate updates online from observe().
+/// space and run the predicted best (exploring at random 15% of the time);
+/// the surrogate updates online from observe().
 class ModelGuidedStrategy final : public Strategy {
  public:
-  explicit ModelGuidedStrategy(double explore_rate = 0.15);
   std::string name() const override { return "model-guided"; }
   Configuration next(const DesignSpace&, const Knowledge&, const std::string&,
                      bool, Rng&) override;
@@ -88,7 +87,6 @@ class ModelGuidedStrategy final : public Strategy {
   std::vector<double> features(const DesignSpace& space,
                                const Configuration& c) const;
 
-  double explore_rate_;
   RlsModel model_{1};
   bool model_sized_ = false;
 };

@@ -112,7 +112,7 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
                    fault::generate_schedule(model,
                                             static_cast<u32>(res.n_nodes), 1,
                                             horizon_s, seed),
-                   ecfg.warmup_end_s));
+                   kEvalWarmupEndS));
 
   exec::ThreadPool pool(threads);
   cluster.set_pool(&pool);
@@ -127,8 +127,7 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
   res.episodes = fabric.detector().episodes();
 
-  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), res.episodes,
-                      ecfg);
+  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), res.episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {

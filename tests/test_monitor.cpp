@@ -388,7 +388,7 @@ TEST(Eval, GroundTruthLabelsAndQualification) {
 
   // Sorted by start: glitch(15), throttle(20), slow(30), slow(48).
   EXPECT_EQ(gt[0].kind, AnomalyKind::PowerSpike);
-  EXPECT_FALSE(gt[0].qualifies);  // 2 samples inside < min_samples
+  EXPECT_FALSE(gt[0].qualifies);  // 2 samples inside, 3 needed
   EXPECT_EQ(gt[1].kind, AnomalyKind::Throttle);
   EXPECT_EQ(gt[1].node, 1u);
   EXPECT_DOUBLE_EQ(gt[1].end_s, 26.0);
@@ -420,9 +420,7 @@ TEST(Eval, PrecisionAndRecallScoring) {
       detection(2, AnomalyKind::SlowNode, 41.0, 44.0),   // TP via slack
       detection(9, AnomalyKind::SlowNode, 5.0, 6.0),     // false positive
   };
-  EvalConfig cfg;
-  cfg.horizon_s = 50.0;
-  const EvalResult r = evaluate(truth, detections, cfg);
+  const EvalResult r = evaluate(truth, detections);
 
   const KindScore& throttle = r.of(AnomalyKind::Throttle);
   EXPECT_EQ(throttle.detected, 1u);
@@ -456,9 +454,7 @@ TEST(Eval, CrossKindMatchOnlyWhereSignaturesGenuinelyBlend) {
       detection(1, AnomalyKind::Throttle, 21.0, 29.0),
       detection(2, AnomalyKind::Throttle, 21.0, 29.0),
   };
-  EvalConfig cfg;
-  cfg.horizon_s = 50.0;
-  const EvalResult r = evaluate(truth, detections, cfg);
+  const EvalResult r = evaluate(truth, detections);
   EXPECT_EQ(r.of(AnomalyKind::Throttle).detected, 2u);
   EXPECT_EQ(r.of(AnomalyKind::Throttle).true_positives, 1u);
   EXPECT_EQ(r.of(AnomalyKind::SlowNode).gt_matched, 1u);  // node 2's, via blend
@@ -526,7 +522,7 @@ std::string run_monitored(int threads, double horizon_s,
   EvalConfig ecfg;
   ecfg.horizon_s = horizon_s;
   const auto gt = ground_truth(driver.schedule(), ecfg);
-  const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
+  const EvalResult r = evaluate(gt, fabric.detector().episodes());
   std::string digest;
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k)
     digest += format("%s p=%.3f r=%.3f d=%llu\n",
@@ -557,7 +553,7 @@ TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
   EvalConfig ecfg;
   ecfg.horizon_s = 60.0;
   const auto gt = ground_truth(driver.schedule(), ecfg);
-  const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
+  const EvalResult r = evaluate(gt, fabric.detector().episodes());
 
   // The injected throttle and slowdown are found, with nothing spurious.
   EXPECT_DOUBLE_EQ(r.of(AnomalyKind::Throttle).recall(), 1.0);

@@ -291,7 +291,7 @@ TEST(EpsilonGreedy, EpsilonDecays) {
 TEST(ModelGuided, ConvergesOnLinearLandscape) {
   DesignSpace s;
   s.add_knob({"x", {0, 1, 2, 3, 4, 5, 6, 7}});
-  ModelGuidedStrategy strat(0.1);
+  ModelGuidedStrategy strat;
   Knowledge k;
   Rng rng(3);
   // Objective decreasing in x: optimum at x=7.
@@ -431,8 +431,6 @@ TEST(AutotunerLoop, RepeatedNextIsStableWithoutReport) {
 
 TEST(AutotunerLoop, DetectsPhaseChangeAndRelearns) {
   AutotunerConfig cfg;
-  cfg.phase_threshold = 0.5;
-  cfg.phase_confirm = 2;
   cfg.min_samples_for_phase = 2;
   Autotuner tuner(two_knob_space(), std::make_unique<FullSearchStrategy>(), cfg);
   FakeApp app;
@@ -533,20 +531,6 @@ TEST(AutotunerPoison, GlitchedSampleIsDiscarded) {
   tuner.report(app.run(tuner.space(), c2));
   EXPECT_EQ(tuner.iterations(), 1u);
   EXPECT_EQ(tuner.samples_discarded(), 1u);
-}
-
-TEST(AutotunerPoison, DiscardCanBeDisabled) {
-  AutotunerConfig cfg;
-  cfg.discard_poisoned = false;
-  Autotuner tuner(two_knob_space(), std::make_unique<FullSearchStrategy>(),
-                  cfg, 5);
-  FakeApp app;
-  const Configuration& c = tuner.next_configuration();
-  auto m = app.run(tuner.space(), c);
-  telemetry::mark_samples_poisoned();
-  tuner.report(m);
-  EXPECT_EQ(tuner.iterations(), 1u);
-  EXPECT_EQ(tuner.samples_discarded(), 0u);
 }
 
 TEST(AutotunerPoison, GlitchedBatchIsDiscardedWhole) {
