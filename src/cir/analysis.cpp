@@ -170,19 +170,6 @@ std::vector<CallSite> collect_call_sites(Function& f) {
   return out;
 }
 
-std::vector<CallExpr*> collect_calls(Function& f) {
-  std::vector<CallExpr*> out;
-  for (auto& site : collect_call_sites(f)) out.push_back(site.call);
-  return out;
-}
-
-std::vector<const CallExpr*> collect_calls(const Function& f) {
-  std::vector<const CallExpr*> out;
-  for (auto& site : collect_call_sites(const_cast<Function&>(f)))
-    out.push_back(site.call);
-  return out;
-}
-
 std::vector<ForStmt*> collect_for_loops(Function& f) {
   std::vector<ForStmt*> out;
   if (f.body)

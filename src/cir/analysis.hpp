@@ -44,9 +44,6 @@ struct CallSite {
 };
 
 std::vector<CallSite> collect_call_sites(Function& f);
-/// All call expressions (no insertion context needed).
-std::vector<CallExpr*> collect_calls(Function& f);
-std::vector<const CallExpr*> collect_calls(const Function& f);
 
 /// All counted FOR loops in a function, outermost first.
 std::vector<ForStmt*> collect_for_loops(Function& f);

@@ -194,16 +194,6 @@ Function* Module::add(std::unique_ptr<Function> f) {
   return functions.back().get();
 }
 
-bool Module::remove(const std::string& name) {
-  for (auto it = functions.begin(); it != functions.end(); ++it) {
-    if ((*it)->name == name) {
-      functions.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::unique_ptr<Module> Module::clone() const {
   auto m = std::make_unique<Module>();
   m->functions.reserve(functions.size());

@@ -288,8 +288,6 @@ struct Module {
   const Function* find(const std::string& name) const;
   /// Adds and returns the function; throws on duplicate name.
   Function* add(std::unique_ptr<Function> f);
-  /// Removes by name; returns true if something was removed.
-  bool remove(const std::string& name);
 
   std::unique_ptr<Module> clone() const;
 };

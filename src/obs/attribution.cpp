@@ -135,12 +135,6 @@ double AttributionTable::total_joules() const {
   return total;
 }
 
-double AttributionTable::total_seconds() const {
-  double total = 0.0;
-  for (const auto& [key, row] : rows_) total += row.seconds;
-  return total;
-}
-
 Table AttributionTable::table(const std::string& key_header) const {
   Table t({key_header, "joules", "share", "seconds", "samples"});
   const double total = total_joules();

@@ -99,7 +99,6 @@ class AttributionTable {
   void add(const std::string& key, double joules, double seconds);
   std::vector<AttributionRow> rows() const;  ///< sorted, joules desc
   double total_joules() const;
-  double total_seconds() const;
   std::size_t size() const { return rows_.size(); }
 
   /// Render via support/table (key, joules, share %, seconds, samples).

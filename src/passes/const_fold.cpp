@@ -178,11 +178,6 @@ std::unordered_map<std::string, const Expr*> propagatable_constants(Function& f)
 
 }  // namespace
 
-std::size_t fold_expr(ExprPtr& e) {
-  ANTAREX_REQUIRE(e != nullptr, "fold_expr: null expression");
-  return fold_tree(e);
-}
-
 PassResult ConstantFoldPass::run(Function& f) {
   PassResult result;
   if (!f.body) return result;

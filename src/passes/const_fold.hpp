@@ -15,7 +15,4 @@ class ConstantFoldPass final : public Pass {
   PassResult run(cir::Function& f) override;
 };
 
-/// Fold a single expression tree in place; returns number of folds.
-std::size_t fold_expr(cir::ExprPtr& e);
-
 }  // namespace antarex::passes

@@ -9,12 +9,6 @@
 
 namespace antarex::passes {
 
-std::size_t PipelineStats::total_actions() const {
-  std::size_t n = 0;
-  for (const auto& s : steps) n += s.actions;
-  return n;
-}
-
 void PassManager::add(const std::string& spec) {
   passes_.push_back(make_pass(spec));
   specs_.push_back(spec);

@@ -19,7 +19,6 @@ struct PipelineStats {
     std::size_t actions = 0;
   };
   std::vector<Step> steps;
-  std::size_t total_actions() const;
 };
 
 class PassManager {

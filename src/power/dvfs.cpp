@@ -37,15 +37,6 @@ DvfsTable DvfsTable::linear(double f_lo, double f_hi, double v_lo, double v_hi,
   return DvfsTable(std::move(pts));
 }
 
-const char* device_type_name(DeviceType t) {
-  switch (t) {
-    case DeviceType::Cpu: return "cpu";
-    case DeviceType::Mic: return "mic";
-    case DeviceType::Gpu: return "gpu";
-  }
-  return "?";
-}
-
 double DeviceSpec::peak_gflops(const OperatingPoint& op) const {
   return op.freq_ghz * flops_per_cycle_per_core * static_cast<double>(cores);
 }

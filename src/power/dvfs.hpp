@@ -44,8 +44,6 @@ class DvfsTable {
 
 enum class DeviceType { Cpu, Mic, Gpu };
 
-const char* device_type_name(DeviceType t);
-
 /// Static description of one device SKU (nominal, before per-instance
 /// variability). The numeric defaults below are calibrated so that the
 /// claim-level benches reproduce the paper's motivating figures — they model

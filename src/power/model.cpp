@@ -137,27 +137,4 @@ std::size_t NodeEnergyModel::optimal_op_index(const WorkloadModel& w) const {
   return best;
 }
 
-double NodeEnergyModel::savings_vs_highest(const WorkloadModel& w) const {
-  const auto& dvfs = pm_.spec().dvfs;
-  const double e_default = energy_to_solution_j(w, dvfs.highest(), 1.0);
-  const double e_opt =
-      energy_to_solution_j(w, dvfs.at(optimal_op_index(w)), 1.0);
-  return 1.0 - e_opt / e_default;
-}
-
-const OperatingPoint& energy_optimal_op(const PowerModel& pm,
-                                        const WorkloadModel& w, double temp_c) {
-  const auto& pts = pm.spec().dvfs.points();
-  const OperatingPoint* best = &pts.front();
-  double best_e = energy_j(pm, w, pts.front(), 1.0, temp_c);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    const double e = energy_j(pm, w, pts[i], 1.0, temp_c);
-    if (e <= best_e) {  // <=: prefer the faster point on ties
-      best_e = e;
-      best = &pts[i];
-    }
-  }
-  return *best;
-}
-
 }  // namespace antarex::power

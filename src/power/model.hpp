@@ -94,12 +94,6 @@ double energy_j(const DeviceSpec& spec, const Variability& var, double v_nom,
                 const WorkloadModel& w, const OperatingPoint& op, double units,
                 double temp_c);
 
-/// The operating point of the table minimizing energy_j (the paper's
-/// "optimal selection of operating points"); ties broken toward higher
-/// frequency.
-const OperatingPoint& energy_optimal_op(const PowerModel& pm,
-                                        const WorkloadModel& w, double temp_c);
-
 /// Node-level energy-to-solution: device power with leakage at the
 /// *steady-state* temperature of each operating point (hot at high
 /// frequency, cool at low — the thermal feedback that gives compute-bound
@@ -119,8 +113,6 @@ class NodeEnergyModel {
                               double units) const;
   /// P-state index minimizing energy-to-solution.
   std::size_t optimal_op_index(const WorkloadModel& w) const;
-  /// Savings of the optimal P-state vs the highest one, in [0, 1).
-  double savings_vs_highest(const WorkloadModel& w) const;
 
   const PowerModel& power_model() const { return pm_; }
   double base_power_w() const { return base_w_; }

@@ -26,11 +26,4 @@ void RaplDomain::reset() {
   total_j_ = 0.0;
 }
 
-EnergySample::EnergySample(const RaplDomain& domain)
-    : domain_(domain), start_(domain.counter_uj()) {}
-
-double EnergySample::elapsed_j() const {
-  return RaplDomain::delta_j(start_, domain_.counter_uj());
-}
-
 }  // namespace antarex::power

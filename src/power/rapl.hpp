@@ -53,17 +53,4 @@ inline u32 RaplDomain::wrap_uj(double joules) {
   return static_cast<u32>(wrapped);
 }
 
-/// Convenience sampler: read-before / read-after energy measurement, the
-/// idiom every RAPL consumer uses.
-class EnergySample {
- public:
-  explicit EnergySample(const RaplDomain& domain);
-  /// Joules accumulated since construction (wrap-aware).
-  double elapsed_j() const;
-
- private:
-  const RaplDomain& domain_;
-  u32 start_;
-};
-
 }  // namespace antarex::power

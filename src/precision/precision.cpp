@@ -17,10 +17,6 @@ double quantize(double x, int mantissa_bits) {
   return std::ldexp(rounded / scale, exp);
 }
 
-void quantize_inplace(std::vector<double>& xs, int mantissa_bits) {
-  for (double& x : xs) x = quantize(x, mantissa_bits);
-}
-
 double relative_error(double ref, double approx) {
   const double denom = std::max(std::fabs(ref), 1e-300);
   return std::fabs(ref - approx) / denom;

@@ -22,8 +22,6 @@ namespace antarex::precision {
 /// zero/inf/nan transparently.
 double quantize(double x, int mantissa_bits);
 
-void quantize_inplace(std::vector<double>& xs, int mantissa_bits);
-
 /// |ref - approx| / max(|ref|, eps).
 double relative_error(double ref, double approx);
 

@@ -99,9 +99,4 @@ std::size_t Rng::index(std::size_t n) {
   return static_cast<std::size_t>(uniform_int(0, static_cast<i64>(n) - 1));
 }
 
-Rng Rng::split() {
-  Rng child(next_u64() ^ 0xa5a5'5a5a'dead'beefULL);
-  return child;
-}
-
 }  // namespace antarex

@@ -78,9 +78,6 @@ class Rng {
     }
   }
 
-  /// Derive an independent generator (for parallel streams).
-  Rng split();
-
  private:
   u64 s_[4];
 };

@@ -134,16 +134,6 @@ double mean(const std::vector<double>& xs) {
   return s / static_cast<double>(xs.size());
 }
 
-double geometric_mean(const std::vector<double>& xs) {
-  ANTAREX_REQUIRE(!xs.empty(), "geometric_mean: empty sample");
-  double log_sum = 0.0;
-  for (double x : xs) {
-    ANTAREX_REQUIRE(x > 0.0, "geometric_mean: values must be positive");
-    log_sum += std::log(x);
-  }
-  return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   ANTAREX_REQUIRE(bins > 0, "Histogram: need at least one bin");

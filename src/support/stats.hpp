@@ -89,9 +89,6 @@ std::vector<double> percentiles(std::vector<double> xs,
 /// Arithmetic mean; 0 for empty input.
 double mean(const std::vector<double>& xs);
 
-/// Geometric mean; requires all-positive values.
-double geometric_mean(const std::vector<double>& xs);
-
 /// The binning rule of every fixed-bin histogram in the stack: x falls in bin
 /// floor((x - lo) / (hi - lo) * bins), clamped to [0, bins - 1]. The clamp is
 /// taken on the double, so +-inf and huge finite values land in the edge bins

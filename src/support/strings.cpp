@@ -37,14 +37,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string replace_all(std::string s, std::string_view from, std::string_view to) {
   if (from.empty()) return s;
   std::size_t pos = 0;

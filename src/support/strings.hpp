@@ -16,9 +16,6 @@ std::string trim(std::string_view s);
 /// Join with a separator.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
-
 /// Replace every occurrence of `from` (non-empty) with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
 

@@ -137,15 +137,4 @@ ScopedSpan::~ScopedSpan() {
     hook(name_, start_ns_, buf.now_ns());
 }
 
-ScopedTimer::ScopedTimer(Histogram& sink)
-    : sink_(enabled() ? &sink : nullptr) {
-  if (sink_) start_ns_ = Registry::global().trace().now_ns();
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (!sink_) return;
-  const u64 end_ns = Registry::global().trace().now_ns();
-  sink_->add(static_cast<double>(end_ns - start_ns_) * 1e-9);
-}
-
 }  // namespace antarex::telemetry

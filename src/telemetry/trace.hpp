@@ -17,8 +17,6 @@
 
 namespace antarex::telemetry {
 
-class Histogram;
-
 struct TraceEvent {
   const char* name;  ///< must outlive the buffer (string literal or interned)
   u64 ts_ns;         ///< monotonic timestamp
@@ -111,21 +109,6 @@ class ScopedSpan {
   bool framed_ = false;  ///< true when this span installed a context frame
   u64 start_ns_ = 0;     ///< sampled only when an exit hook is installed
   detail::ContextFrame frame_;
-};
-
-/// RAII timer recording its elapsed seconds into a telemetry Histogram on
-/// destruction. Gated at construction: when telemetry is disabled the object
-/// is inert.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& sink);
-  ~ScopedTimer();
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* sink_;  ///< null when constructed disabled
-  u64 start_ns_ = 0;
 };
 
 }  // namespace antarex::telemetry

@@ -76,14 +76,6 @@ void DesignSpace::restrict_range(const std::string& knob_name, double lo, double
   candidates_[static_cast<std::size_t>(i)] = std::move(keep);
 }
 
-void DesignSpace::clear_restrictions() {
-  for (std::size_t i = 0; i < knobs_.size(); ++i) {
-    std::vector<std::size_t> all(knobs_[i].values.size());
-    for (std::size_t vi = 0; vi < all.size(); ++vi) all[vi] = vi;
-    candidates_[i] = std::move(all);
-  }
-}
-
 const std::vector<std::size_t>& DesignSpace::candidates(std::size_t knob_index) const {
   ANTAREX_REQUIRE(knob_index < candidates_.size(),
                   "DesignSpace: knob index out of range");

@@ -49,8 +49,6 @@ class DesignSpace {
   /// Grey-box annotation: restrict a knob to values within [lo, hi]. The
   /// excluded values stay in the knob definition but are never proposed.
   void restrict_range(const std::string& knob_name, double lo, double hi);
-  /// Drop all annotations (back to the full space).
-  void clear_restrictions();
 
   /// Candidate value-indices for a knob under current annotations.
   const std::vector<std::size_t>& candidates(std::size_t knob_index) const;

@@ -14,21 +14,9 @@ Monitor::Monitor(std::string metric, std::size_t window)
 
 void Monitor::push(double sample) { series_->push(sample); }
 
-double Monitor::last() const {
-  ANTAREX_REQUIRE(!series_->empty(), "Monitor '" + metric_ + "': no samples");
-  return series_->last();
-}
-
-double Monitor::window_mean() const {
-  ANTAREX_REQUIRE(!series_->empty(), "Monitor '" + metric_ + "': no samples");
-  return series_->window_mean();
-}
-
 double Monitor::window_percentile(double p) const {
   ANTAREX_REQUIRE(!series_->empty(), "Monitor '" + metric_ + "': no samples");
   return series_->window_percentile(p);
 }
-
-void Monitor::clear() { series_->clear(); }
 
 }  // namespace antarex::tuner

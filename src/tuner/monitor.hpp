@@ -28,11 +28,8 @@ class Monitor {
 
   std::size_t samples() const { return series_->count(); }
   bool empty() const { return series_->empty(); }
-  double last() const;
-  double window_mean() const;
   double window_percentile(double p) const;
   double ewma() const { return series_->ewma(); }
-  void clear();
 
  private:
   std::string metric_;

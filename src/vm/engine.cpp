@@ -211,10 +211,6 @@ const HostFunction* Engine::find_host(const std::string& name) const {
   return it == table.end() ? nullptr : &it->second;
 }
 
-bool Engine::has_host(const std::string& name) const {
-  return find_host(name) != nullptr;
-}
-
 void Engine::prepare_specialize(const std::string& func, int param_index) {
   auto it = functions_.find(func);
   ANTAREX_REQUIRE(it != functions_.end(),
@@ -255,15 +251,6 @@ int Engine::specialize_param(const std::string& func) const {
 DispatchStats Engine::dispatch_stats(const std::string& func) const {
   auto it = functions_.find(func);
   return it == functions_.end() ? DispatchStats{} : it->second.stats;
-}
-
-bool Engine::has_function(const std::string& name) const {
-  return functions_.contains(name);
-}
-
-const CompiledFunction* Engine::generic_version(const std::string& name) const {
-  auto it = functions_.find(name);
-  return it == functions_.end() ? nullptr : &it->second.generic.fn;
 }
 
 void Engine::reset_instruction_count() {

@@ -62,7 +62,6 @@ class Engine {
   /// the same name overrides them (the DSL runtime installs real
   /// `profile_args` collectors this way).
   void register_host(const std::string& name, HostFunction fn);
-  bool has_host(const std::string& name) const;
 
   // --- JIT manager: function multiversioning --------------------------------
 
@@ -97,9 +96,6 @@ class Engine {
   /// a flat, not cumulative, profile). The monitoring layer uses this for
   /// hot-function detection without source instrumentation.
   u64 function_instructions(const std::string& name) const;
-
-  bool has_function(const std::string& name) const;
-  const CompiledFunction* generic_version(const std::string& name) const;
 
   /// Install (or clear, with nullptr) the dynamic-weaving call hook.
   void set_call_hook(CallHook hook) { call_hook_ = std::move(hook); }

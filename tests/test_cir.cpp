@@ -195,11 +195,11 @@ TEST(Parser, WhileBreakContinue) {
 TEST(Parser, StringArgumentInCall) {
   auto m = parse_module(
       "void f() { profile_args(\"kernel\", 3, 4); }");
-  auto calls = collect_calls(*m->find("f"));
+  auto calls = collect_call_sites(*m->find("f"));
   ASSERT_EQ(calls.size(), 1u);
-  EXPECT_EQ(calls[0]->callee, "profile_args");
-  ASSERT_EQ(calls[0]->args.size(), 3u);
-  EXPECT_EQ(calls[0]->args[0]->kind, ExprKind::StrLit);
+  EXPECT_EQ(calls[0].call->callee, "profile_args");
+  ASSERT_EQ(calls[0].call->args.size(), 3u);
+  EXPECT_EQ(calls[0].call->args[0]->kind, ExprKind::StrLit);
 }
 
 TEST(Parser, SyntaxErrorsCarryLocation) {

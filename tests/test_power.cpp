@@ -167,19 +167,12 @@ TEST(Workload, MemoryBoundednessIncreasesWithFrequency) {
   EXPECT_LT(high, 1.0);
 }
 
-TEST(Energy, OptimalOpNeverWorseThanExtremes) {
-  const DeviceSpec spec = DeviceSpec::xeon_haswell();
-  PowerModel pm(spec);
-  for (double mem : {0.0, 0.1, 0.5}) {
-    WorkloadModel w;
-    w.cpu_gcycles = 5.0;
-    w.mem_seconds = mem;
-    w.cores_used = 12;
-    const OperatingPoint& opt = energy_optimal_op(pm, w, 60.0);
-    const double e_opt = energy_j(pm, w, opt, 1.0, 60.0);
-    EXPECT_LE(e_opt, energy_j(pm, w, spec.dvfs.lowest(), 1.0, 60.0) + 1e-9);
-    EXPECT_LE(e_opt, energy_j(pm, w, spec.dvfs.highest(), 1.0, 60.0) + 1e-9);
-  }
+/// Savings of the energy-optimal P-state against the highest one, in [0, 1).
+double savings_vs_highest(const NodeEnergyModel& nm, const WorkloadModel& w) {
+  const auto& dvfs = nm.power_model().spec().dvfs;
+  const double e_default = nm.energy_to_solution_j(w, dvfs.highest(), 1.0);
+  const double e_opt = nm.energy_to_solution_j(w, dvfs.at(nm.optimal_op_index(w)), 1.0);
+  return 1.0 - e_opt / e_default;
 }
 
 class NodeEnergyTest : public ::testing::TestWithParam<double> {};
@@ -200,7 +193,7 @@ TEST_P(NodeEnergyTest, SavingsInPaperBand) {
   const double t_cpu = 10.0 / (3.6 * 12);
   w.mem_seconds = mem_frac / (1.0 - mem_frac + 1e-12) * t_cpu;
 
-  const double savings = nm.savings_vs_highest(w);
+  const double savings = savings_vs_highest(nm, w);
   EXPECT_GT(savings, 0.10);
   EXPECT_LT(savings, 0.55);
 }
@@ -216,7 +209,7 @@ TEST(NodeEnergy, MemoryBoundSavesMoreThanComputeBound) {
   compute.cores_used = 12;
   WorkloadModel memory = compute;
   memory.mem_seconds = 2.0;
-  EXPECT_GT(nm.savings_vs_highest(memory), nm.savings_vs_highest(compute));
+  EXPECT_GT(savings_vs_highest(nm, memory), savings_vs_highest(nm, compute));
 }
 
 TEST(NodeEnergy, SteadyTempHigherAtHighFrequency) {
@@ -291,14 +284,6 @@ TEST(Rapl, AccumulatesEnergy) {
   r.accumulate(100.0, 2.5);
   EXPECT_DOUBLE_EQ(r.total_j(), 250.0);
   EXPECT_EQ(r.counter_uj(), 250000000u);
-}
-
-TEST(Rapl, SampleIdiom) {
-  RaplDomain r;
-  r.accumulate(50.0, 1.0);
-  EnergySample s(r);
-  r.accumulate(50.0, 3.0);
-  EXPECT_NEAR(s.elapsed_j(), 150.0, 1e-6);
 }
 
 TEST(Rapl, CounterWrapsLikeThe32BitMsr) {

@@ -523,17 +523,6 @@ TEST_F(TelemetryTest, SpanHooksFireOnEnterAndExit) {
   EXPECT_EQ(g_exits, 2);
 }
 
-TEST_F(TelemetryTest, ScopedTimerFeedsHistogram) {
-  g_fake_ns = 0;
-  Registry::global().trace().set_now_fn(&fake_now_ns);
-  auto& h = Registry::global().histogram("t.timer_s", 0.0, 1.0, 10);
-  {
-    telemetry::ScopedTimer timer(h);
-  }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 1e-6);  // fake clock: +1us between the two reads
-}
-
 // --------------------------------------------------------------------------
 // Monitor integration: windowed stats visible through the registry
 // --------------------------------------------------------------------------

@@ -61,8 +61,6 @@ TEST(DesignSpace, AnnotationsShrinkTheSpace) {
     EXPECT_GE(tile, 16.0);
     EXPECT_LE(tile, 32.0);
   }
-  s.clear_restrictions();
-  EXPECT_EQ(s.size(), 12u);
 }
 
 TEST(DesignSpace, RejectsEmptyRestriction) {
@@ -86,15 +84,13 @@ TEST(MonitorTest, WindowStatistics) {
   Monitor m("latency", 4);
   for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) m.push(v);
   EXPECT_EQ(m.samples(), 5u);
-  EXPECT_DOUBLE_EQ(m.last(), 5.0);
-  EXPECT_DOUBLE_EQ(m.window_mean(), 3.5);  // 1.0 evicted
+  EXPECT_DOUBLE_EQ(m.window_percentile(0), 2.0);  // 1.0 evicted
   EXPECT_DOUBLE_EQ(m.window_percentile(100), 5.0);
 }
 
 TEST(MonitorTest, EmptyMonitorThrows) {
   Monitor m("x");
-  EXPECT_THROW(m.last(), Error);
-  EXPECT_THROW(m.window_mean(), Error);
+  EXPECT_THROW(m.window_percentile(50), Error);
 }
 
 TEST(GoalTest, Satisfaction) {

@@ -309,7 +309,7 @@ TEST(VmFrames, LoadRejectsBytecodeTheFrameCannotHold) {
   EXPECT_THROW(engine.load_function(function({Instr{Op::PushInt}, Instr{Op::JumpIfTrue, 3},
                                               Instr{Op::PushInt}, Instr{Op::RetVoid}})),
                Error);
-  EXPECT_FALSE(engine.has_function("bad"));
+  EXPECT_THROW(engine.call("bad", {}), Error);  // nothing was loaded
   // Jumping past the end is a return, as at run time.
   engine.load_function(function({Instr{Op::Jump, 99}}));
   EXPECT_EQ(engine.call("bad", {}).as_int(), 0);
