@@ -1025,7 +1025,6 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
     clock_.advance(step);
 
     TELEMETRY_GAUGE("rtrm.it_power_w", it_power_);
-    TELEMETRY_GAUGE("rtrm.power_draw_w", it_power_);
     // One RAPL sample per node and per device each step, parked or not.
     TELEMETRY_COUNT("power.rapl_samples", node_count() + device_count());
     TELEMETRY_COUNT("power.energy_uj",
