@@ -86,7 +86,7 @@ RunStats run(ObsRig& rig, const char* scenario, ClusterConfig cfg) {
   scfg.shards = 1;
   ShardedCluster cluster(scfg);
   add_nodes(cluster);
-  cluster.set_step_observer([&rig](double now, double it_power_w, double dt) {
+  cluster.add_step_observer([&rig](double now, double it_power_w, double dt) {
     rig.package.accumulate(it_power_w, dt);
     rig.accountant.sample(rig.time_base_s + now);
     rig.policies.tick(rig.time_base_s + now);

@@ -178,10 +178,6 @@ class ShardedCluster {
   void set_reading_offset_j(std::size_t node, std::size_t dev, double joules);
 
   // --- observers / control hooks --------------------------------------------
-  void set_step_observer(std::function<void(double, double, double)> fn) {
-    step_observers_.clear();
-    if (fn) step_observers_.push_back(std::move(fn));
-  }
   void add_step_observer(std::function<void(double, double, double)> fn) {
     ANTAREX_REQUIRE(fn != nullptr, "ShardedCluster: null step observer");
     step_observers_.push_back(std::move(fn));
