@@ -139,7 +139,7 @@ class ShardedCluster {
   std::size_t node_count() const { return node_base_w_.size(); }
   std::size_t device_count() const { return dev_spec_.size(); }
   std::size_t node_device_count(std::size_t node) const {
-    return node_dev_count_[node];
+    return node_dev_count_[checked_node(node)];
   }
   /// Shard layout: min(configured shards, nodes) contiguous node ranges of
   /// equal span (the last may be short). It follows the nodes added so far,
@@ -205,15 +205,23 @@ class ShardedCluster {
   const power::CoolingModel& cooling() const { return cooling_; }
   /// IT power committed by the most recent step (chain-summed in node order).
   double it_power_w() const { return it_power_; }
-  double node_power_w(std::size_t node) const { return node_power_[node]; }
+  double node_power_w(std::size_t node) const {
+    return node_power_[checked_node(node)];
+  }
   /// The budget the node's power controller last ran against (the facility
   /// power manager's allocation, or the last apply_node_budget).
-  double node_budget_w(std::size_t node) const { return node_budget_w_[node]; }
-  double node_base_power_w(std::size_t node) const {
-    return node_base_w_[node];
+  double node_budget_w(std::size_t node) const {
+    return node_budget_w_[checked_node(node)];
   }
-  bool node_failed(std::size_t node) const { return node_failed_[node] != 0; }
-  u64 node_crashes(std::size_t node) const { return node_crashes_[node]; }
+  double node_base_power_w(std::size_t node) const {
+    return node_base_w_[checked_node(node)];
+  }
+  bool node_failed(std::size_t node) const {
+    return node_failed_[checked_node(node)] != 0;
+  }
+  u64 node_crashes(std::size_t node) const {
+    return node_crashes_[checked_node(node)];
+  }
   double node_downtime_s(std::size_t node);
   double node_energy_j(std::size_t node);
 
@@ -247,9 +255,11 @@ class ShardedCluster {
   double device_progress_rate_ups(std::size_t node, std::size_t dev) const;
   /// Node and current power of a device by global index (the index
   /// ShardedDispatcher::device_of reports for a running job).
-  std::size_t node_of_device(u32 device) const { return dev_node_[device]; }
+  std::size_t node_of_device(u32 device) const {
+    return dev_node_[checked_device(device)];
+  }
   double device_power_w(u32 device) const {
-    return device_power_now_w(device);
+    return device_power_now_w(checked_device(device));
   }
   double device_energy_j(std::size_t node, std::size_t dev);
   /// Wrapping 32-bit RAPL counter view (power::RaplDomain::wrap_uj) of the
@@ -283,6 +293,15 @@ class ShardedCluster {
     u64 full_steps = 0;
   };
 
+  std::size_t checked_node(std::size_t node) const {
+    ANTAREX_REQUIRE(node < node_count(), "ShardedCluster: node index out of range");
+    return node;
+  }
+  u32 checked_device(u32 device) const {
+    ANTAREX_REQUIRE(device < device_count(),
+                    "ShardedCluster: device index out of range");
+    return device;
+  }
   u32 dev_index(std::size_t node, std::size_t dev) const {
     ANTAREX_REQUIRE(node < node_count() && dev < node_dev_count_[node],
                     "ShardedCluster: device index out of range");

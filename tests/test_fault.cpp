@@ -304,6 +304,29 @@ TEST(Slowdown, StretchesExecutionTime) {
   EXPECT_GT(slow->telemetry().time_s, 1.5 * fast->telemetry().time_s);
 }
 
+TEST(Slowdown, PerNodeAccessorsRejectIndicesPastTheEnd) {
+  auto c = make_cluster(2);  // two nodes, one device each
+  c->run_for(1.0);
+  for (std::size_t node : {std::size_t{0}, std::size_t{1}}) {
+    EXPECT_GT(c->node_power_w(node), 0.0);
+    EXPECT_FALSE(c->node_failed(node));
+    EXPECT_GT(c->node_budget_w(node), 0.0);
+    EXPECT_DOUBLE_EQ(c->node_base_power_w(node), 40.0);
+    EXPECT_EQ(c->node_crashes(node), 0u);
+    EXPECT_EQ(c->node_device_count(node), 1u);
+    EXPECT_EQ(c->node_of_device(static_cast<u32>(node)), node);
+    EXPECT_GT(c->device_power_w(static_cast<u32>(node)), 0.0);
+  }
+  EXPECT_THROW(c->node_power_w(2), Error);
+  EXPECT_THROW(c->node_failed(2), Error);
+  EXPECT_THROW(c->node_budget_w(2), Error);
+  EXPECT_THROW(c->node_base_power_w(2), Error);
+  EXPECT_THROW(c->node_crashes(2), Error);
+  EXPECT_THROW(c->node_device_count(2), Error);
+  EXPECT_THROW(c->node_of_device(2), Error);  // global device index
+  EXPECT_THROW(c->device_power_w(2), Error);
+}
+
 // --------------------------------------------------------------------------
 // Fault driver accounting
 // --------------------------------------------------------------------------
