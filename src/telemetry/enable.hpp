@@ -1,10 +1,8 @@
 // Global on/off switch for the telemetry subsystem.
 //
-// Two layers, per the cost contract in DESIGN.md ("Observability"):
-//  - compile time: build with -DANTAREX_TELEMETRY_COMPILED=0 and every
-//    TELEMETRY_* macro expands to nothing;
-//  - runtime: telemetry::set_enabled(false) (the default) reduces every
-//    instrumentation site to a single relaxed atomic load + branch.
+// Per the cost contract in DESIGN.md ("Observability"),
+// telemetry::set_enabled(false) (the default) reduces every instrumentation
+// site to a single relaxed atomic load + branch.
 //
 // Monitors (telemetry::Series) are deliberately NOT gated: they are the data
 // plane of the autotuner's collect-analyse-decide-act loop, not observability.
@@ -12,10 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-
-#ifndef ANTAREX_TELEMETRY_COMPILED
-#define ANTAREX_TELEMETRY_COMPILED 1
-#endif
 
 namespace antarex::telemetry {
 
@@ -25,13 +19,7 @@ inline std::atomic<std::uint64_t> g_poison_epoch{0};
 }  // namespace detail
 
 /// Is observability collection active right now? One relaxed load.
-inline bool enabled() {
-#if ANTAREX_TELEMETRY_COMPILED
-  return detail::g_enabled.load(std::memory_order_relaxed);
-#else
-  return false;
-#endif
-}
+inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 
 inline void set_enabled(bool on) {
   detail::g_enabled.store(on, std::memory_order_relaxed);

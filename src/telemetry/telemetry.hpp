@@ -6,10 +6,8 @@
 // trace (chrome://tracing / Perfetto), a metrics JSON dump, or a summary
 // table. See DESIGN.md "Observability".
 //
-// Cost contract:
-//  - runtime-disabled (the default): every macro is one relaxed atomic load
-//    and a predictable branch;
-//  - compiled out (-DANTAREX_TELEMETRY_COMPILED=0): the macros vanish.
+// Cost contract: runtime-disabled (the default), every macro is one relaxed
+// atomic load and a predictable branch.
 //
 // Usage:
 //   TELEMETRY_SPAN("rtrm.dispatch");            // RAII trace span
@@ -26,8 +24,6 @@
 
 #define ANTAREX_TELEMETRY_CAT2(a, b) a##b
 #define ANTAREX_TELEMETRY_CAT(a, b) ANTAREX_TELEMETRY_CAT2(a, b)
-
-#if ANTAREX_TELEMETRY_COMPILED
 
 /// Trace the enclosing scope as a span named `name` (string literal).
 #define TELEMETRY_SPAN(name)                     \
@@ -50,19 +46,3 @@
         ::antarex::telemetry::Registry::global().gauge(name);            \
     antarex_telemetry_gauge_.set(v);                                     \
   } while (false)
-
-#else  // telemetry compiled out
-
-#define TELEMETRY_SPAN(name) \
-  do {                       \
-  } while (false)
-#define TELEMETRY_COUNT(name, n) \
-  do {                           \
-    (void)(n);                   \
-  } while (false)
-#define TELEMETRY_GAUGE(name, v) \
-  do {                           \
-    (void)(v);                   \
-  } while (false)
-
-#endif  // ANTAREX_TELEMETRY_COMPILED
