@@ -8,10 +8,10 @@
 //   AnomalyDetector::episodes() ──▶ evaluate()  (interval matching)
 //
 // Recall counts only *qualifying* ground-truth episodes: ones starting after
-// the detector's warmup window with at least kMinSamples sampling instants
+// the detector's warmup window with at least three sampling instants
 // inside the run — an episode the detector never got a judged sample of is
 // not a miss, it is unobservable. Precision counts a detection as a true
-// positive when it overlaps (with kMatchSlackS of grace on both sides) a
+// positive when it overlaps (with 3 s of grace on both sides) a
 // same-kind episode on the same node; where a throttle and a slowdown
 // overlap on one node the power signature is genuinely ambiguous, so either
 // kind matches there.

@@ -219,9 +219,7 @@ class ShardedCluster {
   bool node_failed(std::size_t node) const {
     return node_failed_[checked_node(node)] != 0;
   }
-  u64 node_crashes(std::size_t node) const {
-    return node_crashes_[checked_node(node)];
-  }
+  u64 node_crashes(std::size_t node) const { return node_crashes_[checked_node(node)]; }
   double node_downtime_s(std::size_t node);
   double node_energy_j(std::size_t node);
 
