@@ -6,8 +6,8 @@ project and one for bench/perf, runs every workload once (every bench, every
 example, both CLI tools and the four bench/perf workloads), then lists each
 src/ function with zero calls through `coverage_summary.py --uncalled`.
 
-The list is gated against an allow-list (default tools/reach_allow.txt). Each
-line there names one function as `--uncalled` prints it, without the line
+The list is gated against the allow-list tools/reach_allow.txt. Each line
+there names one function as `--uncalled` prints it, without the line
 number, followed by `# reason`:
 
     src/nav/nav.cpp  antarex::nav::k_alternatives(...)  # paper feature
@@ -19,7 +19,7 @@ src/ file left no coverage data; it exits 2 when a build or a workload fails.
 reason of every entry that stays and marking new ones `# TODO`.
 
 Usage:
-  tools/reach.py [--work-dir DIR] [--jobs N] [--allow FILE] [--update]
+  tools/reach.py [--work-dir DIR] [--update]
 """
 
 import argparse
@@ -37,6 +37,7 @@ EXAMPLES = ["quickstart", "drug_discovery", "navigation",
             "dynamic_specialization", "power_management"]
 TOOLS = ["antarex-weave", "antarex-report"]
 PERF_WORKLOADS = ["toolflow", "dock_campaign", "nav_diurnal", "fleet_hour"]
+ALLOW = ROOT / "tools" / "reach_allow.txt"
 
 
 def run(cmd, cwd=None):
@@ -49,13 +50,14 @@ def run(cmd, cwd=None):
         sys.exit(2)
 
 
-def configure_and_build(source, tree, targets, jobs):
+def configure_and_build(source, tree, targets):
     generator = ["-G", "Ninja"] if shutil.which("ninja") else []
     if not (tree / "CMakeCache.txt").exists():
         run(["cmake", "-S", source, "-B", tree, *generator,
              "-DCMAKE_BUILD_TYPE=Debug", f"-DCMAKE_CXX_FLAGS={FLAGS}",
              "-DCMAKE_EXE_LINKER_FLAGS=--coverage"])
-    run(["cmake", "--build", tree, "-j", str(jobs), "--target", *targets])
+    run(["cmake", "--build", tree, "-j", str(os.cpu_count() or 1),
+         "--target", *targets])
 
 
 def bench_names():
@@ -148,9 +150,6 @@ def main():
     ap.add_argument("--work-dir", type=Path,
                     default=Path(tempfile.gettempdir()) / "antarex-reach",
                     help="holds the two coverage trees and the run directory")
-    ap.add_argument("--jobs", type=int, default=3, help="build parallelism")
-    ap.add_argument("--allow", type=Path,
-                    default=ROOT / "tools" / "reach_allow.txt")
     ap.add_argument("--update", action="store_true",
                     help="rewrite the allow-list to the current zero-call set")
     args = ap.parse_args()
@@ -159,10 +158,8 @@ def main():
     if work == ROOT or ROOT in work.parents:
         raise SystemExit("reach: --work-dir must be outside the source tree")
     cov, cov_perf, rundir = work / "cov", work / "cov-perf", work / "run"
-    configure_and_build(ROOT, cov, [*bench_names(), *EXAMPLES, *TOOLS],
-                        args.jobs)
-    configure_and_build(ROOT / "bench" / "perf", cov_perf, ["antarex_perf"],
-                        args.jobs)
+    configure_and_build(ROOT, cov, [*bench_names(), *EXAMPLES, *TOOLS])
+    configure_and_build(ROOT / "bench" / "perf", cov_perf, ["antarex_perf"])
 
     # Counts from an earlier run would add to this one's.
     for gcda in work.rglob("*.gcda"):
@@ -173,11 +170,11 @@ def main():
 
     functions, no_data = uncalled(work)
     print(f"\n{len(functions)} src/ functions with zero calls")
-    allow = read_allow(args.allow) if args.allow.exists() else {}
+    allow = read_allow(ALLOW) if ALLOW.exists() else {}
     if args.update:
-        write_allow(args.allow, functions, allow)
-        print(f"wrote {args.allow}")
-        allow = read_allow(args.allow)
+        write_allow(ALLOW, functions, allow)
+        print(f"wrote {ALLOW}")
+        allow = read_allow(ALLOW)
 
     missing = sorted(functions - allow.keys())
     reached = sorted(allow.keys() - functions)
@@ -192,7 +189,7 @@ def main():
         print(f"no coverage data: {f}")
     if missing or reached or todo or no_data:
         return 1
-    print(f"every zero-call function is on {args.allow.name} with a reason")
+    print(f"every zero-call function is on {ALLOW.name} with a reason")
     return 0
 
 
