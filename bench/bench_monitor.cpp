@@ -96,19 +96,14 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   model.slowdown_factor = 2.0;
   model.slowdown_duration_s = 10.0;
 
-  monitor::EvalConfig ecfg;
-  ecfg.horizon_s = kHorizonS;
-
   monitor::FabricConfig fcfg;
   fcfg.shards = 64;
   monitor::MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
 
   fault::ShardFaultDriver driver(
-      cluster, monitor::strip_warmup_faults(
-                   fault::generate_schedule(model, n_nodes, 1, kHorizonS,
-                                            kSeed),
-                   monitor::kEvalWarmupEndS));
+      cluster, monitor::strip_warmup_faults(fault::generate_schedule(
+                   model, n_nodes, 1, kHorizonS, kSeed)));
 
   exec::ThreadPool pool(threads);
   cluster.set_pool(&pool);
@@ -128,7 +123,7 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   res.sampler_bytes = fabric.sampler_bytes();
   const std::vector<monitor::Episode> episodes = fabric.detector().episodes();
   res.episodes = episodes.size();
-  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), episodes);
+  res.eval = evaluate(monitor::ground_truth(driver.schedule()), episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < monitor::kAnomalyKindCount; ++k) {

@@ -10,8 +10,12 @@ namespace antarex::monitor {
 
 namespace {
 
-constexpr u64 kMinSamples = 3;        ///< sampling instants inside a qualifying GT
-constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + cadence lag)
+/// Ground truth starting before this never qualifies: the detector's
+/// baselines are still warming.
+constexpr double kWarmupEndS = 12.0;
+constexpr double kSamplePeriodS = 1.0;  ///< the fabric's sampling cadence
+constexpr u64 kMinSamples = 3;  ///< sampling instants inside a qualifying GT
+constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + lag)
 
 /// Closed-interval overlap with symmetric slack.
 bool overlaps(double a1, double a2, double b1, double b2, double slack) {
@@ -28,11 +32,10 @@ u64 samples_inside(double a, double b, double period) {
 
 }  // namespace
 
-std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
-                                             const EvalConfig& cfg) {
-  ANTAREX_REQUIRE(cfg.horizon_s > 0.0, "monitor::ground_truth: horizon not set");
-  ANTAREX_REQUIRE(cfg.sample_period_s > 0.0,
-                  "monitor::ground_truth: sample period must be positive");
+std::vector<GroundTruthEpisode> ground_truth(
+    const fault::FaultSchedule& sched) {
+  const double horizon_s = sched.horizon_s;
+  ANTAREX_REQUIRE(horizon_s > 0.0, "monitor::ground_truth: horizon not set");
   std::vector<GroundTruthEpisode> out;
   std::map<u32, double> open_slow;                  // node -> start
   std::map<std::pair<u32, u32>, double> open_glitch;  // (node, dev) -> start
@@ -42,7 +45,7 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
       case fault::FaultKind::ThermalThrottle:
         out.push_back(GroundTruthEpisode{
             e.node, AnomalyKind::Throttle, e.at_s,
-            std::min(e.at_s + e.duration_s, cfg.horizon_s), false});
+            std::min(e.at_s + e.duration_s, horizon_s), false});
         break;
       case fault::FaultKind::SlowNode:
         open_slow[e.node] = e.at_s;
@@ -72,16 +75,16 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
   }
   for (const auto& [node, start] : open_slow)
     out.push_back(GroundTruthEpisode{node, AnomalyKind::SlowNode, start,
-                                     cfg.horizon_s, false});
+                                     horizon_s, false});
   for (const auto& [key, start] : open_glitch)
     out.push_back(GroundTruthEpisode{key.first, AnomalyKind::PowerSpike, start,
-                                     cfg.horizon_s, false});
+                                     horizon_s, false});
 
   for (GroundTruthEpisode& g : out) {
     g.qualifies =
-        g.start_s >= kEvalWarmupEndS &&
-        samples_inside(g.start_s, std::min(g.end_s, cfg.horizon_s),
-                       cfg.sample_period_s) >= kMinSamples;
+        g.start_s >= kWarmupEndS &&
+        samples_inside(g.start_s, std::min(g.end_s, horizon_s),
+                       kSamplePeriodS) >= kMinSamples;
   }
   std::sort(out.begin(), out.end(),
             [](const GroundTruthEpisode& a, const GroundTruthEpisode& b) {
@@ -142,8 +145,7 @@ EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,
   return result;
 }
 
-fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched,
-                                         double quiet_s) {
+fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched) {
   std::vector<fault::FaultEvent> kept;
   std::vector<std::pair<u32, u32>> open_glitch;  // dropped, awaiting clears
   std::vector<u32> open_slow;
@@ -151,7 +153,7 @@ fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched,
     bool drop = false;
     switch (e.kind) {
       case fault::FaultKind::SensorGlitch:
-        if (e.at_s < quiet_s) {
+        if (e.at_s < kWarmupEndS) {
           drop = true;
           open_glitch.emplace_back(e.node, e.device);
         }
@@ -166,7 +168,7 @@ fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched,
         break;
       }
       case fault::FaultKind::SlowNode:
-        if (e.at_s < quiet_s) {
+        if (e.at_s < kWarmupEndS) {
           drop = true;
           open_slow.push_back(e.node);
         }
@@ -180,7 +182,7 @@ fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched,
         break;
       }
       default:  // throttle is self-contained; crash/repair produce no GT
-        drop = e.at_s < quiet_s;
+        drop = e.at_s < kWarmupEndS;
         break;
     }
     if (!drop) kept.push_back(e);

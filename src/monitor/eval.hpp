@@ -32,15 +32,6 @@ struct GroundTruthEpisode {
   bool qualifies = false;  ///< counts toward the recall denominator
 };
 
-/// Ground truth starting before this never qualifies: the detector's
-/// baselines are still warming.
-constexpr double kEvalWarmupEndS = 12.0;
-
-struct EvalConfig {
-  double sample_period_s = 1.0;  ///< the fabric's sampling cadence
-  double horizon_s = 0.0;        ///< run end (required by ground_truth)
-};
-
 struct KindScore {
   u64 gt_total = 0;       ///< ground-truth episodes of this kind
   u64 gt_qualifying = 0;  ///< ... that qualify for recall
@@ -74,23 +65,22 @@ struct EvalResult {
 /// SlowNode, SensorGlitch/GlitchClear -> PowerSpike (the glitch offset shows
 /// up as a one-sample spike at both edges). Crash/repair produce no episode —
 /// a dead node stops publishing rather than looking anomalous. Unended
-/// episodes run to the horizon.
-std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
-                                             const EvalConfig& cfg);
+/// episodes run to the schedule's horizon, which must be set.
+std::vector<GroundTruthEpisode> ground_truth(
+    const fault::FaultSchedule& sched);
 
 /// Score detector episodes against the ground truth.
 EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,
                     const std::vector<Episode>& detections);
 
-/// Drop fault episodes that begin before `quiet_s` (paired end events of
-/// dropped openers go with them; throttles carry their own duration). The
-/// detector's quality bounds are steady-state properties: baselines must
-/// warm on healthy traffic before z-flags can veto contaminated samples,
-/// and a throttle that spans the cold-start window is indistinguishable
-/// from normal load to a fresh baseline. Scenario builders (the property
-/// suite, bench_monitor) use this to keep bootstrap out of the scored
-/// window, matching the eval's refusal to judge detections there.
-fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched,
-                                         double quiet_s);
+/// Drop fault episodes that begin inside the detector's warmup window (paired
+/// end events of dropped openers go with them; throttles carry their own
+/// duration). The detector's quality bounds are steady-state properties:
+/// baselines must warm on healthy traffic before z-flags can veto
+/// contaminated samples, and a throttle that spans the cold-start window is
+/// indistinguishable from normal load to a fresh baseline. Scenario builders
+/// (the property suite, bench_monitor) use this to keep bootstrap out of the
+/// scored window, matching the eval's refusal to judge detections there.
+fault::FaultSchedule strip_warmup_faults(fault::FaultSchedule sched);
 
 }  // namespace antarex::monitor

@@ -105,14 +105,9 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
   res.core_bytes_before =
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
 
-  EvalConfig ecfg;
-  ecfg.horizon_s = horizon_s;
   fault::ShardFaultDriver driver(
-      cluster, strip_warmup_faults(
-                   fault::generate_schedule(model,
-                                            static_cast<u32>(res.n_nodes), 1,
-                                            horizon_s, seed),
-                   kEvalWarmupEndS));
+      cluster, strip_warmup_faults(fault::generate_schedule(
+                   model, static_cast<u32>(res.n_nodes), 1, horizon_s, seed)));
 
   exec::ThreadPool pool(threads);
   cluster.set_pool(&pool);
@@ -127,7 +122,7 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
   res.episodes = fabric.detector().episodes();
 
-  res.eval = evaluate(ground_truth(driver.schedule(), ecfg), res.episodes);
+  res.eval = evaluate(ground_truth(driver.schedule()), res.episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {

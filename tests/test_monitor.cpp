@@ -381,9 +381,7 @@ TEST(Eval, GroundTruthLabelsAndQualification) {
               return a.at_s < b.at_s;
             });
 
-  EvalConfig cfg;
-  cfg.horizon_s = 50.0;
-  const auto gt = ground_truth(sched, cfg);
+  const auto gt = ground_truth(sched);
   ASSERT_EQ(gt.size(), 4u);  // crash/repair produce nothing
 
   // Sorted by start: glitch(15), throttle(20), slow(30), slow(48).
@@ -519,9 +517,7 @@ std::string run_monitored(int threads, double horizon_s,
   cluster->set_pool(&pool);
   cluster->run_for(horizon_s, 0.25);
 
-  EvalConfig ecfg;
-  ecfg.horizon_s = horizon_s;
-  const auto gt = ground_truth(driver.schedule(), ecfg);
+  const auto gt = ground_truth(driver.schedule());
   const EvalResult r = evaluate(gt, fabric.detector().episodes());
   std::string digest;
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k)
@@ -550,9 +546,7 @@ TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
   EXPECT_EQ(fabric.broker().total_dropped(), 0u);
   EXPECT_EQ(fabric.aggregator().frames(), fabric.broker().delivered());
 
-  EvalConfig ecfg;
-  ecfg.horizon_s = 60.0;
-  const auto gt = ground_truth(driver.schedule(), ecfg);
+  const auto gt = ground_truth(driver.schedule());
   const EvalResult r = evaluate(gt, fabric.detector().episodes());
 
   // The injected throttle and slowdown are found, with nothing spurious.
