@@ -123,7 +123,8 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   res.sampler_bytes = fabric.sampler_bytes();
   const std::vector<monitor::Episode> episodes = fabric.detector().episodes();
   res.episodes = episodes.size();
-  res.eval = evaluate(monitor::ground_truth(driver.schedule()), episodes);
+  res.eval = evaluate(
+      monitor::ground_truth(driver.schedule(), fcfg.sample_period_s), episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < monitor::kAnomalyKindCount; ++k) {

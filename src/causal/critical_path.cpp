@@ -110,19 +110,6 @@ bool RequestTree::complete() const {
   return true;
 }
 
-u64 RequestTree::begin_ns() const {
-  u64 t = sched_ns;
-  for (const SpanNode& s : spans)
-    if (t == 0 || s.begin_ns < t) t = s.begin_ns;
-  return t;
-}
-
-u64 RequestTree::end_ns() const {
-  u64 t = 0;
-  for (const SpanNode& s : spans) t = std::max(t, s.end_ns);
-  return t;
-}
-
 TraceForest TraceForest::from_events(
     const std::vector<telemetry::TraceEvent>& events) {
   std::map<u64, TraceAccum> by_trace;
@@ -213,40 +200,6 @@ std::string TraceForest::structure() const {
                       static_cast<unsigned long long>(s.parent_id));
   }
   return out;
-}
-
-double critical_path_s(const RequestTree& tree) {
-  if (tree.root == SIZE_MAX) return 0.0;
-  // Recursive longest chain; explicit stack to be depth-safe.
-  struct Visit {
-    std::size_t index;
-    bool expanded;
-  };
-  std::vector<double> cp(tree.spans.size(), 0.0);
-  std::vector<Visit> stack{{tree.root, false}};
-  while (!stack.empty()) {
-    Visit& v = stack.back();
-    const SpanNode& s = tree.spans[v.index];
-    if (!v.expanded) {
-      v.expanded = true;
-      for (std::size_t c : s.children) stack.push_back({c, false});
-      continue;
-    }
-    double best = s.end_ns > s.begin_ns
-                      ? static_cast<double>(s.end_ns - s.begin_ns) * 1e-9
-                      : 0.0;
-    for (std::size_t c : s.children) {
-      const SpanNode& child = tree.spans[c];
-      const double offset =
-          child.begin_ns > s.begin_ns
-              ? static_cast<double>(child.begin_ns - s.begin_ns) * 1e-9
-              : 0.0;
-      best = std::max(best, offset + cp[c]);
-    }
-    cp[v.index] = best;
-    stack.pop_back();
-  }
-  return cp[tree.root];
 }
 
 Decomposition decompose(const RequestTree& tree) {

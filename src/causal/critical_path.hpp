@@ -1,4 +1,4 @@
-// Per-request causal tree reconstruction and critical-path analysis.
+// Per-request causal tree reconstruction and latency decomposition.
 //
 // Input: the raw telemetry::TraceBuffer events of a run. Every event that
 // carries a nonzero trace_id belongs to some request's causal tree: 'B'/'E'
@@ -15,10 +15,9 @@
 //    byte-identical across thread counts, which is how tests assert that
 //    work stolen across workers still parents correctly.
 //
-// critical_path_s() is the longest begin-ordered chain through the tree
-// (>= the root's own duration, <= the tree's wall time); decompose() splits
-// a request's wall time into queue-wait / compute / cache-hit / degraded /
-// other segments that sum to the wall time by construction.
+// decompose() splits a request's wall time into queue-wait / compute /
+// cache-hit / degraded / other segments that sum to the wall time by
+// construction.
 #pragma once
 
 #include <cstddef>
@@ -55,9 +54,6 @@ struct RequestTree {
   std::size_t orphans = 0;  ///< spans whose parent chain is broken
 
   bool complete() const;  ///< no orphans and every span closed
-  u64 begin_ns() const;   ///< min over sched mark and span begins
-  u64 end_ns() const;     ///< max over span ends
-  double wall_s() const { return static_cast<double>(end_ns() - begin_ns()) * 1e-9; }
 };
 
 /// Where one slice of a request's wall time went. queue_wait is the
@@ -101,11 +97,6 @@ class TraceForest {
  private:
   std::vector<RequestTree> trees_;  ///< sorted by trace_id
 };
-
-/// Longest causal chain through the tree, in seconds: for each span,
-/// max(own duration, max over children of (child.begin - begin) + cp(child)).
-/// 0 when the tree has no root span. Always <= tree wall time.
-double critical_path_s(const RequestTree& tree);
 
 /// Latency decomposition of one request; requires tree.root != SIZE_MAX.
 Decomposition decompose(const RequestTree& tree);

@@ -48,11 +48,6 @@ std::vector<DecisionRecord> DecisionLedger::snapshot() const {
   return records_;
 }
 
-std::size_t DecisionLedger::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return records_.size();
-}
-
 u64 DecisionLedger::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;

@@ -55,7 +55,6 @@ class DecisionLedger {
   void note_effect(u64 seq, const std::string& effect, double effect_value);
 
   std::vector<DecisionRecord> snapshot() const;
-  std::size_t size() const;
   u64 dropped() const;
   void clear();
 

@@ -23,12 +23,6 @@ SloTracker::SloTracker(std::vector<SloTier> tiers, std::size_t window)
   }
 }
 
-std::size_t SloTracker::tier_index(const std::string& name) const {
-  for (std::size_t i = 0; i < tiers_.size(); ++i)
-    if (tiers_[i].name == name) return i;
-  return SIZE_MAX;
-}
-
 void SloTracker::observe(std::size_t tier_index, double latency_s) {
   ANTAREX_REQUIRE(tier_index < tiers_.size(), "SloTracker: bad tier index");
   State& st = states_[tier_index];

@@ -45,8 +45,6 @@ class SloTracker {
 
   std::size_t tier_count() const { return tiers_.size(); }
   const SloTier& tier(std::size_t i) const { return tiers_[i]; }
-  /// Index of a tier by name; SIZE_MAX when unknown.
-  std::size_t tier_index(const std::string& name) const;
 
   void observe(std::size_t tier_index, double latency_s);
 

@@ -19,12 +19,6 @@ class Parser {
     return m;
   }
 
-  ExprPtr single_expression() {
-    ExprPtr e = expression();
-    expect(TokKind::End, "trailing tokens after expression");
-    return e;
-  }
-
   std::unique_ptr<Block> snippet() {
     auto b = std::make_unique<Block>();
     while (!at(TokKind::End)) b->stmts.push_back(statement());
@@ -430,10 +424,6 @@ class Parser {
 
 std::unique_ptr<Module> parse_module(std::string_view source) {
   return Parser(source).module();
-}
-
-ExprPtr parse_expression(std::string_view source) {
-  return Parser(source).single_expression();
 }
 
 std::unique_ptr<Block> parse_snippet(std::string_view source) {

@@ -31,9 +31,6 @@ namespace antarex::cir {
 /// Parses a full translation unit. Throws antarex::Error on syntax errors.
 std::unique_ptr<Module> parse_module(std::string_view source);
 
-/// Parses a single expression (used by DSL-templated code snippets).
-ExprPtr parse_expression(std::string_view source);
-
 /// Parses a sequence of statements into a block (used when aspects insert
 /// code snippets, e.g. Figure 2's probe injection).
 std::unique_ptr<Block> parse_snippet(std::string_view source);

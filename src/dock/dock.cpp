@@ -40,11 +40,6 @@ double& AffinityGrid::at(std::size_t i, std::size_t j, std::size_t k) {
   return values_[(k * ny_ + j) * nx_ + i];
 }
 
-double AffinityGrid::at(std::size_t i, std::size_t j, std::size_t k) const {
-  ANTAREX_REQUIRE(i < nx_ && j < ny_ && k < nz_, "AffinityGrid: index out of range");
-  return values_[(k * ny_ + j) * nx_ + i];
-}
-
 double AffinityGrid::sample(double x, double y, double z) const {
   constexpr double kOutOfBoxPenalty = 50.0;
   const double fx = x / spacing_;

@@ -50,7 +50,6 @@ class AffinityGrid {
   double extent_z() const { return static_cast<double>(nz_ - 1) * spacing_; }
 
   double& at(std::size_t i, std::size_t j, std::size_t k);
-  double at(std::size_t i, std::size_t j, std::size_t k) const;
 
   /// Trilinear interpolation; coordinates outside the box cost a steep
   /// out-of-bounds penalty (ligand must stay in the pocket region).

@@ -81,8 +81,6 @@ double ProfileStore::hottest_value(const std::string& func,
   return best;
 }
 
-void ProfileStore::clear() { profiles_.clear(); }
-
 void SectionTimers::install(vm::Engine& engine) {
   engine_ = &engine;
   engine.register_host("monitor_begin", [this](std::span<const vm::Value> args) {

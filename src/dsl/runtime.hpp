@@ -41,8 +41,6 @@ class ProfileStore {
   /// function or index was never observed.
   double hottest_value(const std::string& func, std::size_t arg_index) const;
 
-  void clear();
-
  private:
   std::map<std::string, FunctionProfile> profiles_;
 };

@@ -52,17 +52,6 @@ std::vector<RingCell> RetentionRing::history(std::size_t level) const {
   return out;
 }
 
-void RetentionRing::clear() {
-  for (Level& l : levels_) {
-    std::fill(l.cells.begin(), l.cells.end(), RingCell{});
-    l.head = l.size = 0;
-    l.fold.clear();
-    l.folded = 0;
-    l.pend_min = l.pend_max = 0.0;
-  }
-  pushes_ = 0;
-}
-
 // --- ShardAggregator --------------------------------------------------------
 
 namespace {
@@ -146,17 +135,6 @@ std::size_t ShardAggregator::approx_bytes() const {
   for (const RetentionRing& r : rings_) b += r.approx_bytes();
   b += step_.size() * sizeof(StreamStat);
   return b;
-}
-
-void ShardAggregator::clear() {
-  for (Cell& c : cells_) {
-    c.stat.clear();
-    c.sketch.clear();
-  }
-  for (RetentionRing& r : rings_) r.clear();
-  for (StreamStat& s : step_) s.clear();
-  hot_nodes_.clear();
-  frames_ = 0;
 }
 
 }  // namespace antarex::monitor

@@ -91,7 +91,6 @@ class RetentionRing {
   std::vector<RingCell> history(std::size_t level) const;
   std::size_t capacity() const { return capacity_; }
 
-  void clear();
   std::size_t approx_bytes() const {
     return sizeof(*this) + kLevels * capacity_ * sizeof(RingCell);
   }
@@ -148,8 +147,6 @@ class ShardAggregator {
 
   /// Node-count-independent memory bound of everything this object owns.
   std::size_t approx_bytes() const;
-
-  void clear();
 
  private:
   struct Cell {

@@ -33,11 +33,6 @@ void Broker::publish(const MetricFrame& frame) {
   q.push_back(frame);
 }
 
-u64 Broker::dropped(std::size_t shard) const {
-  ANTAREX_REQUIRE(shard < dropped_.size(), "Broker: shard out of range");
-  return dropped_[shard];
-}
-
 u64 Broker::total_dropped() const {
   return std::accumulate(dropped_.begin(), dropped_.end(), u64{0});
 }

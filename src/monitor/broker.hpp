@@ -58,7 +58,6 @@ class Broker {
 
   u64 published() const { return published_; }
   u64 delivered() const { return delivered_; }
-  u64 dropped(std::size_t shard) const;
   u64 total_dropped() const;
 
   /// Approximate resident bytes of the queues (capacity-based, so the figure

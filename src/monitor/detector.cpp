@@ -216,14 +216,4 @@ std::size_t AnomalyDetector::approx_bytes() const {
          closed_.capacity() * sizeof(Episode);
 }
 
-void AnomalyDetector::clear() {
-  std::fill(baselines_.begin(), baselines_.end(), Baseline{});
-  tracked_.clear();
-  closed_.clear();
-  active_ = 0;
-  flagged_samples_ = 0;
-  tracked_overflow_ = 0;
-  closed_overflow_ = 0;
-}
-
 }  // namespace antarex::monitor

@@ -90,7 +90,6 @@ class AnomalyDetector {
   u64 closed_overflow() const { return closed_overflow_; }
 
   std::size_t approx_bytes() const;
-  void clear();
 
  private:
   struct Baseline {

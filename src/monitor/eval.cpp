@@ -13,7 +13,6 @@ namespace {
 /// Ground truth starting before this never qualifies: the detector's
 /// baselines are still warming.
 constexpr double kWarmupEndS = 12.0;
-constexpr double kSamplePeriodS = 1.0;  ///< the fabric's sampling cadence
 constexpr u64 kMinSamples = 3;  ///< sampling instants inside a qualifying GT
 constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + lag)
 
@@ -32,10 +31,12 @@ u64 samples_inside(double a, double b, double period) {
 
 }  // namespace
 
-std::vector<GroundTruthEpisode> ground_truth(
-    const fault::FaultSchedule& sched) {
+std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
+                                             double sample_period_s) {
   const double horizon_s = sched.horizon_s;
   ANTAREX_REQUIRE(horizon_s > 0.0, "monitor::ground_truth: horizon not set");
+  ANTAREX_REQUIRE(sample_period_s > 0.0,
+                  "monitor::ground_truth: sample period must be positive");
   std::vector<GroundTruthEpisode> out;
   std::map<u32, double> open_slow;                  // node -> start
   std::map<std::pair<u32, u32>, double> open_glitch;  // (node, dev) -> start
@@ -84,7 +85,7 @@ std::vector<GroundTruthEpisode> ground_truth(
     g.qualifies =
         g.start_s >= kWarmupEndS &&
         samples_inside(g.start_s, std::min(g.end_s, horizon_s),
-                       kSamplePeriodS) >= kMinSamples;
+                       sample_period_s) >= kMinSamples;
   }
   std::sort(out.begin(), out.end(),
             [](const GroundTruthEpisode& a, const GroundTruthEpisode& b) {

@@ -8,9 +8,9 @@
 //   AnomalyDetector::episodes() ──▶ evaluate()  (interval matching)
 //
 // Recall counts only *qualifying* ground-truth episodes: ones starting after
-// the detector's warmup window with at least three sampling instants
-// inside the run — an episode the detector never got a judged sample of is
-// not a miss, it is unobservable. Precision counts a detection as a true
+// the detector's warmup window with at least three sampling instants of the
+// scored fabric inside the run — an episode the detector never got a judged
+// sample of is not a miss, it is unobservable. Precision counts a detection as a true
 // positive when it overlaps (with 3 s of grace on both sides) a
 // same-kind episode on the same node; where a throttle and a slowdown
 // overlap on one node the power signature is genuinely ambiguous, so either
@@ -65,9 +65,11 @@ struct EvalResult {
 /// SlowNode, SensorGlitch/GlitchClear -> PowerSpike (the glitch offset shows
 /// up as a one-sample spike at both edges). Crash/repair produce no episode —
 /// a dead node stops publishing rather than looking anomalous. Unended
-/// episodes run to the schedule's horizon, which must be set.
-std::vector<GroundTruthEpisode> ground_truth(
-    const fault::FaultSchedule& sched);
+/// episodes run to the schedule's horizon, which must be set. Sampling
+/// instants for qualification are the multiples of `sample_period_s`, the
+/// FabricConfig::sample_period_s of the run being scored.
+std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
+                                             double sample_period_s);
 
 /// Score detector episodes against the ground truth.
 EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,

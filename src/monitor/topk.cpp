@@ -7,18 +7,13 @@ TopK::TopK(std::size_t k) : k_(k) {
   entries_.reserve(k);
 }
 
-std::size_t TopK::find(u32 key) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i)
-    if (entries_[i].key == key) return i;
-  return entries_.size();
-}
-
 void TopK::offer(u32 key, double weight) {
   ANTAREX_REQUIRE(weight >= 0.0, "TopK: negative weight");
   total_ += weight;
-  const std::size_t i = find(key);
-  if (i < entries_.size()) {
-    entries_[i].weight += weight;
+  const auto hit = std::find_if(entries_.begin(), entries_.end(),
+                                [key](const Entry& e) { return e.key == key; });
+  if (hit != entries_.end()) {
+    hit->weight += weight;
     return;
   }
   if (entries_.size() < k_) {
@@ -47,17 +42,6 @@ std::vector<TopK::Entry> TopK::ranked() const {
     return a.key < b.key;
   });
   return out;
-}
-
-double TopK::guaranteed_weight(u32 key) const {
-  const std::size_t i = find(key);
-  if (i == entries_.size()) return 0.0;
-  return entries_[i].weight - entries_[i].error;
-}
-
-void TopK::clear() {
-  entries_.clear();
-  total_ = 0.0;
 }
 
 }  // namespace antarex::monitor

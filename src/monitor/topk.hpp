@@ -41,18 +41,11 @@ class TopK {
   /// deterministic ranking for reports and digests.
   std::vector<Entry> ranked() const;
 
-  /// True weight lower bound for `key` (0 when absent).
-  double guaranteed_weight(u32 key) const;
-
-  void clear();
-
   std::size_t approx_bytes() const {
     return sizeof(*this) + k_ * sizeof(Entry);
   }
 
  private:
-  std::size_t find(u32 key) const;  ///< index in entries_, or size() if absent
-
   std::size_t k_;
   std::vector<Entry> entries_;  ///< unordered; scanned (K is small)
   double total_ = 0.0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/pool.hpp"
 #include "obs/policy.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -66,10 +65,6 @@ void SpanTracker::hook_exit(const char* name, u64 start_ns, u64 end_ns) {
 }
 
 void SpanTracker::install() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    installed_ = true;
-  }
   telemetry::set_span_enter_hook(&SpanTracker::hook_enter);
   telemetry::set_span_exit_hook(&SpanTracker::hook_exit);
 }
@@ -77,13 +72,6 @@ void SpanTracker::install() {
 void SpanTracker::uninstall() {
   telemetry::set_span_enter_hook(nullptr);
   telemetry::set_span_exit_hook(nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  installed_ = false;
-}
-
-bool SpanTracker::installed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return installed_;
 }
 
 std::vector<SpanTracker::Context> SpanTracker::snapshot() const {
@@ -159,11 +147,6 @@ void EnergyAccountant::add_domain(const power::RaplDomain* domain) {
   domains_.push_back(DomainState{domain, domain->counter_uj(), 0.0});
 }
 
-void EnergyAccountant::set_pool(const exec::ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pool_ = pool;
-}
-
 void EnergyAccountant::install() const { SpanTracker::global().install(); }
 
 void EnergyAccountant::uninstall() const { SpanTracker::global().uninstall(); }
@@ -209,14 +192,6 @@ void EnergyAccountant::sample(double now_s) {
   TELEMETRY_COUNT("obs.attribution_samples", 1);
   TELEMETRY_GAUGE("obs.attribution_contexts",
                   static_cast<double>(contexts.size()));
-  if (pool_)
-    TELEMETRY_GAUGE("obs.active_workers",
-                    static_cast<double>(pool_->active_workers()));
-}
-
-AttributionTable EnergyAccountant::by_leaf() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return leaf_;
 }
 
 AttributionTable EnergyAccountant::by_phase() const {
@@ -240,7 +215,6 @@ std::string EnergyAccountant::json() const {
   out += format(",\"interval_s\":%.9g", opts_.interval_s);
   out += format(",\"samples\":%llu", static_cast<unsigned long long>(samples_));
   out += format(",\"total_joules\":%.9g", leaf_.total_joules());
-  if (pool_) out += format(",\"workers\":%d", pool_->size());
   out += ",\"domains\":[";
   bool first = true;
   for (const DomainState& d : domains_) {
@@ -269,19 +243,6 @@ std::string EnergyAccountant::json() const {
   emit_table("by_phase", phase_);
   out += "}";
   return out;
-}
-
-void EnergyAccountant::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  leaf_ = AttributionTable();
-  phase_ = AttributionTable();
-  samples_ = 0;
-  primed_ = false;
-  last_now_s_ = 0.0;
-  for (DomainState& d : domains_) {
-    d.last_counter = d.domain->counter_uj();
-    d.joules = 0.0;
-  }
 }
 
 }  // namespace antarex::obs

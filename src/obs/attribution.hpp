@@ -37,10 +37,6 @@
 #include "support/common.hpp"
 #include "support/table.hpp"
 
-namespace antarex::exec {
-class ThreadPool;
-}
-
 namespace antarex::obs {
 
 class PolicyEngine;
@@ -56,7 +52,6 @@ class SpanTracker {
   /// attached (set_policy_engine), span exits also evaluate its policies.
   void install();
   void uninstall();
-  bool installed() const;
 
   /// One live attribution context: a thread with >= 1 open span.
   struct Context {
@@ -83,7 +78,6 @@ class SpanTracker {
   mutable std::mutex mu_;
   std::vector<ThreadStack*> stacks_;
   PolicyEngine* engine_ = nullptr;  ///< guarded by mu_
-  bool installed_ = false;
 };
 
 struct AttributionRow {
@@ -125,9 +119,6 @@ class EnergyAccountant {
   /// Register a domain to sample (non-owning; must outlive the accountant).
   void add_domain(const power::RaplDomain* domain);
 
-  /// Optional pool: lets the dump record worker counts next to attribution.
-  void set_pool(const exec::ThreadPool* pool);
-
   /// Convenience: install the global SpanTracker hooks.
   void install() const;
   void uninstall() const;
@@ -136,17 +127,13 @@ class EnergyAccountant {
   /// sample. The first call only establishes the counter baselines.
   void sample(double now_s);
 
-  AttributionTable by_leaf() const;   ///< per innermost span name
   AttributionTable by_phase() const;  ///< per outermost span name
   double attributed_joules() const;
   u64 samples() const;
-  double interval_s() const { return opts_.interval_s; }
 
   /// JSON dump, schema "antarex.obs.attribution/v1" — the attribution input
   /// of antarex-report and the bench reports.
   std::string json() const;
-
-  void reset();
 
  private:
   Options opts_;
@@ -157,7 +144,6 @@ class EnergyAccountant {
     double joules = 0.0;  ///< total attributed from this domain
   };
   std::vector<DomainState> domains_;
-  const exec::ThreadPool* pool_ = nullptr;
   AttributionTable leaf_;
   AttributionTable phase_;
   double last_now_s_ = 0.0;

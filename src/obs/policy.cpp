@@ -1,6 +1,5 @@
 #include "obs/policy.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "causal/ledger.hpp"
@@ -54,15 +53,6 @@ int PolicyEngine::add_actuating(std::string name, Predicate when,
   return add_policy(std::move(p));
 }
 
-void PolicyEngine::remove(int handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  policies_.erase(std::remove_if(policies_.begin(), policies_.end(),
-                                 [handle](const Policy& p) {
-                                   return p.id == handle;
-                                 }),
-                  policies_.end());
-}
-
 void PolicyEngine::fire(Policy& p, const PolicyContext& ctx) {
   ++p.fires;
   TELEMETRY_COUNT("obs.policy_fires", 1);
@@ -77,7 +67,6 @@ void PolicyEngine::fire(Policy& p, const PolicyContext& ctx) {
         TELEMETRY_COUNT("obs.policy_actions.restrict", 1);
         break;
       case PolicyAction::Relax:
-        ++p.relaxes;
         TELEMETRY_COUNT("obs.policy_actions.relax", 1);
         break;
     }
@@ -109,7 +98,6 @@ void PolicyEngine::fire(Policy& p, const PolicyContext& ctx) {
 
 void PolicyEngine::evaluate(const PolicyContext& ctx) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++evaluations_;
   for (Policy& p : policies_) {
     // A fire from the previous evaluation left a pending ledger record:
     // attach the configured effect metric's current reading as the observed
@@ -144,13 +132,6 @@ void PolicyEngine::on_span_exit(const char* name, double duration_s,
   evaluate(ctx);
 }
 
-u64 PolicyEngine::fires(int handle) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Policy& p : policies_)
-    if (p.id == handle) return p.fires;
-  return 0;
-}
-
 u64 PolicyEngine::fires(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   u64 total = 0;
@@ -159,43 +140,11 @@ u64 PolicyEngine::fires(const std::string& name) const {
   return total;
 }
 
-u64 PolicyEngine::actions(int handle) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Policy& p : policies_)
-    if (p.id == handle) return p.restricts + p.relaxes;
-  return 0;
-}
-
 u64 PolicyEngine::restricts(int handle) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const Policy& p : policies_)
     if (p.id == handle) return p.restricts;
   return 0;
-}
-
-u64 PolicyEngine::relaxes(int handle) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Policy& p : policies_)
-    if (p.id == handle) return p.relaxes;
-  return 0;
-}
-
-u64 PolicyEngine::evaluations() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evaluations_;
-}
-
-std::size_t PolicyEngine::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return policies_.size();
-}
-
-std::vector<std::string> PolicyEngine::names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(policies_.size());
-  for (const Policy& p : policies_) out.push_back(p.name);
-  return out;
 }
 
 void install_builtin_policies(PolicyEngine& engine) {

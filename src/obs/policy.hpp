@@ -12,15 +12,16 @@
 // drop a backpressure gauge).
 //
 // Actuating policies (add_actuating) return a PolicyAction instead of being
-// fire-and-forget: the engine counts the Restrict/Relax decisions per policy
-// and in the obs.policy_actions.* counters, so reports show what the control
-// loop *did*, not just what it observed. A condition that persists actuates
-// once; walking a knob ladder step by step under a persistent violation is
-// govern::ShardedCapCoordinator's job, not the engine's.
+// fire-and-forget: the engine counts the Restrict/Relax decisions in the
+// obs.policy_actions.* counters (and Restricts per policy), so reports show
+// what the control loop *did*, not just what it observed. A condition that
+// persists actuates once; walking a knob ladder step by step under a
+// persistent violation is govern::ShardedCapCoordinator's job, not the
+// engine's.
 //
 // Evaluation is synchronous on the calling thread (the control loop's tick,
-// or the thread exiting a span). Callbacks must not register/remove policies
-// on the same engine (the engine lock is held) and should be cheap — raise a
+// or the thread exiting a span). Callbacks must not register policies on the
+// same engine (the engine lock is held) and should be cheap — raise a
 // counter, set a gauge, notify a controller.
 #pragma once
 
@@ -79,10 +80,9 @@ class PolicyEngine {
           Callback on_clear = nullptr);
   /// Register an actuating policy: fires under the same edge rule,
   /// but the callback returns the action it took, which the engine tallies
-  /// (actions(), restricts(), relaxes(), obs.policy_actions.* counters).
+  /// (restricts(), obs.policy_actions.* counters).
   int add_actuating(std::string name, Predicate when, Actuation act,
                     PolicyOptions opts = {});
-  void remove(int handle);
 
   /// Periodic evaluation (call from the control loop / sampling driver).
   void tick(double now_s);
@@ -90,15 +90,9 @@ class PolicyEngine {
   /// Span-exit evaluation; invoked by the SpanTracker hooks when attached.
   void on_span_exit(const char* name, double duration_s, double now_s);
 
-  u64 fires(int handle) const;
   u64 fires(const std::string& name) const;  ///< 0 if unknown
-  /// Actuating-policy tallies (all zero for plain policies).
-  u64 actions(int handle) const;    ///< non-None actions taken
+  /// Restrict actions an actuating policy took (zero for plain policies).
   u64 restricts(int handle) const;
-  u64 relaxes(int handle) const;
-  u64 evaluations() const;
-  std::size_t size() const;
-  std::vector<std::string> names() const;
 
  private:
   struct Policy {
@@ -112,7 +106,6 @@ class PolicyEngine {
     Trigger trigger;
     u64 fires = 0;
     u64 restricts = 0;
-    u64 relaxes = 0;
     u64 pending_seq = 0;  ///< ledger record awaiting its observed effect
   };
   int add_policy(Policy p);
@@ -122,7 +115,6 @@ class PolicyEngine {
   mutable std::mutex mu_;
   std::vector<Policy> policies_;
   int next_id_ = 1;
-  u64 evaluations_ = 0;
 };
 
 /// Install the three built-in stack policies on `engine`:

@@ -184,8 +184,6 @@ void emit_attribution(std::string& html, const JsonValue& attr) {
   html += format(
       "<p>%.3f J attributed over %.0f samples (interval %.3g s)",
       total, attr.number_or("samples", 0.0), attr.number_or("interval_s", 0.0));
-  if (const JsonValue* workers = attr.get("workers"))
-    html += format(", %d pool workers", static_cast<int>(workers->as_number()));
   html += "</p>\n";
   const auto emit_table = [&](const char* key, const char* caption) {
     const JsonValue* rows = attr.get(key);

@@ -11,7 +11,6 @@ namespace antarex::passes {
 /// function.
 class ConstantFoldPass final : public Pass {
  public:
-  std::string name() const override { return "fold"; }
   PassResult run(cir::Function& f) override;
 };
 

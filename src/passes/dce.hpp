@@ -14,7 +14,6 @@ namespace antarex::passes {
 ///  - pure expression statements.
 class DeadCodeEliminationPass final : public Pass {
  public:
-  std::string name() const override { return "dce"; }
   PassResult run(cir::Function& f) override;
 };
 

@@ -15,7 +15,6 @@ class InlineTrivialPass final : public Pass {
  public:
   /// Module-aware pass: needs the module to resolve callees.
   explicit InlineTrivialPass(const cir::Module& module) : module_(module) {}
-  std::string name() const override { return "inline"; }
   PassResult run(cir::Function& f) override;
 
  private:

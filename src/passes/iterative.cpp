@@ -122,22 +122,4 @@ IterativeResult IterativeCompiler::explore_exhaustive(const cir::Module& m,
   return finalize(evaluate_all(m, w, pipelines), baseline);
 }
 
-IterativeResult IterativeCompiler::explore_random(const cir::Module& m,
-                                                  const Workload& w, int samples,
-                                                  int max_len, Rng& rng) const {
-  ANTAREX_REQUIRE(samples >= 1 && max_len >= 1,
-                  "explore_random: samples and max_len must be >= 1");
-  const u64 baseline = run_baseline(m, w, nullptr);
-  // Draw all pipelines first: the rng sequence stays identical whether the
-  // evaluations then run serially or on the pool.
-  std::vector<std::string> pipelines;
-  for (int s = 0; s < samples; ++s) {
-    const int len = static_cast<int>(rng.uniform_int(1, max_len));
-    std::vector<std::string> parts;
-    for (int i = 0; i < len; ++i) parts.push_back(specs_[rng.index(specs_.size())]);
-    pipelines.push_back(join(parts, ","));
-  }
-  return finalize(evaluate_all(m, w, pipelines), baseline);
-}
-
 }  // namespace antarex::passes

@@ -2,11 +2,10 @@
 //
 // "Iterative compilation techniques are attractive to identify the best
 // compiler optimizations for a given program/code fragment" — this explorer
-// enumerates (or samples) pass pipelines, evaluates each candidate by
-// actually running the transformed program on the VM and counting executed
-// instructions (a deterministic stand-in for cycles), and returns the best
-// sequence. The result is what split compilation conveys to the runtime
-// stage.
+// enumerates pass pipelines, evaluates each candidate by actually running the
+// transformed program on the VM and counting executed instructions (a
+// deterministic stand-in for cycles), and returns the best sequence. The
+// result is what split compilation conveys to the runtime stage.
 #pragma once
 
 #include <functional>
@@ -15,7 +14,6 @@
 
 #include "cir/ast.hpp"
 #include "exec/pool.hpp"
-#include "support/rng.hpp"
 #include "vm/engine.hpp"
 
 namespace antarex::passes {
@@ -57,9 +55,8 @@ class IterativeCompiler {
   explicit IterativeCompiler(std::vector<std::string> specs = {});
 
   /// Evaluate candidates on `pool` instead of serially (nullptr reverts).
-  /// Candidate lists are always generated serially (so explore_random draws
-  /// the same pipelines for any thread count) and results are collected in
-  /// candidate index order, so exploration results are byte-identical with
+  /// Candidate lists are always generated serially and results are collected
+  /// in candidate index order, so exploration results are byte-identical with
   /// and without a pool.
   void set_pool(exec::ThreadPool* pool) { pool_ = pool; }
 
@@ -73,10 +70,6 @@ class IterativeCompiler {
   /// (without repetition within one sequence).
   IterativeResult explore_exhaustive(const cir::Module& m, const Workload& w,
                                      int max_len = 2) const;
-
-  /// Random sampling of `samples` sequences of length up to max_len.
-  IterativeResult explore_random(const cir::Module& m, const Workload& w,
-                                 int samples, int max_len, Rng& rng) const;
 
  private:
   u64 run_baseline(const cir::Module& m, const Workload& w, vm::Value* out) const;

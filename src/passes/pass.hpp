@@ -23,7 +23,6 @@ struct PassResult {
 class Pass {
  public:
   virtual ~Pass() = default;
-  virtual std::string name() const = 0;
   virtual PassResult run(cir::Function& f) = 0;
 };
 

@@ -11,7 +11,6 @@ namespace antarex::passes {
 ///   pow(x, 0.5) -> sqrt(x)
 class StrengthReductionPass final : public Pass {
  public:
-  std::string name() const override { return "strength"; }
   PassResult run(cir::Function& f) override;
 };
 

@@ -28,7 +28,6 @@ bool unroll_loop_partial(cir::Function& f, const cir::ForStmt* loop, i64 factor)
 class FullUnrollPass final : public Pass {
  public:
   explicit FullUnrollPass(i64 max_trip = 16) : max_trip_(max_trip) {}
-  std::string name() const override { return "unroll"; }
   PassResult run(cir::Function& f) override;
 
  private:
@@ -39,7 +38,6 @@ class FullUnrollPass final : public Pass {
 class PartialUnrollPass final : public Pass {
  public:
   explicit PartialUnrollPass(i64 factor = 4) : factor_(factor) {}
-  std::string name() const override { return "unroll-partial"; }
   PassResult run(cir::Function& f) override;
 
  private:

@@ -50,14 +50,6 @@ double PowerModel::idle_power_w(const DeviceSpec& spec, const Variability& var,
   return total_power_w(spec, var, v_nom, op, spec.idle_activity, temp_c);
 }
 
-double PowerModel::dynamic_power_w(const OperatingPoint& op, double activity) const {
-  return dynamic_power_w(spec_, var_, op, activity);
-}
-
-double PowerModel::static_power_w(const OperatingPoint& op, double temp_c) const {
-  return static_power_w(spec_, var_, v_nom_, op, temp_c);
-}
-
 double PowerModel::total_power_w(const OperatingPoint& op, double activity,
                                  double temp_c) const {
   return total_power_w(spec_, var_, v_nom_, op, activity, temp_c);

@@ -34,14 +34,12 @@ class PowerModel {
  public:
   explicit PowerModel(DeviceSpec spec, Variability var = {});
 
-  double dynamic_power_w(const OperatingPoint& op, double activity) const;
-  double static_power_w(const OperatingPoint& op, double temp_c) const;
   double total_power_w(const OperatingPoint& op, double activity,
                        double temp_c) const;
 
-  /// Stateless cores of the instance methods above. The SoA cluster engine
+  /// Stateless cores of the instance method above. The SoA cluster engine
   /// (rtrm::ShardedCluster) evaluates these directly from its flat arrays;
-  /// the instance methods delegate here, so both execute the same machine
+  /// the instance method delegates here, so both execute the same machine
   /// code.
   static double dynamic_power_w(const DeviceSpec& spec, const Variability& var,
                                 const OperatingPoint& op, double activity);

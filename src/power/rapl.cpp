@@ -22,8 +22,4 @@ double RaplDomain::delta_j(u32 before, u32 after) {
   return static_cast<double>(delta) * 1e-6;
 }
 
-void RaplDomain::reset() {
-  total_j_ = 0.0;
-}
-
 }  // namespace antarex::power

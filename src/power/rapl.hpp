@@ -39,7 +39,6 @@ class RaplDomain {
   double total_j() const { return total_j_; }
 
   const std::string& name() const { return name_; }
-  void reset();
 
  private:
   std::string name_;

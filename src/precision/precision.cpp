@@ -22,27 +22,6 @@ double relative_error(double ref, double approx) {
   return std::fabs(ref - approx) / denom;
 }
 
-double rmse(const std::vector<double>& ref, const std::vector<double>& approx) {
-  ANTAREX_REQUIRE(ref.size() == approx.size() && !ref.empty(),
-                  "rmse: size mismatch or empty input");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    const double d = ref[i] - approx[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(ref.size()));
-}
-
-double max_abs_error(const std::vector<double>& ref,
-                     const std::vector<double>& approx) {
-  ANTAREX_REQUIRE(ref.size() == approx.size() && !ref.empty(),
-                  "max_abs_error: size mismatch or empty input");
-  double m = 0.0;
-  for (std::size_t i = 0; i < ref.size(); ++i)
-    m = std::max(m, std::fabs(ref[i] - approx[i]));
-  return m;
-}
-
 std::vector<PrecisionLevel> standard_levels() {
   // Energy/time per op calibrated to published multiplier-energy scaling:
   // roughly quadratic in mantissa width for multiply-dominated kernels, with

@@ -25,12 +25,6 @@ double quantize(double x, int mantissa_bits);
 /// |ref - approx| / max(|ref|, eps).
 double relative_error(double ref, double approx);
 
-/// Root-mean-square error between two equally sized vectors.
-double rmse(const std::vector<double>& ref, const std::vector<double>& approx);
-
-double max_abs_error(const std::vector<double>& ref,
-                     const std::vector<double>& approx);
-
 /// One selectable precision level with its cost model.
 struct PrecisionLevel {
   std::string name;

@@ -203,8 +203,6 @@ class ShardedCluster {
   double now_s() const { return clock_.now(); }
   const ClusterTelemetry& telemetry() const { return telemetry_; }
   const power::CoolingModel& cooling() const { return cooling_; }
-  /// IT power committed by the most recent step (chain-summed in node order).
-  double it_power_w() const { return it_power_; }
   double node_power_w(std::size_t node) const {
     return node_power_[checked_node(node)];
   }

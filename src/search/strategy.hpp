@@ -65,7 +65,6 @@ class SearchStrategy final : public tuner::Strategy {
  public:
   explicit SearchStrategy(GeneticConfig cfg = {});
 
-  std::string name() const override { return "evolutionary"; }
   tuner::Configuration next(const tuner::DesignSpace& space,
                             const tuner::Knowledge& knowledge,
                             const std::string& objective, bool minimize,

@@ -67,12 +67,6 @@ const JsonValue* JsonValue::get(const std::string& key) const {
   return nullptr;
 }
 
-const JsonValue& JsonValue::at(const std::string& key) const {
-  const JsonValue* v = get(key);
-  ANTAREX_REQUIRE(v != nullptr, "json: missing key '" + key + "'");
-  return *v;
-}
-
 const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const {
   ANTAREX_REQUIRE(kind_ == Kind::Object, "json: value is not an object");
   return members_;

@@ -48,9 +48,8 @@ class JsonValue {
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
 
-  /// Object lookup: get() returns nullptr when absent, at() throws.
+  /// Object lookup: nullptr when absent.
   const JsonValue* get(const std::string& key) const;
-  const JsonValue& at(const std::string& key) const;
   /// Object members in document order.
   const std::vector<std::pair<std::string, JsonValue>>& members() const;
 

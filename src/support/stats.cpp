@@ -18,8 +18,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::clear() { *this = RunningStats{}; }
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);
@@ -127,13 +125,6 @@ std::vector<double> percentiles(std::vector<double> xs,
   return out;
 }
 
-double mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   ANTAREX_REQUIRE(bins > 0, "Histogram: need at least one bin");
@@ -152,16 +143,6 @@ void Histogram::merge(const Histogram& other) {
                   "Histogram: merging incompatible histograms");
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
-}
-
-void Histogram::clear() {
-  std::fill(counts_.begin(), counts_.end(), u64{0});
-  count_ = 0;
-}
-
-u64 Histogram::bin_count(std::size_t i) const {
-  ANTAREX_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
-  return counts_[i];
 }
 
 std::vector<double> Histogram::approx_quantiles(

@@ -14,7 +14,6 @@ namespace antarex {
 class RunningStats {
  public:
   void add(double x);
-  void clear();
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -86,9 +85,6 @@ double percentile(std::vector<double> xs, double p);
 std::vector<double> percentiles(std::vector<double> xs,
                                 std::initializer_list<double> ps);
 
-/// Arithmetic mean; 0 for empty input.
-double mean(const std::vector<double>& xs);
-
 /// The binning rule of every fixed-bin histogram in the stack: x falls in bin
 /// floor((x - lo) / (hi - lo) * bins), clamped to [0, bins - 1]. The clamp is
 /// taken on the double, so +-inf and huge finite values land in the edge bins
@@ -122,10 +118,8 @@ class Histogram {
   /// Add `n` samples straight into bin i (rebuilding a bucket snapshot).
   void add_to_bin(std::size_t i, u64 n);
   void merge(const Histogram& other);  ///< same lo/hi/bins required
-  void clear();
 
   std::size_t bins() const { return counts_.size(); }
-  u64 bin_count(std::size_t i) const;
   u64 count() const { return count_; }
 
   /// Quantiles, q in [0,1], in the order given; 0 with no samples. The

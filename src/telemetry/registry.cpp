@@ -93,22 +93,9 @@ double Series::ewma() const {
   return ewma_.value();
 }
 
-std::size_t Series::window_capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return window_.capacity();
-}
-
 void Series::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   window_.clear();
-  ewma_.clear();
-  last_ = 0.0;
-  total_ = 0;
-}
-
-void Series::reset_window(std::size_t window) {
-  std::lock_guard<std::mutex> lock(mu_);
-  window_ = SlidingWindow(window);
   ewma_.clear();
   last_ = 0.0;
   total_ = 0;
@@ -156,10 +143,7 @@ Histogram& Registry::histogram(const std::string& name, double lo, double hi,
 Series& Registry::series(const std::string& name, std::size_t window) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = series_[name];
-  if (!slot)
-    slot = std::make_unique<Series>(window);
-  else if (window != 0 && slot->window_capacity() != window)
-    slot->reset_window(window);
+  if (!slot) slot = std::make_unique<Series>(window);
   return *slot;
 }
 

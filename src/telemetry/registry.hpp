@@ -148,12 +148,8 @@ class Series {
   /// so they stay ordered by p while writers keep pushing.
   std::vector<double> window_percentiles(std::initializer_list<double> ps) const;
   double ewma() const;
-  std::size_t window_capacity() const;
 
   void clear();
-  /// Re-shape the rolling window in place (clears held samples). Keeps the
-  /// Series object's address stable — cached pointers stay valid.
-  void reset_window(std::size_t window);
 
  private:
   mutable std::mutex mu_;
@@ -183,7 +179,7 @@ class Registry {
   /// lo/hi/bins apply on first creation only.
   Histogram& histogram(const std::string& name, double lo, double hi,
                        std::size_t bins);
-  /// `window` reshapes an existing series when it differs (in place).
+  /// `window` applies on first creation only.
   Series& series(const std::string& name, std::size_t window = 64);
 
   TraceBuffer& trace() { return trace_; }

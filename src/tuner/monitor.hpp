@@ -18,7 +18,8 @@ namespace antarex::tuner {
 /// (metrics JSON, summary table) without extra plumbing, and there is a
 /// single rolling-stats implementation in the codebase. Constructing a
 /// Monitor claims (and resets) the registry stream of the same name; two
-/// live monitors with the same metric name share one stream.
+/// live monitors with the same metric name share one stream, whose window
+/// is the one the first of them asked for.
 class Monitor {
  public:
   explicit Monitor(std::string metric, std::size_t window = 64);
@@ -27,9 +28,7 @@ class Monitor {
   void push(double sample);
 
   std::size_t samples() const { return series_->count(); }
-  bool empty() const { return series_->empty(); }
   double window_percentile(double p) const;
-  double ewma() const { return series_->ewma(); }
 
  private:
   std::string metric_;

@@ -22,7 +22,6 @@ namespace antarex::tuner {
 class Strategy {
  public:
   virtual ~Strategy() = default;
-  virtual std::string name() const = 0;
 
   /// Decide the configuration to run next.
   virtual Configuration next(const DesignSpace& space, const Knowledge& knowledge,
@@ -45,7 +44,6 @@ class Strategy {
 /// at least one sample, exploits the best known.
 class FullSearchStrategy final : public Strategy {
  public:
-  std::string name() const override { return "full-search"; }
   Configuration next(const DesignSpace&, const Knowledge&, const std::string&,
                      bool, Rng&) override;
   void reset() override { cursor_ = 0; }
@@ -59,7 +57,6 @@ class FullSearchStrategy final : public Strategy {
 class EpsilonGreedyStrategy final : public Strategy {
  public:
   explicit EpsilonGreedyStrategy(double epsilon0 = 0.4, double decay = 0.98);
-  std::string name() const override { return "epsilon-greedy"; }
   Configuration next(const DesignSpace&, const Knowledge&, const std::string&,
                      bool, Rng&) override;
   void reset() override { epsilon_ = epsilon0_; }
@@ -76,7 +73,6 @@ class EpsilonGreedyStrategy final : public Strategy {
 /// the surrogate updates online from observe().
 class ModelGuidedStrategy final : public Strategy {
  public:
-  std::string name() const override { return "model-guided"; }
   Configuration next(const DesignSpace&, const Knowledge&, const std::string&,
                      bool, Rng&) override;
   void observe(const DesignSpace&, const Configuration&, double) override;

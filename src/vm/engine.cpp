@@ -243,11 +243,6 @@ std::size_t Engine::version_count(const std::string& func) const {
   return it == functions_.end() ? 0 : it->second.variants.size();
 }
 
-int Engine::specialize_param(const std::string& func) const {
-  auto it = functions_.find(func);
-  return it == functions_.end() ? -1 : it->second.specialize_param;
-}
-
 DispatchStats Engine::dispatch_stats(const std::string& func) const {
   auto it = functions_.find(func);
   return it == functions_.end() ? DispatchStats{} : it->second.stats;

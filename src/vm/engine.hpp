@@ -75,7 +75,6 @@ class Engine {
 
   /// Number of installed variants for a function (0 if none / unknown).
   std::size_t version_count(const std::string& func) const;
-  int specialize_param(const std::string& func) const;  ///< -1 if not prepared
   DispatchStats dispatch_stats(const std::string& func) const;
 
   // --- execution ------------------------------------------------------------

@@ -122,7 +122,8 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
       fabric.broker().approx_bytes() + fabric.aggregator().approx_bytes();
   res.episodes = fabric.detector().episodes();
 
-  res.eval = evaluate(ground_truth(driver.schedule()), res.episodes);
+  res.eval = evaluate(ground_truth(driver.schedule(), fcfg.sample_period_s),
+                      res.episodes);
 
   res.digest = fabric.health_json();
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k) {

@@ -113,6 +113,14 @@ std::unique_ptr<Module> parse_ok(std::string_view src) {
   return m;
 }
 
+// The expression `src` as the parser builds it: the value of the
+// one-statement function body `return src;`.
+ExprPtr parse_return_value(const std::string& src) {
+  auto m = parse_module("double f() { return " + src + "; }");
+  return std::move(
+      static_cast<ReturnStmt&>(*m->functions[0]->body->stmts[0]).value);
+}
+
 TEST(Parser, SimpleFunction) {
   auto m = parse_ok("int add(int a, int b) { return a + b; }");
   const Function* f = m->find("add");
@@ -125,7 +133,7 @@ TEST(Parser, SimpleFunction) {
 }
 
 TEST(Parser, PrecedenceMulOverAdd) {
-  auto e = parse_expression("1 + 2 * 3");
+  auto e = parse_return_value("1 + 2 * 3");
   ASSERT_EQ(e->kind, ExprKind::Binary);
   const auto& top = static_cast<const BinaryExpr&>(*e);
   EXPECT_EQ(top.op, BinOp::Add);
@@ -134,13 +142,13 @@ TEST(Parser, PrecedenceMulOverAdd) {
 }
 
 TEST(Parser, PrecedenceComparisonUnderLogic) {
-  auto e = parse_expression("a < 3 && b > 4 || c == 5");
+  auto e = parse_return_value("a < 3 && b > 4 || c == 5");
   ASSERT_EQ(e->kind, ExprKind::Binary);
   EXPECT_EQ(static_cast<const BinaryExpr&>(*e).op, BinOp::Or);
 }
 
 TEST(Parser, ParenthesesOverridePrecedence) {
-  auto e = parse_expression("(1 + 2) * 3");
+  auto e = parse_return_value("(1 + 2) * 3");
   ASSERT_EQ(e->kind, ExprKind::Binary);
   EXPECT_EQ(static_cast<const BinaryExpr&>(*e).op, BinOp::Mul);
 }
@@ -256,14 +264,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Printer, ParenthesizesNonAssociativeRhs) {
   // (a - b) - c parses as a-b-c; a - (b - c) must keep parens.
-  auto e = parse_expression("a - (b - c)");
+  auto e = parse_return_value("a - (b - c)");
   EXPECT_EQ(to_source(*e), "a - (b - c)");
-  auto e2 = parse_expression("a - b - c");
+  auto e2 = parse_return_value("a - b - c");
   EXPECT_EQ(to_source(*e2), "a - b - c");
 }
 
 TEST(Printer, FloatLiteralsStayFloat) {
-  auto e = parse_expression("1.0 + x");
+  auto e = parse_return_value("1.0 + x");
   EXPECT_EQ(to_source(*e), "1.0 + x");
 }
 

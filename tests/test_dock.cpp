@@ -97,13 +97,17 @@ TEST(Grid, NaNCoordinateOnAnyAxisThrows) {
 TEST(Grid, SyntheticPocketHasAttractiveWells) {
   Rng rng(11);
   const AffinityGrid g = AffinityGrid::synthetic_pocket(rng, 24, 1.0, 3);
+  // Unit spacing: sampling at integer coordinates reads the grid nodes.
   double min_v = 1e300;
   for (std::size_t k = 0; k < g.nz(); ++k)
     for (std::size_t j = 0; j < g.ny(); ++j)
-      for (std::size_t i = 0; i < g.nx(); ++i) min_v = std::min(min_v, g.at(i, j, k));
+      for (std::size_t i = 0; i < g.nx(); ++i)
+        min_v = std::min(min_v, g.sample(static_cast<double>(i),
+                                         static_cast<double>(j),
+                                         static_cast<double>(k)));
   EXPECT_LT(min_v, -1.0);  // somewhere clearly favourable
   // Walls repel.
-  EXPECT_GT(g.at(0, 12, 12), 1.0);
+  EXPECT_GT(g.sample(0.0, 12.0, 12.0), 1.0);
 }
 
 // --------------------------------------------------------------------------

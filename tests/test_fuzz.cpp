@@ -230,9 +230,9 @@ INSTANTIATE_TEST_SUITE_P(FastSeeds, SearchProps, ::testing::Range<u64>(1, 49));
 // The request-scoped tracing invariant suite the nightly tier sweeps over
 // 1000 seeds (test_causal_long.cpp) runs here over 48 seeds so every default
 // test run exercises randomized request fleets on a real work-stealing pool:
-// every span reaches its trace root (zero orphans), critical paths stay
-// within wall time, latency decompositions cover the request, and the
-// reconstructed tree structure is byte-identical across 1/2/8 workers.
+// every span reaches its trace root (zero orphans), latency decompositions
+// cover the request, and the reconstructed tree structure is byte-identical
+// across 1/2/8 workers.
 // ---------------------------------------------------------------------------
 #include "causal_props.hpp"
 

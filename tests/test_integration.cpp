@@ -134,7 +134,8 @@ TEST_F(AutoSpecTest, RespectsMaxVersions) {
   opts.max_versions = 2;
   dsl::AutoSpecializer autospec(*module_, engine_, opts);
   for (i64 size : {16, 24, 40, 56}) {
-    store_.clear();
+    // A fresh store at the same address, which the installed probe feeds.
+    store_ = dsl::ProfileStore();
     drive(size, 30);
     autospec.step(store_);
   }

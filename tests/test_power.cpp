@@ -72,8 +72,8 @@ class PowerModelTest : public ::testing::Test {
 TEST_F(PowerModelTest, DynamicPowerScalesWithCV2F) {
   const auto& lo = spec_.dvfs.lowest();
   const auto& hi = spec_.dvfs.highest();
-  const double p_lo = pm_.dynamic_power_w(lo, 1.0);
-  const double p_hi = pm_.dynamic_power_w(hi, 1.0);
+  const double p_lo = PowerModel::dynamic_power_w(spec_, {}, lo, 1.0);
+  const double p_hi = PowerModel::dynamic_power_w(spec_, {}, hi, 1.0);
   const double expected_ratio = (hi.voltage_v * hi.voltage_v * hi.freq_ghz) /
                                 (lo.voltage_v * lo.voltage_v * lo.freq_ghz);
   EXPECT_NEAR(p_hi / p_lo, expected_ratio, 1e-9);
@@ -81,16 +81,18 @@ TEST_F(PowerModelTest, DynamicPowerScalesWithCV2F) {
 
 TEST_F(PowerModelTest, DynamicPowerLinearInActivity) {
   const auto& op = spec_.dvfs.highest();
-  EXPECT_NEAR(pm_.dynamic_power_w(op, 0.5), 0.5 * pm_.dynamic_power_w(op, 1.0),
-              1e-9);
-  EXPECT_DOUBLE_EQ(pm_.dynamic_power_w(op, 0.0), 0.0);
-  EXPECT_THROW(pm_.dynamic_power_w(op, 1.5), Error);
+  EXPECT_NEAR(PowerModel::dynamic_power_w(spec_, {}, op, 0.5),
+              0.5 * PowerModel::dynamic_power_w(spec_, {}, op, 1.0), 1e-9);
+  EXPECT_DOUBLE_EQ(PowerModel::dynamic_power_w(spec_, {}, op, 0.0), 0.0);
+  EXPECT_THROW(PowerModel::dynamic_power_w(spec_, {}, op, 1.5), Error);
 }
 
 TEST_F(PowerModelTest, LeakageGrowsExponentiallyWithTemperature) {
   const auto& op = spec_.dvfs.highest();
-  const double p50 = pm_.static_power_w(op, 50.0);
-  const double p85 = pm_.static_power_w(op, 85.0);
+  const double p50 =
+      PowerModel::static_power_w(spec_, {}, pm_.v_nom(), op, 50.0);
+  const double p85 =
+      PowerModel::static_power_w(spec_, {}, pm_.v_nom(), op, 85.0);
   EXPECT_NEAR(p85 / p50, std::exp(spec_.leak_temp_coeff * 35.0), 1e-9);
   EXPECT_GT(p85, p50);
 }

@@ -63,14 +63,6 @@ TEST(Quantize, SignSymmetric) {
   }
 }
 
-TEST(ErrorMetrics, RmseAndMaxAbs) {
-  const std::vector<double> ref{1.0, 2.0, 3.0};
-  const std::vector<double> app{1.0, 2.5, 2.0};
-  EXPECT_NEAR(rmse(ref, app), std::sqrt((0.25 + 1.0) / 3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(max_abs_error(ref, app), 1.0);
-  EXPECT_THROW(rmse(ref, {1.0}), Error);
-}
-
 TEST(Levels, LadderIsMonotoneInCost) {
   const auto levels = standard_levels();
   ASSERT_GE(levels.size(), 3u);

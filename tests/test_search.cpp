@@ -370,13 +370,19 @@ TEST(SearchStrategy, ResetRestartsTheFlow) {
 // Strategy factory
 // --------------------------------------------------------------------------
 
+template <class T>
+bool makes(const std::string& name) {
+  auto strategy = make_strategy(name);
+  return dynamic_cast<T*>(strategy.get()) != nullptr;
+}
+
 TEST(MakeStrategy, ResolvesEveryKnownName) {
-  EXPECT_EQ(make_strategy("flat")->name(), "full-search");
-  EXPECT_EQ(make_strategy("full-search")->name(), "full-search");
-  EXPECT_EQ(make_strategy("epsilon-greedy")->name(), "epsilon-greedy");
-  EXPECT_EQ(make_strategy("model-guided")->name(), "model-guided");
-  EXPECT_EQ(make_strategy("evolutionary")->name(), "evolutionary");
-  EXPECT_EQ(make_strategy("search")->name(), "evolutionary");
+  EXPECT_TRUE(makes<tuner::FullSearchStrategy>("flat"));
+  EXPECT_TRUE(makes<tuner::FullSearchStrategy>("full-search"));
+  EXPECT_TRUE(makes<tuner::EpsilonGreedyStrategy>("epsilon-greedy"));
+  EXPECT_TRUE(makes<tuner::ModelGuidedStrategy>("model-guided"));
+  EXPECT_TRUE(makes<SearchStrategy>("evolutionary"));
+  EXPECT_TRUE(makes<SearchStrategy>("search"));
   EXPECT_THROW(make_strategy("simulated-annealing"), Error);
 }
 

@@ -256,9 +256,10 @@ TEST(Histogram, BinningAndClamping) {
   h.add(9.99);
   h.add(-5.0);   // clamps to bin 0
   h.add(100.0);  // clamps to last bin
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
   EXPECT_EQ(h.count(), 4u);
+  // Two samples in [0, 1) and two in [9, 10), spread evenly within each bin.
+  EXPECT_EQ(h.approx_quantiles({0.25, 0.5, 0.75, 1.0}),
+            (std::vector<double>{0.5, 1.0, 9.5, 10.0}));
 }
 
 TEST(Histogram, QuantilesWithinOneBinWidth) {
@@ -290,9 +291,6 @@ TEST(Histogram, MergeCombinesPopulations) {
   EXPECT_NEAR(q[0], 2.5, 1.0);
   EXPECT_NEAR(q[1], 8.5, 1.0);
   EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 5)), Error);
-  a.clear();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.bin_count(2), 0u);
 }
 
 TEST(Histogram, MultiQuantileReadIsOrderedAndMatchesSingleReads) {
@@ -319,9 +317,10 @@ TEST(Histogram, InfinitiesAndHugeValuesLandInEdgeBins) {
   h.add(-INFINITY);
   h.add(-1e300);
   h.add(std::numeric_limits<double>::lowest());
-  EXPECT_EQ(h.bin_count(9), 3u);
-  EXPECT_EQ(h.bin_count(0), 3u);
   EXPECT_EQ(h.count(), 6u);
+  // Three samples in the first bin, three in the last.
+  EXPECT_EQ(h.approx_quantiles({0.25, 0.5, 0.75, 1.0}),
+            (std::vector<double>{0.5, 1.0, 9.5, 10.0}));
   EXPECT_EQ(histogram_bin(INFINITY, 0.0, 10.0, 10), 9u);
   EXPECT_EQ(histogram_bin(-INFINITY, 0.0, 10.0, 10), 0u);
 }
@@ -421,12 +420,12 @@ TEST(Json, ParsesNestedDocuments) {
   const JsonValue v = parse_json(
       "{\"a\": [1, 2.5, -3e2], \"b\": {\"c\": true, \"d\": null}, "
       "\"s\": \"x\"}");
-  EXPECT_DOUBLE_EQ(v.at("a").as_array()[0].as_number(), 1.0);
-  EXPECT_DOUBLE_EQ(v.at("a").as_array()[1].as_number(), 2.5);
-  EXPECT_DOUBLE_EQ(v.at("a").as_array()[2].as_number(), -300.0);
-  EXPECT_TRUE(v.at("b").at("c").as_bool());
-  EXPECT_TRUE(v.at("b").at("d").is_null());
-  EXPECT_EQ(v.at("s").as_string(), "x");
+  EXPECT_DOUBLE_EQ(v.get("a")->as_array()[0].as_number(), 1.0);
+  EXPECT_DOUBLE_EQ(v.get("a")->as_array()[1].as_number(), 2.5);
+  EXPECT_DOUBLE_EQ(v.get("a")->as_array()[2].as_number(), -300.0);
+  EXPECT_TRUE(v.get("b")->get("c")->as_bool());
+  EXPECT_TRUE(v.get("b")->get("d")->is_null());
+  EXPECT_EQ(v.get("s")->as_string(), "x");
   EXPECT_EQ(v.get("missing"), nullptr);
   EXPECT_DOUBLE_EQ(v.number_or("missing", 7.0), 7.0);
 }

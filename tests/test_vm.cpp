@@ -605,7 +605,10 @@ TEST_F(JitManagerTest, ReloadDropsSpecializations) {
   engine_.add_version("kernel", 4, compile_function(*module_->find("kernel_s4")));
   engine_.load_module(*module_);
   EXPECT_EQ(engine_.version_count("kernel"), 0u);
-  EXPECT_EQ(engine_.specialize_param("kernel"), -1);
+  // Unprepared again: a new variant needs another prepare_specialize.
+  EXPECT_THROW(engine_.add_version("kernel", 4,
+                                   compile_function(*module_->find("kernel_s4"))),
+               Error);
 }
 
 // --------------------------------------------------------------------------

@@ -18,6 +18,13 @@ src/ file left no coverage data; it exits 2 when a build or a workload fails.
 `--update` rewrites the allow-list to the current zero-call set, keeping the
 reason of every entry that stays and marking new ones `# TODO`.
 
+Blind spot: gcov lists only functions the compiler emitted. A function
+defined in a header that no translation unit calls is never emitted, so it
+appears neither as reached nor as zero-call, and the gate cannot see it.
+Find those by grep instead; ShardedCluster::it_power_w, RequestTree::wall_s,
+tuner::Monitor::ewma and empty, and EnergyAccountant::interval_s were all
+such, and were deleted.
+
 Usage:
   tools/reach.py [--work-dir DIR] [--update]
 """
