@@ -7,9 +7,9 @@
 // the caller's context. Invariants checked over the reconstructed forest:
 //   1. Causal completeness — one tree per request, every span closed, every
 //      span's parent chain reaches the trace root (zero orphans).
-//   2. Decomposition sanity — every latency bucket is non-negative and the
+//   2. Decomposition sanity — every latency bucket is non-negative, the
 //      buckets cover the request (sum >= total, equality for sequential
-//      trees).
+//      trees), and the decomposed total never exceeds the wall time.
 //   3. Determinism — the timestamp-free structure() serialization is
 //      byte-identical across 1/2/8 pool workers: work stolen across threads
 //      still parents identically.
@@ -164,6 +164,17 @@ inline CausalScenarioResult run_causal_scenario(u64 seed, int threads) {
     // equality holds for sequential trees; parallel chunks may overlap and
     // be attributed more than once, so >= is the general invariant.
     EXPECT_GE(d.sum(), d.total_s - 1e-9);
+    // Wall time: earliest of the sched mark and every span begin, to the
+    // latest span end.
+    u64 first_ns = tree.sched_ns;
+    u64 last_ns = 0;
+    for (const SpanNode& s : tree.spans) {
+      if (first_ns == 0 || s.begin_ns < first_ns) first_ns = s.begin_ns;
+      if (s.end_ns > last_ns) last_ns = s.end_ns;
+    }
+    const double wall = static_cast<double>(last_ns - first_ns) * 1e-9;
+    EXPECT_LE(d.total_s, wall + 1e-9)
+        << "decomposed total exceeds wall time in tree " << tree.trace_id;
   }
 
   telemetry::set_enabled(false);
