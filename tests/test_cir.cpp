@@ -414,6 +414,163 @@ TEST(Substitute, ArrayIndexIsRead) {
 }
 
 // --------------------------------------------------------------------------
+// Walker visit order, pinned on one function that uses every statement and
+// expression kind. One statement per line, so `Kind@line` names each one.
+// --------------------------------------------------------------------------
+
+constexpr const char* kEveryKind = R"(int g(int x) { return x; }
+int f(int* a, int n) {
+  int i = -n;
+  for (a[i] = g(1); i < g(n); a[i + 1] = g(i)) {
+    for (int j = 0; j < 2; j = j + 1) {
+      if (!(a[j] > i)) { continue; } else { break; }
+    }
+    while (i < n) { a[i] = i; i = i + 1; }
+  }
+  { monitor_begin("f"); print_float(1.5); }
+  for (; i > 0; g(i)) { i = i - 1; }
+  return a[i];
+})";
+
+std::string tag(const Stmt& s) {
+  static const char* const kNames[] = {"Block", "ExprStmt", "VarDecl", "Assign",
+                                       "If",    "For",      "While",   "Return",
+                                       "Break", "Continue"};
+  return std::string(kNames[static_cast<int>(s.kind)]) + "@" +
+         std::to_string(s.loc.line);
+}
+
+std::string joined(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const auto& p : parts) out += (out.empty() ? "" : " | ") + p;
+  return out;
+}
+
+TEST(WalkerOrder, EveryWalkerOnEveryKind) {
+  auto m = parse_module(kEveryKind);
+  Function& f = *m->find("f");
+  const Block& cbody = *f.body;
+
+  std::vector<std::string> stmts, const_stmts;
+  walk_stmts(*f.body, [&](Stmt& s) { stmts.push_back(tag(s)); });
+  walk_stmts(cbody, [&](const Stmt& s) { const_stmts.push_back(tag(s)); });
+  EXPECT_EQ(joined(stmts),
+            "VarDecl@3 | For@4 | Assign@4 | Assign@4 | For@5 | VarDecl@5 | Assign@5 | "
+            "If@6 | Continue@6 | Break@6 | While@8 | Assign@8 | Assign@8 | Block@10 | "
+            "ExprStmt@10 | ExprStmt@10 | For@11 | ExprStmt@11 | Assign@11 | Return@12");
+  EXPECT_EQ(const_stmts, stmts);
+
+  // walk_exprs(Stmt&) on each statement walk_stmts reaches: a statement's own
+  // expressions only, and of a for loop only its condition.
+  std::vector<std::string> stmt_exprs, const_stmt_exprs;
+  walk_stmts(*f.body, [&](Stmt& s) {
+    walk_exprs(s, [&](Expr& e) { stmt_exprs.push_back(tag(s) + " " + to_source(e)); });
+    walk_exprs(static_cast<const Stmt&>(s), [&](const Expr& e) {
+      const_stmt_exprs.push_back(tag(s) + " " + to_source(e));
+    });
+  });
+  EXPECT_EQ(joined(stmt_exprs),
+            "VarDecl@3 -n | VarDecl@3 n | For@4 i < g(n) | For@4 i | For@4 g(n) | "
+            "For@4 n | Assign@4 a[i] | Assign@4 a | Assign@4 i | Assign@4 g(1) | "
+            "Assign@4 1 | Assign@4 a[i + 1] | Assign@4 a | Assign@4 i + 1 | Assign@4 i | "
+            "Assign@4 1 | Assign@4 g(i) | Assign@4 i | For@5 j < 2 | For@5 j | For@5 2 | "
+            "VarDecl@5 0 | Assign@5 j | Assign@5 j + 1 | Assign@5 j | Assign@5 1 | "
+            "If@6 !((a[j] > i)) | If@6 a[j] > i | If@6 a[j] | If@6 a | If@6 j | If@6 i | "
+            "While@8 i < n | While@8 i | While@8 n | Assign@8 a[i] | Assign@8 a | "
+            "Assign@8 i | Assign@8 i | Assign@8 i | Assign@8 i + 1 | Assign@8 i | "
+            "Assign@8 1 | ExprStmt@10 monitor_begin(\"f\") | ExprStmt@10 \"f\" | "
+            "ExprStmt@10 print_float(1.5) | ExprStmt@10 1.5 | For@11 i > 0 | For@11 i | "
+            "For@11 0 | ExprStmt@11 g(i) | ExprStmt@11 i | Assign@11 i | "
+            "Assign@11 i - 1 | Assign@11 i | Assign@11 1 | Return@12 a[i] | "
+            "Return@12 a | Return@12 i");
+  EXPECT_EQ(const_stmt_exprs, stmt_exprs);
+
+  // walk_exprs(Expr&): preorder over every operand, the index base included.
+  auto& ret = static_cast<ReturnStmt&>(*f.body->stmts.back());
+  auto& outer = static_cast<ForStmt&>(*f.body->stmts[1]);
+  std::vector<std::string> exprs, const_exprs;
+  for (Expr* root : {ret.value.get(), static_cast<AssignStmt&>(*outer.step).target.get(),
+                     outer.cond.get()}) {
+    walk_exprs(*root, [&](Expr& e) { exprs.push_back(to_source(e)); });
+    walk_exprs(static_cast<const Expr&>(*root),
+               [&](const Expr& e) { const_exprs.push_back(to_source(e)); });
+  }
+  EXPECT_EQ(joined(exprs),
+            "a[i] | a | i | a[i + 1] | a | i + 1 | i | 1 | i < g(n) | i | g(n) | n");
+  EXPECT_EQ(const_exprs, exprs);
+
+  // for_each_expr_slot: every slot, for-header statements' slots included,
+  // with the assignment targets flagged.
+  std::vector<std::string> slots;
+  for_each_expr_slot(*f.body, [&](ExprPtr& slot, bool is_store_target) {
+    slots.push_back(to_source(*slot) + (is_store_target ? " [store]" : ""));
+  });
+  EXPECT_EQ(joined(slots),
+            "-n | a[i] [store] | g(1) | i < g(n) | a[i + 1] [store] | g(i) | 0 | "
+            "j < 2 | j [store] | j + 1 | !((a[j] > i)) | i < n | a[i] [store] | i | "
+            "i [store] | i + 1 | monitor_begin(\"f\") | print_float(1.5) | i > 0 | "
+            "g(i) | i [store] | i - 1 | a[i]");
+
+  // collect_call_sites: the anchor is the statement in the innermost block
+  // that holds the call; calls in a for-header anchor at the loop.
+  std::vector<std::string> sites;
+  for (const CallSite& site : collect_call_sites(f)) {
+    EXPECT_EQ(site.func, &f);
+    sites.push_back(to_source(*site.call) + " @ " +
+                    tag(*site.block->stmts[site.stmt_index]) + "[" +
+                    std::to_string(site.stmt_index) + "] of " +
+                    (site.block == f.body.get() ? "body" : tag(*site.block)));
+  }
+  EXPECT_EQ(joined(sites),
+            "g(n) @ For@4[1] of body | g(1) @ For@4[1] of body | "
+            "g(i) @ For@4[1] of body | monitor_begin(\"f\") @ ExprStmt@10[0] of Block@10 | "
+            "print_float(1.5) @ ExprStmt@10[1] of Block@10 | g(i) @ For@11[3] of body");
+
+  std::vector<std::string> loops;
+  for (const ForStmt* loop : collect_for_loops(f)) loops.push_back(tag(*loop));
+  EXPECT_EQ(joined(loops), "For@4 | For@5 | For@11");
+
+  EXPECT_TRUE(is_var_modified(*f.body, "i"));
+  EXPECT_TRUE(is_var_modified(*f.body, "j"));
+  EXPECT_FALSE(is_var_modified(*f.body, "n"));
+  EXPECT_FALSE(is_var_modified(*f.body, "a"));
+
+  // substitute_var rewrites reads: in a body the index of an array-store
+  // target is one; in a for-header it is not, and neither is an expression
+  // statement there.
+  // The base of an index read is rewritten too, but not a store target's.
+  const IntLit seven(7);
+  const VarRef b("b");
+  EXPECT_EQ(substitute_var(*f.body, "i", seven), 10u);
+  EXPECT_EQ(substitute_var(*f.body, "a", b), 2u);
+  EXPECT_EQ(to_source(f), R"(int f(int* a, int n) {
+  int i = -n;
+  for (a[i] = g(1); 7 < g(n); a[i + 1] = g(7)) {
+    for (int j = 0; j < 2; j = j + 1) {
+      if (!((b[j] > 7))) {
+        continue;
+      } else {
+        break;
+      }
+    }
+    while (7 < n) {
+      a[7] = 7;
+      i = 7 + 1;
+    }
+  }
+  {
+    monitor_begin("f");
+    print_float(1.5);
+  }
+  for (; 7 > 0; g(i)) {
+    i = 7 - 1;
+  }
+  return b[7];
+}
+)");
+}
+
+// --------------------------------------------------------------------------
 // Semantic checker
 // --------------------------------------------------------------------------
 

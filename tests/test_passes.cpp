@@ -113,6 +113,48 @@ TEST(ConstFold, PreservesSemantics) {
   EXPECT_EQ(run_int(*m, "f", {Value::from_int(5)}), before);
 }
 
+/// `src` after one run of `pass` over its function `f`.
+template <class Run>
+std::string after_pass(const std::string& src, PassResult* out, Run pass) {
+  auto m = parse_module(src);
+  cir::Function& f = *m->find("f");
+  *out = pass(*m, f);
+  return to_source(*f.body->stmts.at(0));
+}
+
+// Which operands the rewriting passes descend into: never the base of an
+// index expression; a store target's index is folded and strength-reduced
+// but not inlined.
+TEST(PassDescent, IndexBasesAndStoreTargets) {
+  PassResult r;
+  EXPECT_EQ(after_pass("void f(int* a) { a[1 + 1] = a[2 * 1][3 - 0]; }", &r,
+                       [](const cir::Module&, cir::Function& f) {
+                         return ConstantFoldPass().run(f);
+                       }),
+            "a[2] = a[2 * 1][3];\n");
+  EXPECT_EQ(r.actions, 2u);
+  EXPECT_EQ(after_pass("void f(int* a, int x) { a[x * 2] = a[pow(x, 2)][pow(x, 2)]; }", &r,
+                       [](const cir::Module&, cir::Function& f) {
+                         return StrengthReductionPass().run(f);
+                       }),
+            "a[x + x] = a[pow(x, 2)][x * x];\n");
+  EXPECT_EQ(r.actions, 2u);
+  const auto inline_pass = [](const cir::Module& m, cir::Function& f) {
+    return InlineTrivialPass(m).run(f);
+  };
+  EXPECT_EQ(after_pass("int one(int x) { return x; }"
+                       "void f(int* a) { a[one(1)] = a[one(2)][one(3)]; }",
+                       &r, inline_pass),
+            "a[one(1)] = a[one(2)][3];\n");
+  EXPECT_EQ(r.actions, 1u);
+  // Parameters are substituted everywhere in the inlined body, bases too.
+  EXPECT_EQ(after_pass("int at(int* p, int k) { return p[k]; }"
+                       "void f(int* a) { print_int(at(a, 1)); }",
+                       &r, inline_pass),
+            "print_int(a[1]);\n");
+  EXPECT_EQ(r.actions, 1u);
+}
+
 // --------------------------------------------------------------------------
 // Dead code elimination
 // --------------------------------------------------------------------------
