@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   t.print();
 
   bench::metric("iterations", total_probes);
-  bench::metric("weave_ms_total", total_weave_ms);
+  bench::metric("measured_weave_ms_total", total_weave_ms);
   bench::metric("probe_overhead_pct_max_sites", last_overhead_pct);
   bench::verdict(
       "aspect injects profiling before matching calls only (Fig. 2 semantics)",

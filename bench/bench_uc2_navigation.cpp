@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   const auto fixed_fast = summarize(server.serve(
       requests, [](std::size_t, double) { return ServerKnobs{{true, 3.0}, 1}; }));
 
-  tuner::Monitor lat_mon("latency", 32);
+  tuner::Monitor lat_mon("latency");
   const auto adaptive_served = server.serve(
       requests,
       [&](std::size_t backlog, double) {

@@ -46,7 +46,7 @@ int main() {
   });
 
   // --- Policy B: ANTAREX adaptive — monitor-driven precision scaling. --------
-  tuner::Monitor latency_monitor("latency_s", 32);
+  tuner::Monitor latency_monitor("latency_s");
   const auto adaptive = server.serve(
       requests,
       [&](std::size_t backlog, double) {

@@ -1,172 +1,81 @@
 #include "cir/analysis.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <iterator>
 #include <unordered_set>
 
 #include "support/strings.hpp"
 
 namespace antarex::cir {
 
-void walk_stmts(Block& b, const std::function<void(Stmt&)>& fn) {
+namespace {
+
+// One template per walker serves both constnesses: `B`, `S` and `E` are the
+// node type, const or not.
+
+template <class B, class Fn>
+void walk_block(B& b, const Fn& fn) {
   for (auto& sp : b.stmts) {
-    Stmt& s = *sp;
+    like_t<B, Stmt>& s = *sp;
     fn(s);
-    switch (s.kind) {
-      case StmtKind::Block:
-        walk_stmts(static_cast<Block&>(s), fn);
-        break;
-      case StmtKind::If: {
-        auto& i = static_cast<IfStmt&>(s);
-        walk_stmts(*i.then_block, fn);
-        if (i.else_block) walk_stmts(*i.else_block, fn);
-        break;
-      }
-      case StmtKind::For: {
-        auto& f = static_cast<ForStmt&>(s);
-        if (f.init) fn(*f.init);
-        if (f.step) fn(*f.step);
-        walk_stmts(*f.body, fn);
-        break;
-      }
-      case StmtKind::While:
-        walk_stmts(*static_cast<WhileStmt&>(s).body, fn);
-        break;
-      default:
-        break;
-    }
+    // For-header statements are visited, not descended into.
+    for_each_child(s, skip, fn, [&](B& child) { walk_block(child, fn); });
   }
 }
+
+template <class E, class Fn>
+void walk_tree(E& e, const Fn& fn) {
+  fn(e);
+  for_each_operand(e, [&](auto& slot, bool) { walk_tree<E>(*slot, fn); });
+}
+
+/// The statement's own expression slots only: not its for-header
+/// statements', nor those of its child blocks.
+template <class S, class Fn>
+void walk_own_exprs(S& s, const Fn& fn) {
+  for_each_child(s, [&](auto& slot, bool) { walk_tree<like_t<S, Expr>>(*slot, fn); },
+                 skip, skip);
+}
+
+/// Calls anywhere in a statement of `b`, its for-header included, anchor at
+/// that statement; calls in its child blocks anchor in those blocks.
+void collect_calls(Function& f, Block& b, std::vector<CallSite>& out) {
+  for (std::size_t i = 0; i < b.stmts.size(); ++i) {
+    const auto anchor_here = [&](Stmt& s) {
+      walk_exprs(s, [&](Expr& e) {
+        if (e.kind == ExprKind::Call)
+          out.push_back(CallSite{static_cast<CallExpr*>(&e), &f, &b, i});
+      });
+    };
+    anchor_here(*b.stmts[i]);
+    for_each_child(*b.stmts[i], skip, anchor_here,
+                   [&](Block& child) { collect_calls(f, child, out); });
+  }
+}
+
+}  // namespace
+
+void walk_stmts(Block& b, const std::function<void(Stmt&)>& fn) { walk_block(b, fn); }
 
 void walk_stmts(const Block& b, const std::function<void(const Stmt&)>& fn) {
-  // Const overload delegates to the mutable walker on a const_cast; the
-  // callback signature guarantees no mutation.
-  walk_stmts(const_cast<Block&>(b),
-             [&fn](Stmt& s) { fn(static_cast<const Stmt&>(s)); });
+  walk_block(b, fn);
 }
 
-void walk_exprs(Expr& e, const std::function<void(Expr&)>& fn) {
-  fn(e);
-  switch (e.kind) {
-    case ExprKind::Unary:
-      walk_exprs(*static_cast<UnaryExpr&>(e).operand, fn);
-      break;
-    case ExprKind::Binary: {
-      auto& b = static_cast<BinaryExpr&>(e);
-      walk_exprs(*b.lhs, fn);
-      walk_exprs(*b.rhs, fn);
-      break;
-    }
-    case ExprKind::Call:
-      for (auto& a : static_cast<CallExpr&>(e).args) walk_exprs(*a, fn);
-      break;
-    case ExprKind::Index: {
-      auto& ix = static_cast<IndexExpr&>(e);
-      walk_exprs(*ix.base, fn);
-      walk_exprs(*ix.index, fn);
-      break;
-    }
-    default:
-      break;
-  }
-}
+void walk_exprs(Expr& e, const std::function<void(Expr&)>& fn) { walk_tree(e, fn); }
 
 void walk_exprs(const Expr& e, const std::function<void(const Expr&)>& fn) {
-  walk_exprs(const_cast<Expr&>(e),
-             [&fn](Expr& x) { fn(static_cast<const Expr&>(x)); });
+  walk_tree(e, fn);
 }
 
-void walk_exprs(Stmt& s, const std::function<void(Expr&)>& fn) {
-  switch (s.kind) {
-    case StmtKind::ExprStmt:
-      walk_exprs(*static_cast<ExprStmt&>(s).expr, fn);
-      break;
-    case StmtKind::VarDecl: {
-      auto& d = static_cast<VarDeclStmt&>(s);
-      if (d.init) walk_exprs(*d.init, fn);
-      break;
-    }
-    case StmtKind::Assign: {
-      auto& a = static_cast<AssignStmt&>(s);
-      walk_exprs(*a.target, fn);
-      walk_exprs(*a.value, fn);
-      break;
-    }
-    case StmtKind::If:
-      walk_exprs(*static_cast<IfStmt&>(s).cond, fn);
-      break;
-    case StmtKind::For: {
-      auto& f = static_cast<ForStmt&>(s);
-      if (f.cond) walk_exprs(*f.cond, fn);
-      break;
-    }
-    case StmtKind::While:
-      walk_exprs(*static_cast<WhileStmt&>(s).cond, fn);
-      break;
-    case StmtKind::Return: {
-      auto& r = static_cast<ReturnStmt&>(s);
-      if (r.value) walk_exprs(*r.value, fn);
-      break;
-    }
-    default:
-      break;
-  }
-}
+void walk_exprs(Stmt& s, const std::function<void(Expr&)>& fn) { walk_own_exprs(s, fn); }
 
 void walk_exprs(const Stmt& s, const std::function<void(const Expr&)>& fn) {
-  walk_exprs(const_cast<Stmt&>(s),
-             [&fn](Expr& x) { fn(static_cast<const Expr&>(x)); });
+  walk_own_exprs(s, fn);
 }
 
 std::vector<CallSite> collect_call_sites(Function& f) {
   std::vector<CallSite> out;
-  // Recurse keeping track of the owning (block, index) of each top-level
-  // statement; calls nested anywhere inside that statement report it as the
-  // insertion anchor.
-  std::function<void(Block&)> visit_block = [&](Block& b) {
-    for (std::size_t i = 0; i < b.stmts.size(); ++i) {
-      Stmt& s = *b.stmts[i];
-      // Collect calls in the statement itself (header expressions included),
-      // anchored at (b, i).
-      walk_exprs(s, [&](Expr& e) {
-        if (e.kind == ExprKind::Call) {
-          out.push_back(CallSite{static_cast<CallExpr*>(&e), &f, &b, i});
-        }
-      });
-      // Recurse into nested regions; calls there anchor to their own block.
-      switch (s.kind) {
-        case StmtKind::Block:
-          visit_block(static_cast<Block&>(s));
-          break;
-        case StmtKind::If: {
-          auto& st = static_cast<IfStmt&>(s);
-          visit_block(*st.then_block);
-          if (st.else_block) visit_block(*st.else_block);
-          break;
-        }
-        case StmtKind::For: {
-          auto& st = static_cast<ForStmt&>(s);
-          // init/step call sites anchor at the loop statement itself.
-          auto scan_header = [&](Stmt* hs) {
-            if (!hs) return;
-            walk_exprs(*hs, [&](Expr& e) {
-              if (e.kind == ExprKind::Call)
-                out.push_back(CallSite{static_cast<CallExpr*>(&e), &f, &b, i});
-            });
-          };
-          scan_header(st.init.get());
-          scan_header(st.step.get());
-          visit_block(*st.body);
-          break;
-        }
-        case StmtKind::While:
-          visit_block(*static_cast<WhileStmt&>(s).body);
-          break;
-        default:
-          break;
-      }
-    }
-  };
-  if (f.body) visit_block(*f.body);
+  if (f.body) collect_calls(f, *f.body, out);
   return out;
 }
 
@@ -294,58 +203,19 @@ LoopFacts analyze_loop(const ForStmt& loop) {
 
 void for_each_expr_slot(Stmt& s,
                         const std::function<void(ExprPtr&, bool)>& fn) {
-  switch (s.kind) {
-    case StmtKind::Block:
-      for_each_expr_slot(static_cast<Block&>(s), fn);
-      break;
-    case StmtKind::ExprStmt:
-      fn(static_cast<ExprStmt&>(s).expr, false);
-      break;
-    case StmtKind::VarDecl: {
-      auto& d = static_cast<VarDeclStmt&>(s);
-      if (d.init) fn(d.init, false);
-      break;
-    }
-    case StmtKind::Assign: {
-      auto& a = static_cast<AssignStmt&>(s);
-      fn(a.target, true);
-      fn(a.value, false);
-      break;
-    }
-    case StmtKind::If: {
-      auto& i = static_cast<IfStmt&>(s);
-      fn(i.cond, false);
-      for_each_expr_slot(*i.then_block, fn);
-      if (i.else_block) for_each_expr_slot(*i.else_block, fn);
-      break;
-    }
-    case StmtKind::For: {
-      auto& f = static_cast<ForStmt&>(s);
-      if (f.init) for_each_expr_slot(*f.init, fn);
-      if (f.cond) fn(f.cond, false);
-      if (f.step) for_each_expr_slot(*f.step, fn);
-      for_each_expr_slot(*f.body, fn);
-      break;
-    }
-    case StmtKind::While: {
-      auto& w = static_cast<WhileStmt&>(s);
-      fn(w.cond, false);
-      for_each_expr_slot(*w.body, fn);
-      break;
-    }
-    case StmtKind::Return: {
-      auto& r = static_cast<ReturnStmt&>(s);
-      if (r.value) fn(r.value, false);
-      break;
-    }
-    default:
-      break;
-  }
+  for_each_child(s, fn, [&](Stmt& header) { for_each_expr_slot(header, fn); },
+                 [&](Block& child) { for_each_expr_slot(child, fn); });
 }
 
 void for_each_expr_slot(Block& b,
                         const std::function<void(ExprPtr&, bool)>& fn) {
   for (auto& sp : b.stmts) for_each_expr_slot(*sp, fn);
+}
+
+ExprPtr* read_part(ExprPtr& slot, bool is_store_target) {
+  if (!is_store_target) return &slot;
+  if (slot->kind == ExprKind::Index) return &static_cast<IndexExpr&>(*slot).index;
+  return nullptr;
 }
 
 bool is_var_modified(const Block& b, const std::string& name) {
@@ -363,111 +233,40 @@ bool is_var_modified(const Block& b, const std::string& name) {
   return modified;
 }
 
-std::size_t substitute_var(Block& b, const std::string& name, const Expr& replacement) {
+std::size_t substitute_vars(ExprPtr& e,
+                            const std::function<const Expr*(const std::string&)>& lookup) {
+  if (e->kind == ExprKind::VarRef) {
+    if (const Expr* replacement = lookup(static_cast<VarRef&>(*e).name)) {
+      e = replacement->clone();
+      return 1;
+    }
+  }
   std::size_t count = 0;
-  // Collect parent expression slots: we must replace the ExprPtr that owns a
-  // VarRef. Walk statements and rewrite expression trees in place.
-  std::function<void(ExprPtr&)> rewrite = [&](ExprPtr& e) {
-    if (!e) return;
-    if (e->kind == ExprKind::VarRef && static_cast<VarRef&>(*e).name == name) {
-      e = replacement.clone();
-      ++count;
-      return;
-    }
-    switch (e->kind) {
-      case ExprKind::Unary:
-        rewrite(static_cast<UnaryExpr&>(*e).operand);
-        break;
-      case ExprKind::Binary: {
-        auto& bin = static_cast<BinaryExpr&>(*e);
-        rewrite(bin.lhs);
-        rewrite(bin.rhs);
-        break;
-      }
-      case ExprKind::Call:
-        for (auto& a : static_cast<CallExpr&>(*e).args) rewrite(a);
-        break;
-      case ExprKind::Index: {
-        auto& ix = static_cast<IndexExpr&>(*e);
-        // Array base stays a VarRef unless it is exactly the substituted name
-        // (substituting an array with another array variable is allowed).
-        rewrite(ix.base);
-        rewrite(ix.index);
-        break;
-      }
-      default:
-        break;
-    }
-  };
-
-  std::function<void(Block&)> visit = [&](Block& blk) {
-    for (auto& sp : blk.stmts) {
-      Stmt& s = *sp;
-      switch (s.kind) {
-        case StmtKind::Block:
-          visit(static_cast<Block&>(s));
-          break;
-        case StmtKind::ExprStmt:
-          rewrite(static_cast<ExprStmt&>(s).expr);
-          break;
-        case StmtKind::VarDecl:
-          rewrite(static_cast<VarDeclStmt&>(s).init);
-          break;
-        case StmtKind::Assign: {
-          auto& a = static_cast<AssignStmt&>(s);
-          // Only the value side and the index of an index target are reads.
-          if (a.target->kind == ExprKind::Index)
-            rewrite(static_cast<IndexExpr&>(*a.target).index);
-          rewrite(a.value);
-          break;
-        }
-        case StmtKind::If: {
-          auto& i = static_cast<IfStmt&>(s);
-          rewrite(i.cond);
-          visit(*i.then_block);
-          if (i.else_block) visit(*i.else_block);
-          break;
-        }
-        case StmtKind::For: {
-          auto& f = static_cast<ForStmt&>(s);
-          if (f.init && f.init->kind == StmtKind::VarDecl)
-            rewrite(static_cast<VarDeclStmt&>(*f.init).init);
-          else if (f.init && f.init->kind == StmtKind::Assign)
-            rewrite(static_cast<AssignStmt&>(*f.init).value);
-          rewrite(f.cond);
-          if (f.step && f.step->kind == StmtKind::Assign)
-            rewrite(static_cast<AssignStmt&>(*f.step).value);
-          visit(*f.body);
-          break;
-        }
-        case StmtKind::While: {
-          auto& w = static_cast<WhileStmt&>(s);
-          rewrite(w.cond);
-          visit(*w.body);
-          break;
-        }
-        case StmtKind::Return: {
-          auto& r = static_cast<ReturnStmt&>(s);
-          rewrite(r.value);
-          break;
-        }
-        default:
-          break;
-      }
-    }
-  };
-  visit(b);
+  for_each_operand(*e, [&](ExprPtr& child, bool) { count += substitute_vars(child, lookup); });
   return count;
 }
 
-bool is_builtin_callee(const std::string& name) {
-  static const std::unordered_set<std::string> builtins = {
-      "sqrt", "fabs", "exp", "log", "sin", "cos", "pow", "floor", "min", "max",
-      "print_int", "print_float",
-      // Instrumentation probes injected by aspects (paper Fig. 2).
-      "profile_args", "monitor_begin", "monitor_end", "antarex_probe",
+std::size_t substitute_var(Block& b, const std::string& name, const Expr& replacement) {
+  std::size_t count = 0;
+  const std::function<const Expr*(const std::string&)> lookup =
+      [&](const std::string& var) { return var == name ? &replacement : nullptr; };
+  const auto rewrite = [&](ExprPtr& e) { count += substitute_vars(e, lookup); };
+  // In a body the index of an array store target is a read; in a for-header
+  // it is left alone, and so is an expression statement there.
+  const auto rewrite_reads = [&](ExprPtr& slot, bool is_store_target) {
+    if (ExprPtr* read = read_part(slot, is_store_target)) rewrite(*read);
   };
-  return builtins.contains(name);
+  const auto rewrite_header = [&](Stmt& header) {
+    if (header.kind == StmtKind::ExprStmt) return;
+    for_each_child(header, [&](ExprPtr& slot, bool is_store_target) {
+      if (!is_store_target) rewrite(slot);
+    }, skip, skip);
+  };
+  for (auto& sp : b.stmts)
+    for_each_child(*sp, rewrite_reads, rewrite_header, [&](Block& child) {
+      count += substitute_var(child, name, replacement);
+    });
+  return count;
 }
 
 namespace {
@@ -599,7 +398,8 @@ class Checker {
             error(c.loc, format("call to '%s' with %zu arguments, expected %zu",
                                 c.callee.c_str(), c.args.size(),
                                 callee->params.size()));
-        } else if (!is_builtin_callee(c.callee)) {
+        } else if (std::ranges::find(kBuiltinCallees, c.callee, &BuiltinCallee::name) ==
+                   std::end(kBuiltinCallees)) {
           error(c.loc, format("call to unknown function '%s'", c.callee.c_str()));
         }
       }

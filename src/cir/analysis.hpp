@@ -9,6 +9,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cir/ast.hpp"
@@ -24,9 +25,12 @@ namespace antarex::cir {
 void walk_stmts(Block& b, const std::function<void(Stmt&)>& fn);
 void walk_stmts(const Block& b, const std::function<void(const Stmt&)>& fn);
 
-/// Visit every expression reachable from a statement, recursively.
+/// Visit every expression in a statement's own slots, recursively: not those
+/// of its child blocks, and of a for loop only the condition (walk_stmts
+/// visits its init and step as statements).
 void walk_exprs(Stmt& s, const std::function<void(Expr&)>& fn);
 void walk_exprs(const Stmt& s, const std::function<void(const Expr&)>& fn);
+/// Visit an expression and every operand below it, index bases included.
 void walk_exprs(Expr& e, const std::function<void(Expr&)>& fn);
 void walk_exprs(const Expr& e, const std::function<void(const Expr&)>& fn);
 
@@ -74,13 +78,17 @@ LoopFacts analyze_loop(const ForStmt& loop);
 /// expressions, declaration initializers, assignment targets and values,
 /// branch/loop conditions, for-header init/step expressions, return values.
 /// `is_store_target` is true exactly for the target slot of an assignment
-/// (callbacks that rewrite reads must skip those — though rewriting *inside*
-/// an IndexExpr target is the callback's own recursive business).
+/// (callbacks that rewrite reads must skip those, or rewrite their
+/// `read_part`).
 /// The callback may replace the pointed-to tree wholesale.
 void for_each_expr_slot(Block& b,
                         const std::function<void(ExprPtr&, bool is_store_target)>& fn);
 void for_each_expr_slot(Stmt& s,
                         const std::function<void(ExprPtr&, bool is_store_target)>& fn);
+
+/// The part of a slot that is read: the slot itself, or of a store target the
+/// index of an array element (null for a variable).
+ExprPtr* read_part(ExprPtr& slot, bool is_store_target);
 
 // ---------------------------------------------------------------------------
 // Variable queries and substitution.
@@ -94,6 +102,12 @@ bool is_var_modified(const Block& b, const std::string& name);
 /// Does not touch assignment targets; returns the number of replacements.
 std::size_t substitute_var(Block& b, const std::string& name, const Expr& replacement);
 
+/// Replace each variable reference in the tree at `e`, its root and index
+/// bases included, for which `lookup(name)` gives an expression with a clone
+/// of that expression; returns the number of replacements.
+std::size_t substitute_vars(ExprPtr& e,
+                            const std::function<const Expr*(const std::string&)>& lookup);
+
 // ---------------------------------------------------------------------------
 // Semantic checking.
 // ---------------------------------------------------------------------------
@@ -103,9 +117,22 @@ struct Diagnostic {
   std::string message;
 };
 
-/// Names the module treats as always-defined externs (host functions the VM
-/// provides: math builtins and instrumentation probes).
-bool is_builtin_callee(const std::string& name);
+/// A host function every VM engine provides, so a module calls it undeclared.
+struct BuiltinCallee {
+  std::string_view name;
+  bool pure;  ///< cannot write memory or perform I/O
+};
+
+/// The math builtins, the print helpers, and the instrumentation probes that
+/// aspects inject (paper Fig. 2). vm::Engine's host table matches it.
+inline constexpr BuiltinCallee kBuiltinCallees[] = {
+    {"sqrt", true},          {"fabs", true},          {"exp", true},
+    {"log", true},           {"sin", true},           {"cos", true},
+    {"pow", true},           {"floor", true},         {"min", true},
+    {"max", true},           {"print_int", false},    {"print_float", false},
+    {"profile_args", false}, {"monitor_begin", false}, {"monitor_end", false},
+    {"antarex_probe", false},
+};
 
 /// Validates: variables declared before use, no duplicate declarations in a
 /// scope, call arity against module-local functions, break/continue only

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "support/common.hpp"
@@ -254,6 +255,114 @@ struct ContinueStmt final : Stmt {
   ContinueStmt() : Stmt(StmtKind::Continue) {}
   StmtPtr clone() const override;
 };
+
+// ---------------------------------------------------------------------------
+// Child slots. The tree's shape is written here once: every walker, rewriter
+// and pass recurses through these two functions. Both keep the constness of
+// the node they get, so a const node hands out const blocks and statements
+// (and const ExprPtr slots). Children are visited in source order and null
+// slots are skipped.
+// ---------------------------------------------------------------------------
+
+/// `T`, const-qualified when `Node` is.
+template <class Node, class T>
+using like_t = std::conditional_t<std::is_const_v<Node>, const T, T>;
+
+/// A callback for the child kinds a walker does not visit.
+inline constexpr auto skip = [](auto&&...) {};
+
+/// Calls `fn(slot, is_index_base)` on each operand slot of `e`: a unary
+/// operand, binary lhs then rhs, call arguments, index base then index.
+/// `is_index_base` is true for the base of an index expression, which names
+/// the array the index reads.
+template <class E, class Fn>
+void for_each_operand(E& e, Fn&& fn) {
+  switch (e.kind) {
+    case ExprKind::Unary:
+      fn(static_cast<like_t<E, UnaryExpr>&>(e).operand, false);
+      break;
+    case ExprKind::Binary: {
+      auto& b = static_cast<like_t<E, BinaryExpr>&>(e);
+      fn(b.lhs, false);
+      fn(b.rhs, false);
+      break;
+    }
+    case ExprKind::Call:
+      for (auto& a : static_cast<like_t<E, CallExpr>&>(e).args) fn(a, false);
+      break;
+    case ExprKind::Index: {
+      auto& ix = static_cast<like_t<E, IndexExpr>&>(e);
+      fn(ix.base, true);
+      fn(ix.index, false);
+      break;
+    }
+    case ExprKind::IntLit:
+    case ExprKind::FloatLit:
+    case ExprKind::StrLit:
+    case ExprKind::VarRef:
+      break;
+  }
+}
+
+/// Calls, on the children `s` owns itself:
+///  - `on_expr(slot, is_store_target)` for each expression slot, where
+///    `is_store_target` is true exactly for an assignment's target;
+///  - `on_stmt(stmt)` for a for loop's init and step statements;
+///  - `on_block(block)` for each child block: the if/else arms, a loop body,
+///    and a Block statement itself, whose statements are its children.
+/// A for loop's children come as init, cond, step, body.
+template <class S, class OnExpr, class OnStmt, class OnBlock>
+void for_each_child(S& s, OnExpr&& on_expr, OnStmt&& on_stmt, OnBlock&& on_block) {
+  using B = like_t<S, Block>;
+  switch (s.kind) {
+    case StmtKind::Block:
+      on_block(static_cast<B&>(s));
+      break;
+    case StmtKind::ExprStmt:
+      on_expr(static_cast<like_t<S, ExprStmt>&>(s).expr, false);
+      break;
+    case StmtKind::VarDecl: {
+      auto& d = static_cast<like_t<S, VarDeclStmt>&>(s);
+      if (d.init) on_expr(d.init, false);
+      break;
+    }
+    case StmtKind::Assign: {
+      auto& a = static_cast<like_t<S, AssignStmt>&>(s);
+      on_expr(a.target, true);
+      on_expr(a.value, false);
+      break;
+    }
+    case StmtKind::If: {
+      auto& i = static_cast<like_t<S, IfStmt>&>(s);
+      on_expr(i.cond, false);
+      on_block(static_cast<B&>(*i.then_block));
+      if (i.else_block) on_block(static_cast<B&>(*i.else_block));
+      break;
+    }
+    case StmtKind::For: {
+      auto& f = static_cast<like_t<S, ForStmt>&>(s);
+      if (f.init) on_stmt(static_cast<like_t<S, Stmt>&>(*f.init));
+      if (f.cond) on_expr(f.cond, false);
+      if (f.step) on_stmt(static_cast<like_t<S, Stmt>&>(*f.step));
+      on_block(static_cast<B&>(*f.body));
+      break;
+    }
+    case StmtKind::While: {
+      auto& w = static_cast<like_t<S, WhileStmt>&>(s);
+      on_expr(w.cond, false);
+      on_block(static_cast<B&>(*w.body));
+      break;
+    }
+    case StmtKind::Return: {
+      auto& r = static_cast<like_t<S, ReturnStmt>&>(s);
+      if (r.value) on_expr(r.value, false);
+      break;
+    }
+    case StmtKind::Break:
+    case StmtKind::Continue:
+      break;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Declarations

@@ -389,21 +389,22 @@ void Weaver::on_vm_call(const std::string& name,
     cir::Function* callee_fn = module_.find(name);
     if (!callee_fn) continue;
 
-    auto call_jp = std::make_shared<JoinPoint>();
-    call_jp->kind = JoinPoint::Kind::Call;
-    call_jp->module = &module_;
-    call_jp->func = callee_fn;
     // Synthesize a call expression describing the dynamic call: argument
-    // literals from runtime values (enough for attribute queries).
-    static thread_local std::vector<std::unique_ptr<cir::CallExpr>> scratch;
+    // literals from runtime values (enough for attribute queries). This
+    // attempt owns it; the registration keeps it once the actions run.
     std::vector<cir::ExprPtr> lit_args;
     for (const auto& a : args) {
       if (a.is_int()) lit_args.push_back(cir::make_int(a.as_int()));
       else if (a.is_float()) lit_args.push_back(cir::make_float(a.as_float()));
       else lit_args.push_back(cir::make_str("<opaque>"));
     }
-    scratch.push_back(std::make_unique<cir::CallExpr>(name, std::move(lit_args)));
-    call_jp->call = scratch.back().get();
+    auto call = std::make_unique<cir::CallExpr>(name, std::move(lit_args));
+
+    auto call_jp = std::make_shared<JoinPoint>();
+    call_jp->kind = JoinPoint::Kind::Call;
+    call_jp->module = &module_;
+    call_jp->func = callee_fn;
+    call_jp->call = call.get();
 
     auto arg_jp = std::make_shared<JoinPoint>(*call_jp);
     arg_jp->kind = JoinPoint::Kind::Arg;
@@ -420,6 +421,7 @@ void Weaver::on_vm_call(const std::string& name,
     }
 
     reg.handled_values.push_back(value);
+    reg.calls.push_back(std::move(call));
     ++stats_.dynamic_triggers;
     for (const Action& a : reg.apply->actions) exec_action(a, scope);
   }

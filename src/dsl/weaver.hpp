@@ -71,6 +71,9 @@ class Weaver {
     const DExpr* condition = nullptr;   ///< may be null
     std::shared_ptr<Env> closure;       ///< captured aspect inputs
     std::vector<i64> handled_values;    ///< memoized guard values
+    /// The synthesized $fCall of each triggered call, kept for the join
+    /// points its actions may hold.
+    std::vector<std::unique_ptr<cir::CallExpr>> calls;
   };
 
   void exec_aspect(const AspectDef& def, Env& env);

@@ -12,10 +12,6 @@ using namespace cir;
 
 namespace {
 
-bool is_int_lit(const Expr& e, i64 v) {
-  return e.kind == ExprKind::IntLit && static_cast<const IntLit&>(e).value == v;
-}
-
 bool is_lit(const Expr& e) {
   return e.kind == ExprKind::IntLit || e.kind == ExprKind::FloatLit;
 }
@@ -71,10 +67,13 @@ ExprPtr fold_literal_binop(BinOp op, const Expr& l, const Expr& r) {
 
 std::size_t fold_tree(ExprPtr& e) {
   std::size_t folds = 0;
+  // Children first. An index base names an array and stays.
+  for_each_operand(*e, [&](ExprPtr& child, bool is_index_base) {
+    if (!is_index_base) folds += fold_tree(child);
+  });
   switch (e->kind) {
     case ExprKind::Unary: {
       auto& u = static_cast<UnaryExpr&>(*e);
-      folds += fold_tree(u.operand);
       if (u.op == UnOp::Neg && u.operand->kind == ExprKind::IntLit) {
         e = make_int(-static_cast<IntLit&>(*u.operand).value);
         ++folds;
@@ -89,8 +88,6 @@ std::size_t fold_tree(ExprPtr& e) {
     }
     case ExprKind::Binary: {
       auto& b = static_cast<BinaryExpr&>(*e);
-      folds += fold_tree(b.lhs);
-      folds += fold_tree(b.rhs);
       if (is_lit(*b.lhs) && is_lit(*b.rhs)) {
         if (ExprPtr folded = fold_literal_binop(b.op, *b.lhs, *b.rhs)) {
           folded->loc = e->loc;
@@ -130,16 +127,6 @@ std::size_t fold_tree(ExprPtr& e) {
         default:
           break;
       }
-      break;
-    }
-    case ExprKind::Call: {
-      auto& c = static_cast<CallExpr&>(*e);
-      for (auto& a : c.args) folds += fold_tree(a);
-      break;
-    }
-    case ExprKind::Index: {
-      auto& ix = static_cast<IndexExpr&>(*e);
-      folds += fold_tree(ix.index);
       break;
     }
     default:
@@ -192,14 +179,7 @@ PassResult ConstantFoldPass::run(Function& f) {
 
   // 2. Fold every expression tree.
   for_each_expr_slot(*f.body, [&](ExprPtr& slot, bool is_store_target) {
-    if (!slot) return;
-    if (is_store_target) {
-      // Only the index sub-expression of a store target is foldable.
-      if (slot->kind == ExprKind::Index)
-        result.actions += fold_tree(static_cast<IndexExpr&>(*slot).index);
-      return;
-    }
-    result.actions += fold_tree(slot);
+    if (ExprPtr* read = read_part(slot, is_store_target)) result.actions += fold_tree(*read);
   });
 
   result.changed = result.actions > 0;

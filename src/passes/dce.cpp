@@ -24,25 +24,20 @@ bool is_literal_cond(const Expr& e, bool& value) {
 
 /// Names read anywhere in the function (conservative: assignment targets of
 /// array stores read the base; index reads count).
-std::unordered_set<std::string> collect_reads(Function& f) {
+std::unordered_set<std::string> collect_reads(const Block& body) {
   std::unordered_set<std::string> reads;
-  walk_stmts(*f.body, [&](Stmt& s) {
+  const auto read = [&](const Expr& e) {
+    if (e.kind == ExprKind::VarRef) reads.insert(static_cast<const VarRef&>(e).name);
+  };
+  walk_stmts(body, [&](const Stmt& s) {
     if (s.kind == StmtKind::Assign) {
-      auto& a = static_cast<AssignStmt&>(s);
+      const auto& a = static_cast<const AssignStmt&>(s);
       // Store target: VarRef target is a write, not a read; but an Index
       // target reads the base array and the index expression.
-      if (a.target->kind == ExprKind::Index) {
-        walk_exprs(*a.target, [&](Expr& e) {
-          if (e.kind == ExprKind::VarRef) reads.insert(static_cast<VarRef&>(e).name);
-        });
-      }
-      walk_exprs(*a.value, [&](Expr& e) {
-        if (e.kind == ExprKind::VarRef) reads.insert(static_cast<VarRef&>(e).name);
-      });
+      if (a.target->kind == ExprKind::Index) walk_exprs(*a.target, read);
+      walk_exprs(*a.value, read);
     } else {
-      walk_exprs(s, [&](Expr& e) {
-        if (e.kind == ExprKind::VarRef) reads.insert(static_cast<VarRef&>(e).name);
-      });
+      walk_exprs(s, read);
     }
   });
   return reads;
@@ -57,7 +52,7 @@ class Dce {
     // Iterate to fixpoint: removing one dead statement can make another dead.
     while (changed) {
       changed = false;
-      reads_ = collect_reads(fn_);
+      reads_ = collect_reads(*fn_.body);
       const std::size_t before = removed_;
       simplify_block(*fn_.body);
       changed = removed_ > before;

@@ -18,81 +18,32 @@ const Expr* trivial_body(const Function& f) {
   return r.value.get();
 }
 
-/// Substitute parameter names inside a cloned expression tree.
-void substitute_params(ExprPtr& e, const Function& callee,
-                       const std::vector<ExprPtr>& args) {
-  if (!e) return;
-  if (e->kind == ExprKind::VarRef) {
-    const int idx = callee.param_index(static_cast<VarRef&>(*e).name);
-    if (idx >= 0) {
-      e = args[static_cast<std::size_t>(idx)]->clone();
-      return;
-    }
-  }
-  switch (e->kind) {
-    case ExprKind::Unary:
-      substitute_params(static_cast<UnaryExpr&>(*e).operand, callee, args);
-      break;
-    case ExprKind::Binary: {
-      auto& b = static_cast<BinaryExpr&>(*e);
-      substitute_params(b.lhs, callee, args);
-      substitute_params(b.rhs, callee, args);
-      break;
-    }
-    case ExprKind::Call:
-      for (auto& a : static_cast<CallExpr&>(*e).args)
-        substitute_params(a, callee, args);
-      break;
-    case ExprKind::Index: {
-      auto& ix = static_cast<IndexExpr&>(*e);
-      substitute_params(ix.base, callee, args);
-      substitute_params(ix.index, callee, args);
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 std::size_t inline_in_tree(ExprPtr& e, const Module& module, const Function& self) {
   std::size_t n = 0;
-  switch (e->kind) {
-    case ExprKind::Unary:
-      n += inline_in_tree(static_cast<UnaryExpr&>(*e).operand, module, self);
-      break;
-    case ExprKind::Binary: {
-      auto& b = static_cast<BinaryExpr&>(*e);
-      n += inline_in_tree(b.lhs, module, self);
-      n += inline_in_tree(b.rhs, module, self);
-      break;
-    }
-    case ExprKind::Call: {
-      auto& c = static_cast<CallExpr&>(*e);
-      for (auto& a : c.args) n += inline_in_tree(a, module, self);
-      if (c.callee == self.name) break;  // no self-inlining
-      const Function* callee = module.find(c.callee);
-      if (!callee || callee->params.size() != c.args.size()) break;
-      const Expr* body = trivial_body(*callee);
-      if (!body) break;
-      // All argument expressions must be pure: they may be duplicated (a
-      // parameter can occur several times in the body) or dropped (parameter
-      // unused).
-      for (const auto& a : c.args)
-        if (!is_pure_expr(*a)) return n;
-      ExprPtr replacement = body->clone();
-      substitute_params(replacement, *callee, c.args);
-      replacement->loc = e->loc;
-      e = std::move(replacement);
-      ++n;
-      break;
-    }
-    case ExprKind::Index:
-      n += inline_in_tree(static_cast<IndexExpr&>(*e).index, module, self);
-      break;
-    default:
-      break;
-  }
-  return n;
+  // Callees inside the arguments first. An index base names an array and stays.
+  for_each_operand(*e, [&](ExprPtr& child, bool is_index_base) {
+    if (!is_index_base) n += inline_in_tree(child, module, self);
+  });
+  if (e->kind != ExprKind::Call) return n;
+  auto& c = static_cast<CallExpr&>(*e);
+  if (c.callee == self.name) return n;  // no self-inlining
+  const Function* callee = module.find(c.callee);
+  if (!callee || callee->params.size() != c.args.size()) return n;
+  const Expr* body = trivial_body(*callee);
+  if (!body) return n;
+  // All argument expressions must be pure: they may be duplicated (a
+  // parameter can occur several times in the body) or dropped (parameter
+  // unused).
+  for (const auto& a : c.args)
+    if (!is_pure_expr(*a)) return n;
+  ExprPtr replacement = body->clone();
+  substitute_vars(replacement, [&](const std::string& var) -> const Expr* {
+    const int idx = callee->param_index(var);
+    return idx >= 0 ? c.args[static_cast<std::size_t>(idx)].get() : nullptr;
+  });
+  replacement->loc = e->loc;
+  e = std::move(replacement);
+  return n + 1;
 }
 
 }  // namespace
@@ -101,7 +52,7 @@ PassResult InlineTrivialPass::run(Function& f) {
   PassResult result;
   if (!f.body) return result;
   for_each_expr_slot(*f.body, [&](ExprPtr& slot, bool is_store_target) {
-    if (!slot || is_store_target) return;
+    if (is_store_target) return;
     result.actions += inline_in_tree(slot, module_, f);
   });
   result.changed = result.actions > 0;

@@ -33,4 +33,7 @@ using PassPtr = std::unique_ptr<Pass>;
 /// builtins. Calls to user functions or probes are impure.
 bool is_pure_expr(const cir::Expr& e);
 
+/// True if `e` is the integer literal `v`.
+bool is_int_lit(const cir::Expr& e, i64 v);
+
 }  // namespace antarex::passes

@@ -8,36 +8,16 @@ using namespace cir;
 
 namespace {
 
-bool is_int_lit(const Expr& e, i64 v) {
-  return e.kind == ExprKind::IntLit && static_cast<const IntLit&>(e).value == v;
-}
-
 bool is_float_lit(const Expr& e, double v) {
   return e.kind == ExprKind::FloatLit && static_cast<const FloatLit&>(e).value == v;
 }
 
 std::size_t reduce_tree(ExprPtr& e) {
   std::size_t n = 0;
-  // Bottom-up: children first.
-  switch (e->kind) {
-    case ExprKind::Unary:
-      n += reduce_tree(static_cast<UnaryExpr&>(*e).operand);
-      break;
-    case ExprKind::Binary: {
-      auto& b = static_cast<BinaryExpr&>(*e);
-      n += reduce_tree(b.lhs);
-      n += reduce_tree(b.rhs);
-      break;
-    }
-    case ExprKind::Call:
-      for (auto& a : static_cast<CallExpr&>(*e).args) n += reduce_tree(a);
-      break;
-    case ExprKind::Index:
-      n += reduce_tree(static_cast<IndexExpr&>(*e).index);
-      break;
-    default:
-      break;
-  }
+  // Bottom-up: children first. An index base names an array and stays.
+  for_each_operand(*e, [&](ExprPtr& child, bool is_index_base) {
+    if (!is_index_base) n += reduce_tree(child);
+  });
 
   if (e->kind == ExprKind::Call) {
     auto& c = static_cast<CallExpr&>(*e);
@@ -91,13 +71,7 @@ PassResult StrengthReductionPass::run(Function& f) {
   PassResult result;
   if (!f.body) return result;
   for_each_expr_slot(*f.body, [&](ExprPtr& slot, bool is_store_target) {
-    if (!slot) return;
-    if (is_store_target) {
-      if (slot->kind == ExprKind::Index)
-        result.actions += reduce_tree(static_cast<IndexExpr&>(*slot).index);
-      return;
-    }
-    result.actions += reduce_tree(slot);
+    if (ExprPtr* read = read_part(slot, is_store_target)) result.actions += reduce_tree(*read);
   });
   result.changed = result.actions > 0;
   return result;

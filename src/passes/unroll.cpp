@@ -12,33 +12,13 @@ namespace {
 
 /// Finds the owning slot of `target` anywhere under `b` (recursively).
 StmtPtr* find_stmt_slot(Block& b, const Stmt* target) {
+  StmtPtr* found = nullptr;
   for (auto& sp : b.stmts) {
     if (sp.get() == target) return &sp;
-    switch (sp->kind) {
-      case StmtKind::Block: {
-        if (StmtPtr* r = find_stmt_slot(static_cast<Block&>(*sp), target)) return r;
-        break;
-      }
-      case StmtKind::If: {
-        auto& i = static_cast<IfStmt&>(*sp);
-        if (StmtPtr* r = find_stmt_slot(*i.then_block, target)) return r;
-        if (i.else_block)
-          if (StmtPtr* r = find_stmt_slot(*i.else_block, target)) return r;
-        break;
-      }
-      case StmtKind::For: {
-        if (StmtPtr* r = find_stmt_slot(*static_cast<ForStmt&>(*sp).body, target))
-          return r;
-        break;
-      }
-      case StmtKind::While: {
-        if (StmtPtr* r = find_stmt_slot(*static_cast<WhileStmt&>(*sp).body, target))
-          return r;
-        break;
-      }
-      default:
-        break;
-    }
+    for_each_child(*sp, skip, skip, [&](Block& child) {
+      if (!found) found = find_stmt_slot(child, target);
+    });
+    if (found) return found;
   }
   return nullptr;
 }
@@ -46,23 +26,16 @@ StmtPtr* find_stmt_slot(Block& b, const Stmt* target) {
 /// True if the block contains a `continue` that would bind to this loop
 /// (i.e., not nested inside an inner loop).
 bool has_toplevel_continue(const Block& b) {
+  bool found = false;
   for (const auto& sp : b.stmts) {
-    switch (sp->kind) {
-      case StmtKind::Continue:
-        return true;
-      case StmtKind::Block:
-        if (has_toplevel_continue(static_cast<const Block&>(*sp))) return true;
-        break;
-      case StmtKind::If: {
-        const auto& i = static_cast<const IfStmt&>(*sp);
-        if (has_toplevel_continue(*i.then_block)) return true;
-        if (i.else_block && has_toplevel_continue(*i.else_block)) return true;
-        break;
-      }
-      // For/While re-bind continue; do not descend.
-      default:
-        break;
-    }
+    const Stmt& s = *sp;
+    if (s.kind == StmtKind::Continue) return true;
+    // For/While re-bind continue; do not descend.
+    if (s.kind == StmtKind::For || s.kind == StmtKind::While) continue;
+    for_each_child(s, skip, skip, [&](const Block& child) {
+      found = found || has_toplevel_continue(child);
+    });
+    if (found) return true;
   }
   return false;
 }

@@ -4,9 +4,13 @@
 
 namespace antarex::tuner {
 
-Monitor::Monitor(std::string metric, std::size_t window)
+namespace {
+constexpr std::size_t kWindow = 32;  ///< samples in the rolling window
+}  // namespace
+
+Monitor::Monitor(std::string metric)
     : metric_(std::move(metric)),
-      series_(&telemetry::Registry::global().series(metric_, window)) {
+      series_(&telemetry::Registry::global().series(metric_, kWindow)) {
   // A freshly constructed monitor starts empty, even if a previous run
   // already registered this stream.
   series_->clear();

@@ -16,13 +16,13 @@ namespace antarex::tuner {
 /// The rolling statistics live in a telemetry::Series owned by the global
 /// telemetry registry, so every monitored stream is visible to the exporters
 /// (metrics JSON, summary table) without extra plumbing, and there is a
-/// single rolling-stats implementation in the codebase. Constructing a
-/// Monitor claims (and resets) the registry stream of the same name; two
-/// live monitors with the same metric name share one stream, whose window
-/// is the one the first of them asked for.
+/// single rolling-stats implementation in the codebase. Its window holds the
+/// last 32 samples. Constructing a Monitor claims (and resets) the registry
+/// stream of the same name; two live monitors with the same metric name share
+/// one stream.
 class Monitor {
  public:
-  explicit Monitor(std::string metric, std::size_t window = 64);
+  explicit Monitor(std::string metric);
 
   const std::string& metric() const { return metric_; }
   void push(double sample);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 
+#include "cir/analysis.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vm/compiler.hpp"
@@ -35,11 +36,10 @@ Value numeric_binop(Op op, const Value& a, const Value& b) {
   return {};
 }
 
-/// Host functions every engine has: math builtins matching
-/// cir::is_builtin_callee, print helpers, and instrumentation probes that
-/// default to no-ops so woven code runs on any engine
-/// (dsl::ProfileStore::install and friends override them with real
-/// collectors through Engine::register_host).
+/// Host functions every engine has, exactly cir::kBuiltinCallees: math
+/// builtins, print helpers, and instrumentation probes that default to no-ops
+/// so woven code runs on any engine (dsl::ProfileStore::install and friends
+/// override them with real collectors through Engine::register_host).
 const std::unordered_map<std::string, HostFunction>& builtins() {
   static const std::unordered_map<std::string, HostFunction> table = [] {
     std::unordered_map<std::string, HostFunction> t;
@@ -85,6 +85,12 @@ const std::unordered_map<std::string, HostFunction>& builtins() {
     for (const char* probe :
          {"profile_args", "monitor_begin", "monitor_end", "antarex_probe"})
       t[probe] = [](std::span<const Value>) { return Value::from_int(0); };
+    ANTAREX_CHECK(t.size() == std::size(cir::kBuiltinCallees) &&
+                      std::ranges::all_of(cir::kBuiltinCallees,
+                                          [&t](const cir::BuiltinCallee& b) {
+                                            return t.contains(std::string(b.name));
+                                          }),
+                  "vm: host builtins differ from cir::kBuiltinCallees");
     return t;
   }();
   return table;

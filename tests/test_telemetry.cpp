@@ -528,20 +528,20 @@ TEST_F(TelemetryTest, SpanHooksFireOnEnterAndExit) {
 // --------------------------------------------------------------------------
 
 TEST_F(TelemetryTest, MonitorExposesStatsThroughRegistry) {
-  tuner::Monitor m("t.monitor_metric", 4);
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) m.push(v);
+  tuner::Monitor m("t.monitor_metric");
+  for (int v = 1; v <= 33; ++v) m.push(v);  // one more than the 32-sample window
 
   const auto series = Registry::global().all_series();
   const telemetry::Series* found = nullptr;
   for (const auto& [name, s] : series)
     if (name == "t.monitor_metric") found = s;
   ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->count(), 5u);
-  EXPECT_DOUBLE_EQ(found->window_mean(), 3.5);  // 1.0 evicted, same as Monitor
-  EXPECT_DOUBLE_EQ(found->last(), 5.0);
+  EXPECT_EQ(found->count(), 33u);
+  EXPECT_DOUBLE_EQ(found->window_mean(), 17.5);  // 1.0 evicted, same as Monitor
+  EXPECT_DOUBLE_EQ(found->last(), 33.0);
 
   const std::string json = telemetry::metrics_json();
-  EXPECT_NE(json.find("\"t.monitor_metric\":{\"count\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"t.monitor_metric\":{\"count\":33"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

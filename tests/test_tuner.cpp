@@ -81,11 +81,11 @@ TEST(DesignSpace, RejectsDuplicateKnobs) {
 // --------------------------------------------------------------------------
 
 TEST(MonitorTest, WindowStatistics) {
-  Monitor m("latency", 4);
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) m.push(v);
-  EXPECT_EQ(m.samples(), 5u);
+  Monitor m("latency");
+  for (int v = 1; v <= 33; ++v) m.push(v);  // one more than the 32-sample window
+  EXPECT_EQ(m.samples(), 33u);
   EXPECT_DOUBLE_EQ(m.window_percentile(0), 2.0);  // 1.0 evicted
-  EXPECT_DOUBLE_EQ(m.window_percentile(100), 5.0);
+  EXPECT_DOUBLE_EQ(m.window_percentile(100), 33.0);
 }
 
 TEST(MonitorTest, EmptyMonitorThrows) {
