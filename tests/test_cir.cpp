@@ -7,6 +7,7 @@
 #include "cir/lexer.hpp"
 #include "cir/parser.hpp"
 #include "cir/printer.hpp"
+#include "program_gen.hpp"
 
 namespace antarex::cir {
 namespace {
@@ -100,6 +101,183 @@ TEST(Lexer, RejectsMalformedInput) {
   EXPECT_THROW(lex("a @ b"), Error);
   EXPECT_THROW(lex("a & b"), Error);
   EXPECT_THROW(lex("/* open"), Error);
+}
+
+// The token-stream pin: kind, text, both numeric values and line:col of
+// every token, over the generated programs and one input per token kind,
+// plus the prefix and position of every lex and parse error.
+std::string dump_tokens(std::string_view src) {
+  std::string out;
+  for (const Token& t : lex(src))
+    out += format("%s \"%s\" %lld %.17g %d:%d\n", tok_kind_name(t.kind),
+                  t.text.c_str(), static_cast<long long>(t.int_value),
+                  t.float_value, t.loc.line, t.loc.col);
+  return out;
+}
+
+u64 fnv1a(std::string_view s, u64 h = 14695981039346656037ull) {
+  for (const char c : s) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  return h;
+}
+
+TEST(TokenPin, GeneratedProgramsLexUnchanged) {
+  u64 hash = fnv1a("");
+  std::size_t tokens = 0;
+  for (u64 seed = 1; seed <= 200; ++seed) {
+    ProgramGen gen(seed);
+    const std::string src = gen.generate();
+    tokens += lex(src).size();
+    hash = fnv1a(dump_tokens(src), hash);
+  }
+  EXPECT_EQ(tokens, 37847u);
+  EXPECT_EQ(hash, 6703471441619153264ull);
+}
+
+TEST(TokenPin, EveryTokenKind) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"x _y9 42 3.5 .5 1e3 2.5E-2 7. 1.2.3",
+       "identifier \"x\" 0 0 1:1\n"
+       "identifier \"_y9\" 0 0 1:3\n"
+       "integer literal \"42\" 42 0 1:7\n"
+       "float literal \"3.5\" 0 3.5 1:10\n"
+       "float literal \".5\" 0 0.5 1:14\n"
+       "float literal \"1e3\" 0 1000 1:17\n"
+       "float literal \"2.5E-2\" 0 0.025000000000000001 1:21\n"
+       "float literal \"7.\" 0 7 1:28\n"
+       "float literal \"1.2\" 0 1.2 1:31\n"
+       "float literal \".3\" 0 0.29999999999999999 1:34\n"
+       "<eof> \"\" 0 0 1:36\n"},
+      {"\"s\\n\\t\\\\\\\"\\'\" 'q\"' ''",
+       "string literal \"s\n"
+       "\t\\\"'\" 0 0 1:1\n"
+       "string literal \"q\"\" 0 0 1:15\n"
+       "string literal \"\" 0 0 1:20\n"
+       "<eof> \"\" 0 0 1:22\n"},
+      {"( ) { } [ ] , ; + - * / % = < <= > >= == != && || ! ++ -- += -= *= /=",
+       "'(' \"\" 0 0 1:1\n"
+       "')' \"\" 0 0 1:3\n"
+       "'{' \"\" 0 0 1:5\n"
+       "'}' \"\" 0 0 1:7\n"
+       "'[' \"\" 0 0 1:9\n"
+       "']' \"\" 0 0 1:11\n"
+       "',' \"\" 0 0 1:13\n"
+       "';' \"\" 0 0 1:15\n"
+       "'+' \"\" 0 0 1:17\n"
+       "'-' \"\" 0 0 1:19\n"
+       "'*' \"\" 0 0 1:21\n"
+       "'/' \"\" 0 0 1:23\n"
+       "'%' \"\" 0 0 1:25\n"
+       "'=' \"\" 0 0 1:27\n"
+       "'<' \"\" 0 0 1:29\n"
+       "'<=' \"\" 0 0 1:31\n"
+       "'>' \"\" 0 0 1:34\n"
+       "'>=' \"\" 0 0 1:36\n"
+       "'==' \"\" 0 0 1:39\n"
+       "'!=' \"\" 0 0 1:42\n"
+       "'&&' \"\" 0 0 1:45\n"
+       "'||' \"\" 0 0 1:48\n"
+       "'!' \"\" 0 0 1:51\n"
+       "'++' \"\" 0 0 1:53\n"
+       "'--' \"\" 0 0 1:56\n"
+       "'+=' \"\" 0 0 1:59\n"
+       "'-=' \"\" 0 0 1:62\n"
+       "'*=' \"\" 0 0 1:65\n"
+       "'/=' \"\" 0 0 1:68\n"
+       "<eof> \"\" 0 0 1:70\n"},
+      {"int double float void const char if else for while return break continue",
+       "'int' \"int\" 0 0 1:1\n"
+       "'double' \"double\" 0 0 1:5\n"
+       "'float' \"float\" 0 0 1:12\n"
+       "'void' \"void\" 0 0 1:18\n"
+       "'const' \"const\" 0 0 1:23\n"
+       "'char' \"char\" 0 0 1:29\n"
+       "'if' \"if\" 0 0 1:34\n"
+       "'else' \"else\" 0 0 1:37\n"
+       "'for' \"for\" 0 0 1:42\n"
+       "'while' \"while\" 0 0 1:46\n"
+       "'return' \"return\" 0 0 1:52\n"
+       "'break' \"break\" 0 0 1:59\n"
+       "'continue' \"continue\" 0 0 1:65\n"
+       "<eof> \"\" 0 0 1:73\n"},
+      {"a // c\n/* b\n */ b\n\n\t c",
+       "identifier \"a\" 0 0 1:1\n"
+       "identifier \"b\" 0 0 3:5\n"
+       "identifier \"c\" 0 0 5:3\n"
+       "<eof> \"\" 0 0 5:4\n"},
+      {"1e 1e+ 2e-3x 0x10",
+       "integer literal \"1\" 1 0 1:1\n"
+       "identifier \"e\" 0 0 1:2\n"
+       "integer literal \"1\" 1 0 1:4\n"
+       "identifier \"e\" 0 0 1:5\n"
+       "'+' \"\" 0 0 1:6\n"
+       "float literal \"2e-3\" 0 0.002 1:8\n"
+       "identifier \"x\" 0 0 1:12\n"
+       "integer literal \"0\" 0 0 1:14\n"
+       "identifier \"x10\" 0 0 1:15\n"
+       "<eof> \"\" 0 0 1:18\n"},
+      {"9223372036854775807",
+       "integer literal \"9223372036854775807\" 9223372036854775807 0 1:1\n"
+       "<eof> \"\" 0 0 1:20\n"},
+      {"99999999999999999999999",
+       "integer literal \"99999999999999999999999\" 9223372036854775807 0 1:1\n"
+       "<eof> \"\" 0 0 1:24\n"},
+      {"1e999",
+       "float literal \"1e999\" 0 inf 1:1\n"
+       "<eof> \"\" 0 0 1:6\n"},
+      {"",
+       "<eof> \"\" 0 0 1:1\n"},
+  };
+  for (const auto& [src, want] : cases) EXPECT_EQ(dump_tokens(src), want) << src;
+}
+
+TEST(TokenPin, ErrorPrefixAndPosition) {
+  const std::pair<const char*, const char*> lex_cases[] = {
+      {"\"unterminated", "lex error at 1:14:"},
+      {"a @ b", "lex error at 1:4:"},
+      {"a & b", "lex error at 1:4:"},
+      {"a | b", "lex error at 1:4:"},
+      {"/* open", "lex error at 1:8:"},
+      {"x\n  /* open\n", "lex error at 3:1:"},
+      {"'open", "lex error at 1:6:"},
+      {"\"a\\qb\"", "lex error at 1:5:"},
+      {"\"a\\", "lex error at 1:4:"},
+      {"int #", "lex error at 1:6:"},
+      {"\xff", "lex error at 1:2:"},
+  };
+  for (const auto& [src, want] : lex_cases) {
+    std::string got = "no error";
+    try {
+      lex(src);
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      got = what.substr(0, what.find(':', what.find(':') + 1) + 1);
+    }
+    EXPECT_EQ(got, want) << src;
+  }
+  const std::pair<const char*, const char*> parse_cases[] = {
+      {"int f() { return 1 }",
+       "parse error at 1:20:"},
+      {"int f(",
+       "parse error at 1:7:"},
+      {"int f() {\n  x = ;\n}",
+       "parse error at 2:7:"},
+      {"int f() { for (int i = 0; i < 3; i++) { }",
+       "parse error at 1:42:"},
+      {"foo",
+       "parse error at 1:1:"},
+      {"int f() { 3 = x; }",
+       "parse error at 1:15:"},
+  };
+  for (const auto& [src, want] : parse_cases) {
+    std::string got = "no error";
+    try {
+      parse_module(src);
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      got = what.substr(0, what.find(':', what.find(':') + 1) + 1);
+    }
+    EXPECT_EQ(got, want) << src;
+  }
 }
 
 // --------------------------------------------------------------------------

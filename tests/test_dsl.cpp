@@ -3,6 +3,8 @@
 // of the paper's three example aspects (Figures 2, 3 and 4).
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "cir/analysis.hpp"
 #include "cir/parser.hpp"
 #include "cir/printer.hpp"
@@ -11,7 +13,9 @@
 #include "dsl/lexer.hpp"
 #include "dsl/runtime.hpp"
 #include "dsl/weaver.hpp"
+#include "support/strings.hpp"
 #include "vm/engine.hpp"
+#include "aspect_sources.hpp"
 
 namespace antarex::dsl {
 namespace {
@@ -47,6 +51,180 @@ TEST(DslLexer, RejectsMalformed) {
   EXPECT_THROW(dsl_lex("'open"), Error);
   EXPECT_THROW(dsl_lex("$"), Error);
   EXPECT_THROW(dsl_lex("a # b"), Error);
+}
+
+// The token-stream pin: kind, text, value and line:col of every token, over
+// every aspect the benches, examples and samples weave and one input per
+// token kind, plus the prefix and position of every lex and parse error.
+std::string dump_tokens(std::string_view src) {
+  std::string out;
+  for (const DToken& t : dsl_lex(src))
+    out += format("%s \"%s\" %.17g %d:%d\n", dtok_name(t.kind), t.text.c_str(),
+                  t.num, t.line, t.col);
+  return out;
+}
+
+std::string error_prefix(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.substr(0, what.find(':', what.find(':') + 1) + 1);
+  }
+  return "no error";
+}
+
+TEST(DslTokenPin, WorkloadAspectsLexUnchanged) {
+  const auto sources = workload_aspects();
+  u64 hash = 14695981039346656037ull;
+  std::size_t tokens = 0;
+  for (const auto& s : sources) {
+    tokens += dsl_lex(s.text).size();
+    for (const char c : s.origin + "\n" + dump_tokens(s.text))
+      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  EXPECT_EQ(sources.size(), 11u);
+  EXPECT_EQ(tokens, 596u);
+  EXPECT_EQ(hash, 16642478135433659107ull);
+}
+
+TEST(DslTokenPin, EveryTokenKind) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"x _y9 $fCall $_a1 42 3.5 .5 7. 1.2.3",
+       "identifier \"x\" 0 1:1\n"
+       "identifier \"_y9\" 0 1:3\n"
+       "$-identifier \"$fCall\" 0 1:7\n"
+       "$-identifier \"$_a1\" 0 1:14\n"
+       "number \"42\" 42 1:19\n"
+       "number \"3.5\" 3.5 1:22\n"
+       "number \".5\" 0.5 1:26\n"
+       "number \"7.\" 7 1:29\n"
+       "number \"1.2\" 1.2 1:32\n"
+       "number \".3\" 0.29999999999999999 1:35\n"
+       "<eof> \"\" 0 1:37\n"},
+      {"'s\\n\\t\\\\\\'\\\"' \"d'\" ''",
+       "string \"s\n"
+       "\t\\'\"\" 0 1:1\n"
+       "string \"d'\" 0 1:15\n"
+       "string \"\" 0 1:20\n"
+       "<eof> \"\" 0 1:22\n"},
+      {"%{ code [[x]]\n }% %{}%",
+       "code template \" code [[x]]\n"
+       " \" 0 1:1\n"
+       "code template \"\" 0 2:5\n"
+       "<eof> \"\" 0 2:9\n"},
+      {"( ) { } . , ; : = == != < <= > >= && || ! + - * / %",
+       "'(' \"(\" 0 1:1\n"
+       "')' \")\" 0 1:3\n"
+       "'{' \"{\" 0 1:5\n"
+       "'}' \"}\" 0 1:7\n"
+       "'.' \".\" 0 1:9\n"
+       "',' \",\" 0 1:11\n"
+       "';' \";\" 0 1:13\n"
+       "':' \":\" 0 1:15\n"
+       "'=' \"=\" 0 1:17\n"
+       "'==' \"==\" 0 1:19\n"
+       "'!=' \"!=\" 0 1:22\n"
+       "'<' \"<\" 0 1:25\n"
+       "'<=' \"<=\" 0 1:27\n"
+       "'>' \">\" 0 1:30\n"
+       "'>=' \">=\" 0 1:32\n"
+       "'&&' \"&&\" 0 1:35\n"
+       "'||' \"||\" 0 1:38\n"
+       "'!' \"!\" 0 1:41\n"
+       "'+' \"+\" 0 1:43\n"
+       "'-' \"-\" 0 1:45\n"
+       "'*' \"*\" 0 1:47\n"
+       "'/' \"/\" 0 1:49\n"
+       "'%' \"%\" 0 1:51\n"
+       "<eof> \"\" 0 1:52\n"},
+      {"aspectdef end input output select apply condition call do insert before "
+       "after dynamic var true false null",
+       "'aspectdef' \"aspectdef\" 0 1:1\n"
+       "'end' \"end\" 0 1:11\n"
+       "'input' \"input\" 0 1:15\n"
+       "'output' \"output\" 0 1:21\n"
+       "'select' \"select\" 0 1:28\n"
+       "'apply' \"apply\" 0 1:35\n"
+       "'condition' \"condition\" 0 1:41\n"
+       "'call' \"call\" 0 1:51\n"
+       "'do' \"do\" 0 1:56\n"
+       "'insert' \"insert\" 0 1:59\n"
+       "'before' \"before\" 0 1:66\n"
+       "'after' \"after\" 0 1:73\n"
+       "'dynamic' \"dynamic\" 0 1:79\n"
+       "'var' \"var\" 0 1:87\n"
+       "'true' \"true\" 0 1:91\n"
+       "'false' \"false\" 0 1:96\n"
+       "'null' \"null\" 0 1:102\n"
+       "<eof> \"\" 0 1:106\n"},
+      {"a // c\n/* b\n */ b\n\n\t c",
+       "identifier \"a\" 0 1:1\n"
+       "identifier \"b\" 0 3:5\n"
+       "identifier \"c\" 0 5:3\n"
+       "<eof> \"\" 0 5:4\n"},
+      {"x == 1e5",
+       "identifier \"x\" 0 1:1\n"
+       "'==' \"==\" 0 1:3\n"
+       "number \"1\" 1 1:6\n"
+       "identifier \"e5\" 0 1:7\n"
+       "<eof> \"\" 0 1:9\n"},
+      {"2.5E-2 1e 1e+",
+       "number \"2.5\" 2.5 1:1\n"
+       "identifier \"E\" 0 1:4\n"
+       "'-' \"-\" 0 1:5\n"
+       "number \"2\" 2 1:6\n"
+       "number \"1\" 1 1:8\n"
+       "identifier \"e\" 0 1:9\n"
+       "number \"1\" 1 1:11\n"
+       "identifier \"e\" 0 1:12\n"
+       "'+' \"+\" 0 1:13\n"
+       "<eof> \"\" 0 1:14\n"},
+      {"1e999",
+       "number \"1\" 1 1:1\n"
+       "identifier \"e999\" 0 1:2\n"
+       "<eof> \"\" 0 1:6\n"},
+      {"",
+       "<eof> \"\" 0 1:1\n"},
+  };
+  for (const auto& [src, want] : cases) EXPECT_EQ(dump_tokens(src), want) << src;
+}
+
+TEST(DslTokenPin, ErrorPrefixAndPosition) {
+  const std::pair<const char*, const char*> lex_cases[] = {
+      {"'unterminated", "DSL lex error at 1:14:"},
+      {"a @ b", "DSL lex error at 1:4:"},
+      {"a & b", "DSL lex error at 1:4:"},
+      {"a | b", "DSL lex error at 1:4:"},
+      {"/* open", "DSL lex error at 1:8:"},
+      {"x\n  /* open\n", "DSL lex error at 3:1:"},
+      {"\"open", "DSL lex error at 1:6:"},
+      {"'a\\qb'", "DSL lex error at 1:5:"},
+      {"'a\\", "DSL lex error at 1:4:"},
+      {"$", "DSL lex error at 1:2:"},
+      {"$ 1", "DSL lex error at 1:2:"},
+      {"%{ open", "DSL lex error at 1:8:"},
+      {"x\n %{ a }", "DSL lex error at 2:8:"},
+      {"\xff", "DSL lex error at 1:2:"},
+  };
+  for (const auto& [src, want] : lex_cases)
+    EXPECT_EQ(error_prefix([&] { dsl_lex(src); }), want) << src;
+  const std::pair<const char*, const char*> parse_cases[] = {
+      {"aspectdef A select end",
+       "DSL parse error at 1:20:"},
+      {"aspectdef",
+       "DSL parse error at 1:10:"},
+      {"aspectdef A\n  select fCall end\n  apply insert before 3; end\nend",
+       "DSL parse error at 3:23:"},
+      {"aspectdef A condition x == end end",
+       "DSL parse error at 1:28:"},
+      {"aspectdef A x = ; end",
+       "DSL parse error at 1:17:"},
+      {"foo",
+       "DSL parse error at 1:1:"},
+  };
+  for (const auto& [src, want] : parse_cases)
+    EXPECT_EQ(error_prefix([&] { parse_aspects(src); }), want) << src;
 }
 
 TEST(DslParser, ParsesFigure2Verbatim) {
