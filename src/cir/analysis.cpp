@@ -250,22 +250,17 @@ std::size_t substitute_var(Block& b, const std::string& name, const Expr& replac
   std::size_t count = 0;
   const std::function<const Expr*(const std::string&)> lookup =
       [&](const std::string& var) { return var == name ? &replacement : nullptr; };
-  const auto rewrite = [&](ExprPtr& e) { count += substitute_vars(e, lookup); };
-  // In a body the index of an array store target is a read; in a for-header
-  // it is left alone, and so is an expression statement there.
+  // Body and for-header statements alike: every read, including the index
+  // of an array store target.
   const auto rewrite_reads = [&](ExprPtr& slot, bool is_store_target) {
-    if (ExprPtr* read = read_part(slot, is_store_target)) rewrite(*read);
-  };
-  const auto rewrite_header = [&](Stmt& header) {
-    if (header.kind == StmtKind::ExprStmt) return;
-    for_each_child(header, [&](ExprPtr& slot, bool is_store_target) {
-      if (!is_store_target) rewrite(slot);
-    }, skip, skip);
+    if (ExprPtr* read = read_part(slot, is_store_target))
+      count += substitute_vars(*read, lookup);
   };
   for (auto& sp : b.stmts)
-    for_each_child(*sp, rewrite_reads, rewrite_header, [&](Block& child) {
-      count += substitute_var(child, name, replacement);
-    });
+    for_each_child(
+        *sp, rewrite_reads,
+        [&](Stmt& header) { for_each_child(header, rewrite_reads, skip, skip); },
+        [&](Block& child) { count += substitute_var(child, name, replacement); });
   return count;
 }
 

@@ -1,290 +1,71 @@
 #include "cir/lexer.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <unordered_map>
-
-#include "support/strings.hpp"
+#include "support/scanner.hpp"
 
 namespace antarex::cir {
 
-const char* tok_kind_name(TokKind k) {
-  switch (k) {
-    case TokKind::End: return "<eof>";
-    case TokKind::Ident: return "identifier";
-    case TokKind::IntLit: return "integer literal";
-    case TokKind::FloatLit: return "float literal";
-    case TokKind::StrLit: return "string literal";
-    case TokKind::LParen: return "'('";
-    case TokKind::RParen: return "')'";
-    case TokKind::LBrace: return "'{'";
-    case TokKind::RBrace: return "'}'";
-    case TokKind::LBracket: return "'['";
-    case TokKind::RBracket: return "']'";
-    case TokKind::Comma: return "','";
-    case TokKind::Semi: return "';'";
-    case TokKind::Plus: return "'+'";
-    case TokKind::Minus: return "'-'";
-    case TokKind::Star: return "'*'";
-    case TokKind::Slash: return "'/'";
-    case TokKind::Percent: return "'%'";
-    case TokKind::Assign: return "'='";
-    case TokKind::Lt: return "'<'";
-    case TokKind::Le: return "'<='";
-    case TokKind::Gt: return "'>'";
-    case TokKind::Ge: return "'>='";
-    case TokKind::EqEq: return "'=='";
-    case TokKind::Ne: return "'!='";
-    case TokKind::AmpAmp: return "'&&'";
-    case TokKind::PipePipe: return "'||'";
-    case TokKind::Bang: return "'!'";
-    case TokKind::PlusPlus: return "'++'";
-    case TokKind::MinusMinus: return "'--'";
-    case TokKind::PlusAssign: return "'+='";
-    case TokKind::MinusAssign: return "'-='";
-    case TokKind::StarAssign: return "'*='";
-    case TokKind::SlashAssign: return "'/='";
-    case TokKind::KwInt: return "'int'";
-    case TokKind::KwDouble: return "'double'";
-    case TokKind::KwFloat: return "'float'";
-    case TokKind::KwVoid: return "'void'";
-    case TokKind::KwConst: return "'const'";
-    case TokKind::KwChar: return "'char'";
-    case TokKind::KwIf: return "'if'";
-    case TokKind::KwElse: return "'else'";
-    case TokKind::KwFor: return "'for'";
-    case TokKind::KwWhile: return "'while'";
-    case TokKind::KwReturn: return "'return'";
-    case TokKind::KwBreak: return "'break'";
-    case TokKind::KwContinue: return "'continue'";
-  }
-  return "?";
-}
-
 namespace {
 
-const std::unordered_map<std::string_view, TokKind>& keywords() {
-  static const std::unordered_map<std::string_view, TokKind> kw = {
-      {"int", TokKind::KwInt},       {"double", TokKind::KwDouble},
-      {"float", TokKind::KwFloat},   {"void", TokKind::KwVoid},
-      {"const", TokKind::KwConst},   {"char", TokKind::KwChar},
-      {"if", TokKind::KwIf},         {"else", TokKind::KwElse},
-      {"for", TokKind::KwFor},       {"while", TokKind::KwWhile},
-      {"return", TokKind::KwReturn}, {"break", TokKind::KwBreak},
-      {"continue", TokKind::KwContinue},
+const scan::SpellingTable<TokKind>& spellings() {
+  using enum TokKind;
+  static const scan::SpellingTable<TokKind> table = {
+      {"(", LParen},        {")", RParen},         {"{", LBrace},
+      {"}", RBrace},        {"[", LBracket},       {"]", RBracket},
+      {",", Comma},         {";", Semi},           {"+", Plus},
+      {"-", Minus},         {"*", Star},           {"/", Slash},
+      {"%", Percent},       {"=", Assign},         {"<", Lt},
+      {"<=", Le},           {">", Gt},             {">=", Ge},
+      {"==", EqEq},         {"!=", Ne},            {"&&", AmpAmp},
+      {"||", PipePipe},     {"!", Bang},           {"++", PlusPlus},
+      {"--", MinusMinus},   {"+=", PlusAssign},    {"-=", MinusAssign},
+      {"*=", StarAssign},   {"/=", SlashAssign},   {"int", KwInt},
+      {"double", KwDouble}, {"float", KwFloat},    {"void", KwVoid},
+      {"const", KwConst},   {"char", KwChar},      {"if", KwIf},
+      {"else", KwElse},     {"for", KwFor},        {"while", KwWhile},
+      {"return", KwReturn}, {"break", KwBreak},    {"continue", KwContinue},
   };
-  return kw;
+  return table;
 }
-
-class Cursor {
- public:
-  explicit Cursor(std::string_view src) : src_(src) {}
-
-  bool done() const { return pos_ >= src_.size(); }
-  char peek(std::size_t ahead = 0) const {
-    return pos_ + ahead < src_.size() ? src_[pos_ + ahead] : '\0';
-  }
-  char advance() {
-    const char c = src_[pos_++];
-    if (c == '\n') {
-      ++line_;
-      col_ = 1;
-    } else {
-      ++col_;
-    }
-    return c;
-  }
-  bool match(char c) {
-    if (!done() && peek() == c) {
-      advance();
-      return true;
-    }
-    return false;
-  }
-  SourceLoc loc() const { return {line_, col_}; }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw Error(format("lex error at %d:%d: %s", line_, col_, msg.c_str()));
-  }
-
- private:
-  std::string_view src_;
-  std::size_t pos_ = 0;
-  int line_ = 1;
-  int col_ = 1;
-};
 
 }  // namespace
 
+const char* tok_kind_name(TokKind k) {
+  static const char* const kForms[] = {"<eof>", "identifier", "integer literal",
+                                       "float literal", "string literal"};
+  return k < TokKind::LParen ? kForms[static_cast<int>(k)] : spellings().quoted(k);
+}
+
 std::vector<Token> lex(std::string_view source) {
   std::vector<Token> out;
-  Cursor cur(source);
-
-  auto push = [&](TokKind k, SourceLoc loc, std::string text = {}) {
+  scan::Cursor cur(source, "lex error");
+  for (cur.skip_blank(); !cur.done(); cur.skip_blank()) {
     Token t;
-    t.kind = k;
-    t.text = std::move(text);
-    t.loc = loc;
-    out.push_back(std::move(t));
-  };
-
-  while (!cur.done()) {
+    t.loc = {cur.line(), cur.col()};
     const char c = cur.peek();
-    const SourceLoc loc = cur.loc();
-
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      cur.advance();
-      continue;
-    }
-    // Comments.
-    if (c == '/' && cur.peek(1) == '/') {
-      while (!cur.done() && cur.peek() != '\n') cur.advance();
-      continue;
-    }
-    if (c == '/' && cur.peek(1) == '*') {
-      cur.advance();
-      cur.advance();
-      while (!cur.done() && !(cur.peek() == '*' && cur.peek(1) == '/')) cur.advance();
-      if (cur.done()) cur.fail("unterminated block comment");
-      cur.advance();
-      cur.advance();
-      continue;
-    }
-    // Identifiers / keywords.
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string name;
-      while (!cur.done() && (std::isalnum(static_cast<unsigned char>(cur.peek())) ||
-                             cur.peek() == '_'))
-        name.push_back(cur.advance());
-      auto it = keywords().find(name);
-      if (it != keywords().end()) {
-        push(it->second, loc, name);
-      } else {
-        push(TokKind::Ident, loc, name);
-      }
-      continue;
-    }
-    // Numbers.
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(cur.peek(1))))) {
-      std::string num;
+    if (scan::is_ident_start(c)) {
+      t.text = cur.ident();
+      t.kind = spellings().word(t.text, TokKind::Ident);
+    } else if (cur.at_number()) {
       bool is_float = false;
-      while (!cur.done()) {
-        const char d = cur.peek();
-        if (std::isdigit(static_cast<unsigned char>(d))) {
-          num.push_back(cur.advance());
-        } else if (d == '.' && !is_float) {
-          is_float = true;
-          num.push_back(cur.advance());
-        } else if ((d == 'e' || d == 'E') &&
-                   (std::isdigit(static_cast<unsigned char>(cur.peek(1))) ||
-                    ((cur.peek(1) == '+' || cur.peek(1) == '-') &&
-                     std::isdigit(static_cast<unsigned char>(cur.peek(2)))))) {
-          is_float = true;
-          num.push_back(cur.advance());  // e
-          if (cur.peek() == '+' || cur.peek() == '-') num.push_back(cur.advance());
-        } else {
-          break;
-        }
-      }
-      Token t;
-      t.loc = loc;
-      t.text = num;
+      t.text = cur.number(is_float);
       if (is_float) {
         t.kind = TokKind::FloatLit;
-        t.float_value = std::strtod(num.c_str(), nullptr);
+        t.float_value = cur.to_double(t.text);
       } else {
         t.kind = TokKind::IntLit;
-        t.int_value = std::strtoll(num.c_str(), nullptr, 10);
+        t.int_value = cur.to_int(t.text);
       }
-      out.push_back(std::move(t));
-      continue;
+    } else if (c == '"' || c == '\'') {
+      // Both quote styles: woven code inherits single-quoted strings from
+      // LARA-style %{...}% templates (paper Fig. 2).
+      t.kind = TokKind::StrLit;
+      t.text = cur.quoted();
+    } else {
+      t.kind = spellings().scan(cur).kind;
     }
-    // String literals. Both quote styles are accepted: woven code inherits
-    // single-quoted strings from LARA-style %{...}% templates (paper Fig. 2).
-    if (c == '"' || c == '\'') {
-      const char quote = c;
-      cur.advance();
-      std::string s;
-      while (!cur.done() && cur.peek() != quote) {
-        char d = cur.advance();
-        if (d == '\\' && !cur.done()) {
-          const char esc = cur.advance();
-          switch (esc) {
-            case 'n': d = '\n'; break;
-            case 't': d = '\t'; break;
-            case '\\': d = '\\'; break;
-            case '"': d = '"'; break;
-            case '\'': d = '\''; break;
-            default: cur.fail(format("unknown escape '\\%c'", esc));
-          }
-        }
-        s.push_back(d);
-      }
-      if (cur.done()) cur.fail("unterminated string literal");
-      cur.advance();  // closing quote
-      push(TokKind::StrLit, loc, std::move(s));
-      continue;
-    }
-    // Operators / punctuation.
-    cur.advance();
-    switch (c) {
-      case '(': push(TokKind::LParen, loc); break;
-      case ')': push(TokKind::RParen, loc); break;
-      case '{': push(TokKind::LBrace, loc); break;
-      case '}': push(TokKind::RBrace, loc); break;
-      case '[': push(TokKind::LBracket, loc); break;
-      case ']': push(TokKind::RBracket, loc); break;
-      case ',': push(TokKind::Comma, loc); break;
-      case ';': push(TokKind::Semi, loc); break;
-      case '+':
-        if (cur.match('+')) push(TokKind::PlusPlus, loc);
-        else if (cur.match('=')) push(TokKind::PlusAssign, loc);
-        else push(TokKind::Plus, loc);
-        break;
-      case '-':
-        if (cur.match('-')) push(TokKind::MinusMinus, loc);
-        else if (cur.match('=')) push(TokKind::MinusAssign, loc);
-        else push(TokKind::Minus, loc);
-        break;
-      case '*':
-        if (cur.match('=')) push(TokKind::StarAssign, loc);
-        else push(TokKind::Star, loc);
-        break;
-      case '/':
-        if (cur.match('=')) push(TokKind::SlashAssign, loc);
-        else push(TokKind::Slash, loc);
-        break;
-      case '%': push(TokKind::Percent, loc); break;
-      case '=':
-        push(cur.match('=') ? TokKind::EqEq : TokKind::Assign, loc);
-        break;
-      case '<':
-        push(cur.match('=') ? TokKind::Le : TokKind::Lt, loc);
-        break;
-      case '>':
-        push(cur.match('=') ? TokKind::Ge : TokKind::Gt, loc);
-        break;
-      case '!':
-        push(cur.match('=') ? TokKind::Ne : TokKind::Bang, loc);
-        break;
-      case '&':
-        if (cur.match('&')) push(TokKind::AmpAmp, loc);
-        else cur.fail("expected '&&' (bitwise ops are not in mini-C)");
-        break;
-      case '|':
-        if (cur.match('|')) push(TokKind::PipePipe, loc);
-        else cur.fail("expected '||' (bitwise ops are not in mini-C)");
-        break;
-      default:
-        cur.fail(format("unexpected character '%c'", c));
-    }
+    out.push_back(std::move(t));
   }
-
-  Token end;
-  end.kind = TokKind::End;
-  end.loc = cur.loc();
-  out.push_back(std::move(end));
+  out.push_back(Token{TokKind::End, {}, 0, 0.0, {cur.line(), cur.col()}});
   return out;
 }
 

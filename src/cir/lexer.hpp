@@ -10,11 +10,7 @@
 namespace antarex::cir {
 
 enum class TokKind {
-  End,
-  Ident,
-  IntLit,
-  FloatLit,
-  StrLit,
+  End, Ident, IntLit, FloatLit, StrLit,
   // punctuation / operators
   LParen, RParen, LBrace, RBrace, LBracket, RBracket,
   Comma, Semi,

@@ -4,14 +4,18 @@
 
 #include "cir/lexer.hpp"
 #include "support/strings.hpp"
+#include "support/token_stream.hpp"
 
 namespace antarex::cir {
 
+// A token's position, for scan::TokenStream.
+static std::pair<int, int> line_col(const Token& t) { return {t.loc.line, t.loc.col}; }
+
 namespace {
 
-class Parser {
+class Parser : scan::TokenStream<Token, tok_kind_name> {
  public:
-  explicit Parser(std::string_view source) : toks_(lex(source)) {}
+  explicit Parser(std::string_view source) : TokenStream(lex(source), "parse error") {}
 
   std::unique_ptr<Module> module() {
     auto m = std::make_unique<Module>();
@@ -26,29 +30,6 @@ class Parser {
   }
 
  private:
-  const Token& peek(std::size_t ahead = 0) const {
-    const std::size_t i = pos_ + ahead;
-    return i < toks_.size() ? toks_[i] : toks_.back();
-  }
-  bool at(TokKind k) const { return peek().kind == k; }
-  const Token& advance() { return toks_[pos_++]; }
-  bool match(TokKind k) {
-    if (at(k)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  const Token& expect(TokKind k, const char* what) {
-    if (!at(k)) fail(format("expected %s (%s), got %s", tok_kind_name(k), what,
-                            tok_kind_name(peek().kind)));
-    return advance();
-  }
-  [[noreturn]] void fail(const std::string& msg) const {
-    const auto& t = peek();
-    throw Error(format("parse error at %d:%d: %s", t.loc.line, t.loc.col, msg.c_str()));
-  }
-
   bool at_type() const {
     switch (peek().kind) {
       case TokKind::KwInt:
@@ -415,9 +396,6 @@ class Parser {
         fail(format("unexpected token %s in expression", tok_kind_name(t.kind)));
     }
   }
-
-  std::vector<Token> toks_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace

@@ -1,285 +1,76 @@
 #include "dsl/lexer.hpp"
 
-#include <cctype>
-#include <cstdlib>
-#include <unordered_map>
-
-#include "support/strings.hpp"
+#include "support/scanner.hpp"
 
 namespace antarex::dsl {
 
-const char* dtok_name(DTok t) {
-  switch (t) {
-    case DTok::End: return "<eof>";
-    case DTok::Ident: return "identifier";
-    case DTok::DollarIdent: return "$-identifier";
-    case DTok::Num: return "number";
-    case DTok::Str: return "string";
-    case DTok::Template: return "code template";
-    case DTok::LParen: return "'('";
-    case DTok::RParen: return "')'";
-    case DTok::LBrace: return "'{'";
-    case DTok::RBrace: return "'}'";
-    case DTok::Dot: return "'.'";
-    case DTok::Comma: return "','";
-    case DTok::Semi: return "';'";
-    case DTok::Colon: return "':'";
-    case DTok::Assign: return "'='";
-    case DTok::Eq: return "'=='";
-    case DTok::Ne: return "'!='";
-    case DTok::Lt: return "'<'";
-    case DTok::Le: return "'<='";
-    case DTok::Gt: return "'>'";
-    case DTok::Ge: return "'>='";
-    case DTok::AndAnd: return "'&&'";
-    case DTok::OrOr: return "'||'";
-    case DTok::Not: return "'!'";
-    case DTok::Plus: return "'+'";
-    case DTok::Minus: return "'-'";
-    case DTok::Star: return "'*'";
-    case DTok::Slash: return "'/'";
-    case DTok::Percent: return "'%'";
-    case DTok::KwAspectdef: return "'aspectdef'";
-    case DTok::KwEnd: return "'end'";
-    case DTok::KwInput: return "'input'";
-    case DTok::KwOutput: return "'output'";
-    case DTok::KwSelect: return "'select'";
-    case DTok::KwApply: return "'apply'";
-    case DTok::KwCondition: return "'condition'";
-    case DTok::KwCall: return "'call'";
-    case DTok::KwDo: return "'do'";
-    case DTok::KwInsert: return "'insert'";
-    case DTok::KwBefore: return "'before'";
-    case DTok::KwAfter: return "'after'";
-    case DTok::KwDynamic: return "'dynamic'";
-    case DTok::KwVar: return "'var'";
-    case DTok::KwTrue: return "'true'";
-    case DTok::KwFalse: return "'false'";
-    case DTok::KwNull: return "'null'";
-  }
-  return "?";
-}
-
 namespace {
 
-const std::unordered_map<std::string_view, DTok>& keywords() {
-  static const std::unordered_map<std::string_view, DTok> kw = {
-      {"aspectdef", DTok::KwAspectdef}, {"end", DTok::KwEnd},
-      {"input", DTok::KwInput},         {"output", DTok::KwOutput},
-      {"select", DTok::KwSelect},       {"apply", DTok::KwApply},
-      {"condition", DTok::KwCondition}, {"call", DTok::KwCall},
-      {"do", DTok::KwDo},               {"insert", DTok::KwInsert},
-      {"before", DTok::KwBefore},       {"after", DTok::KwAfter},
-      {"dynamic", DTok::KwDynamic},     {"var", DTok::KwVar},
-      {"true", DTok::KwTrue},           {"false", DTok::KwFalse},
-      {"null", DTok::KwNull},
+const scan::SpellingTable<DTok>& spellings() {
+  using enum DTok;
+  static const scan::SpellingTable<DTok> table = {
+      {"(", LParen},         {")", RParen},          {"{", LBrace},
+      {"}", RBrace},         {".", Dot},             {",", Comma},
+      {";", Semi},           {":", Colon},           {"=", Assign},
+      {"==", Eq},            {"!=", Ne},             {"<", Lt},
+      {"<=", Le},            {">", Gt},              {">=", Ge},
+      {"&&", AndAnd},        {"||", OrOr},           {"!", Not},
+      {"+", Plus},           {"-", Minus},           {"*", Star},
+      {"/", Slash},          {"%", Percent},         {"aspectdef", KwAspectdef},
+      {"end", KwEnd},        {"input", KwInput},     {"output", KwOutput},
+      {"select", KwSelect},  {"apply", KwApply},     {"condition", KwCondition},
+      {"call", KwCall},      {"do", KwDo},           {"insert", KwInsert},
+      {"before", KwBefore},  {"after", KwAfter},     {"dynamic", KwDynamic},
+      {"var", KwVar},        {"true", KwTrue},       {"false", KwFalse},
+      {"null", KwNull},
   };
-  return kw;
+  return table;
 }
 
 }  // namespace
 
+const char* dtok_name(DTok t) {
+  static const char* const kForms[] = {"<eof>",  "identifier", "$-identifier",
+                                       "number", "string",     "code template"};
+  return t < DTok::LParen ? kForms[static_cast<int>(t)] : spellings().quoted(t);
+}
+
 std::vector<DToken> dsl_lex(std::string_view src) {
   std::vector<DToken> out;
-  std::size_t i = 0;
-  int line = 1, col = 1;
-
-  auto fail = [&](const std::string& msg) -> void {
-    throw Error(format("DSL lex error at %d:%d: %s", line, col, msg.c_str()));
-  };
-  auto advance = [&]() -> char {
-    const char c = src[i++];
-    if (c == '\n') {
-      ++line;
-      col = 1;
-    } else {
-      ++col;
-    }
-    return c;
-  };
-  auto peek = [&](std::size_t ahead = 0) -> char {
-    return i + ahead < src.size() ? src[i + ahead] : '\0';
-  };
-  auto push = [&](DTok k, std::string text, int l, int c) {
+  scan::Cursor cur(src, "DSL lex error");
+  for (cur.skip_blank(); !cur.done(); cur.skip_blank()) {
     DToken t;
-    t.kind = k;
-    t.text = std::move(text);
-    t.line = l;
-    t.col = c;
-    out.push_back(std::move(t));
-  };
-
-  while (i < src.size()) {
-    const char c = peek();
-    const int l = line, co = col;
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      advance();
-      continue;
-    }
-    if (c == '/' && peek(1) == '/') {
-      while (i < src.size() && peek() != '\n') advance();
-      continue;
-    }
-    if (c == '/' && peek(1) == '*') {
-      advance();
-      advance();
-      while (i < src.size() && !(peek() == '*' && peek(1) == '/')) advance();
-      if (i >= src.size()) fail("unterminated block comment");
-      advance();
-      advance();
-      continue;
-    }
-    // Template %{ ... }%
-    if (c == '%' && peek(1) == '{') {
-      advance();
-      advance();
-      std::string body;
-      while (i < src.size() && !(peek() == '}' && peek(1) == '%')) body += advance();
-      if (i >= src.size()) fail("unterminated %{ template");
-      advance();
-      advance();
-      push(DTok::Template, std::move(body), l, co);
-      continue;
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string name;
-      while (i < src.size() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                                peek() == '_'))
-        name += advance();
-      auto it = keywords().find(name);
-      push(it != keywords().end() ? it->second : DTok::Ident, std::move(name), l, co);
-      continue;
-    }
-    if (c == '$') {
-      advance();
-      std::string name = "$";
-      if (!(std::isalpha(static_cast<unsigned char>(peek())) || peek() == '_'))
-        fail("expected identifier after '$'");
-      while (i < src.size() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                                peek() == '_'))
-        name += advance();
-      push(DTok::DollarIdent, std::move(name), l, co);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
-      std::string num;
-      bool dot_seen = false;
-      while (i < src.size()) {
-        const char d = peek();
-        if (std::isdigit(static_cast<unsigned char>(d))) {
-          num += advance();
-        } else if (d == '.' && !dot_seen) {
-          dot_seen = true;
-          num += advance();
-        } else {
-          break;
-        }
-      }
-      DToken t;
+    t.line = cur.line();
+    t.col = cur.col();
+    const char c = cur.peek();
+    if (c == '%' && cur.peek(1) == '{') {  // %{ ... }% code template
+      cur.skip(2);
+      t.kind = DTok::Template;
+      t.text = cur.until("}%", "%{ template");
+    } else if (scan::is_ident_start(c)) {
+      t.text = cur.ident();
+      t.kind = spellings().word(t.text, DTok::Ident);
+    } else if (c == '$') {
+      cur.advance();
+      if (!scan::is_ident_start(cur.peek())) cur.fail("expected identifier after '$'");
+      t.kind = DTok::DollarIdent;
+      t.text = "$" + std::string(cur.ident());
+    } else if (cur.at_number()) {
+      bool is_float = false;
       t.kind = DTok::Num;
-      t.text = num;
-      t.num = std::strtod(num.c_str(), nullptr);
-      t.line = l;
-      t.col = co;
-      out.push_back(std::move(t));
-      continue;
+      t.text = cur.number(is_float);
+      t.num = cur.to_double(t.text);
+    } else if (c == '\'' || c == '"') {
+      t.kind = DTok::Str;
+      t.text = cur.quoted();
+    } else {
+      const auto& op = spellings().scan(cur);
+      t.kind = op.kind;
+      t.text = op.text;
     }
-    if (c == '\'' || c == '"') {
-      const char quote = advance();
-      std::string s;
-      while (i < src.size() && peek() != quote) {
-        char d = advance();
-        if (d == '\\' && i < src.size()) {
-          const char esc = advance();
-          switch (esc) {
-            case 'n': d = '\n'; break;
-            case 't': d = '\t'; break;
-            case '\\': d = '\\'; break;
-            case '\'': d = '\''; break;
-            case '"': d = '"'; break;
-            default: fail(format("unknown escape '\\%c'", esc));
-          }
-        }
-        s += d;
-      }
-      if (i >= src.size()) fail("unterminated string literal");
-      advance();
-      push(DTok::Str, std::move(s), l, co);
-      continue;
-    }
-    advance();
-    switch (c) {
-      case '(': push(DTok::LParen, "(", l, co); break;
-      case ')': push(DTok::RParen, ")", l, co); break;
-      case '{': push(DTok::LBrace, "{", l, co); break;
-      case '}': push(DTok::RBrace, "}", l, co); break;
-      case '.': push(DTok::Dot, ".", l, co); break;
-      case ',': push(DTok::Comma, ",", l, co); break;
-      case ';': push(DTok::Semi, ";", l, co); break;
-      case ':': push(DTok::Colon, ":", l, co); break;
-      case '+': push(DTok::Plus, "+", l, co); break;
-      case '-': push(DTok::Minus, "-", l, co); break;
-      case '*': push(DTok::Star, "*", l, co); break;
-      case '/': push(DTok::Slash, "/", l, co); break;
-      case '%': push(DTok::Percent, "%", l, co); break;
-      case '=':
-        if (peek() == '=') {
-          advance();
-          push(DTok::Eq, "==", l, co);
-        } else {
-          push(DTok::Assign, "=", l, co);
-        }
-        break;
-      case '!':
-        if (peek() == '=') {
-          advance();
-          push(DTok::Ne, "!=", l, co);
-        } else {
-          push(DTok::Not, "!", l, co);
-        }
-        break;
-      case '<':
-        if (peek() == '=') {
-          advance();
-          push(DTok::Le, "<=", l, co);
-        } else {
-          push(DTok::Lt, "<", l, co);
-        }
-        break;
-      case '>':
-        if (peek() == '=') {
-          advance();
-          push(DTok::Ge, ">=", l, co);
-        } else {
-          push(DTok::Gt, ">", l, co);
-        }
-        break;
-      case '&':
-        if (peek() == '&') {
-          advance();
-          push(DTok::AndAnd, "&&", l, co);
-        } else {
-          fail("expected '&&'");
-        }
-        break;
-      case '|':
-        if (peek() == '|') {
-          advance();
-          push(DTok::OrOr, "||", l, co);
-        } else {
-          fail("expected '||'");
-        }
-        break;
-      default:
-        fail(format("unexpected character '%c'", c));
-    }
+    out.push_back(std::move(t));
   }
-  DToken end;
-  end.kind = DTok::End;
-  end.line = line;
-  end.col = col;
-  out.push_back(std::move(end));
+  out.push_back(DToken{DTok::End, {}, 0.0, cur.line(), cur.col()});
   return out;
 }
 

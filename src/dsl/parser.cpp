@@ -3,6 +3,7 @@
 #include "dsl/ast.hpp"
 #include "dsl/lexer.hpp"
 #include "support/strings.hpp"
+#include "support/token_stream.hpp"
 
 namespace antarex::dsl {
 
@@ -27,11 +28,15 @@ const AspectDef* AspectLibrary::find(const std::string& name) const {
   return nullptr;
 }
 
+// A token's position, for scan::TokenStream.
+static std::pair<int, int> line_col(const DToken& t) { return {t.line, t.col}; }
+
 namespace {
 
-class DslParser {
+class DslParser : scan::TokenStream<DToken, dtok_name> {
  public:
-  explicit DslParser(std::string_view src) : toks_(dsl_lex(src)) {}
+  explicit DslParser(std::string_view src)
+      : TokenStream(dsl_lex(src), "DSL parse error") {}
 
   AspectLibrary library() {
     AspectLibrary lib;
@@ -52,30 +57,6 @@ class DslParser {
   }
 
  private:
-  const DToken& peek(std::size_t ahead = 0) const {
-    const std::size_t i = pos_ + ahead;
-    return i < toks_.size() ? toks_[i] : toks_.back();
-  }
-  bool at(DTok k) const { return peek().kind == k; }
-  const DToken& advance() { return toks_[pos_++]; }
-  bool match(DTok k) {
-    if (at(k)) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  const DToken& expect(DTok k, const char* what) {
-    if (!at(k))
-      fail(format("expected %s (%s), got %s", dtok_name(k), what,
-                  dtok_name(peek().kind)));
-    return advance();
-  }
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw Error(format("DSL parse error at %d:%d: %s", peek().line, peek().col,
-                       msg.c_str()));
-  }
-
   // --- aspectdef ------------------------------------------------------------
 
   AspectDef aspectdef() {
@@ -414,9 +395,6 @@ class DslParser {
         fail(format("unexpected %s in expression", dtok_name(peek().kind)));
     }
   }
-
-  std::vector<DToken> toks_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace

@@ -50,24 +50,6 @@ RunningStats RunningStats::repeated(double x, std::size_t n) {
   return s;
 }
 
-Ewma::Ewma(double alpha) : alpha_(alpha) {
-  ANTAREX_REQUIRE(alpha > 0.0 && alpha <= 1.0, "Ewma: alpha must be in (0, 1]");
-}
-
-void Ewma::add(double x) {
-  if (!seeded_) {
-    value_ = x;
-    seeded_ = true;
-  } else {
-    value_ = alpha_ * x + (1.0 - alpha_) * value_;
-  }
-}
-
-void Ewma::clear() {
-  value_ = 0.0;
-  seeded_ = false;
-}
-
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
   ANTAREX_REQUIRE(capacity > 0, "SlidingWindow: capacity must be > 0");
   buf_.reserve(capacity);

@@ -38,24 +38,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Exponentially weighted moving average; the paper's monitors favour recent
-/// operating conditions ("autotune the system according to the most recent
-/// operating conditions", Sec. IV).
-class Ewma {
- public:
-  explicit Ewma(double alpha = 0.2);
-
-  void add(double x);
-  double value() const { return value_; }
-  bool empty() const { return !seeded_; }
-  void clear();
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool seeded_ = false;
-};
-
 /// Sliding window over the last N samples with percentile queries; backs the
 /// SLA monitors (e.g. p95 latency in the navigation server).
 class SlidingWindow {

@@ -53,12 +53,13 @@ constexpr double kSeriesEwmaAlpha = 0.25;
 
 }  // namespace
 
-Series::Series(std::size_t window) : window_(window), ewma_(kSeriesEwmaAlpha) {}
+Series::Series(std::size_t window) : window_(window) {}
 
 void Series::push(double sample) {
   std::lock_guard<std::mutex> lock(mu_);
   window_.add(sample);
-  ewma_.add(sample);
+  ewma_ = total_ == 0 ? sample
+                      : kSeriesEwmaAlpha * sample + (1.0 - kSeriesEwmaAlpha) * ewma_;
   last_ = sample;
   ++total_;
 }
@@ -90,13 +91,13 @@ std::vector<double> Series::window_percentiles(std::initializer_list<double> ps)
 
 double Series::ewma() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return ewma_.value();
+  return ewma_;
 }
 
 void Series::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   window_.clear();
-  ewma_.clear();
+  ewma_ = 0.0;
   last_ = 0.0;
   total_ = 0;
 }

@@ -130,9 +130,11 @@ class Histogram {
 /// A named sample stream with windowed statistics — the registry-resident
 /// backend of tuner::Monitor. NOT gated by enabled(): monitors feed the
 /// autotuner's control loop, so dropping samples would change behaviour,
-/// not just visibility. Built on the single rolling-stats implementation in
-/// support/stats (SlidingWindow + Ewma), guarded by a private mutex because
-/// the window holds non-trivial state.
+/// not just visibility. The window is support/stats' SlidingWindow; the
+/// exponentially weighted moving average favours recent operating conditions
+/// ("autotune the system according to the most recent operating conditions",
+/// Sec. IV). A private mutex guards both, because the window holds
+/// non-trivial state.
 class Series {
  public:
   explicit Series(std::size_t window = 64);
@@ -154,7 +156,7 @@ class Series {
  private:
   mutable std::mutex mu_;
   SlidingWindow window_;
-  Ewma ewma_;
+  double ewma_ = 0.0;  ///< seeded by the first sample (total_ == 0 until then)
   double last_ = 0.0;
   std::size_t total_ = 0;
 };

@@ -166,24 +166,16 @@ TEST(DslTokenPin, EveryTokenKind) {
       {"x == 1e5",
        "identifier \"x\" 0 1:1\n"
        "'==' \"==\" 0 1:3\n"
-       "number \"1\" 1 1:6\n"
-       "identifier \"e5\" 0 1:7\n"
+       "number \"1e5\" 100000 1:6\n"
        "<eof> \"\" 0 1:9\n"},
       {"2.5E-2 1e 1e+",
-       "number \"2.5\" 2.5 1:1\n"
-       "identifier \"E\" 0 1:4\n"
-       "'-' \"-\" 0 1:5\n"
-       "number \"2\" 2 1:6\n"
+       "number \"2.5E-2\" 0.025000000000000001 1:1\n"
        "number \"1\" 1 1:8\n"
        "identifier \"e\" 0 1:9\n"
        "number \"1\" 1 1:11\n"
        "identifier \"e\" 0 1:12\n"
        "'+' \"+\" 0 1:13\n"
        "<eof> \"\" 0 1:14\n"},
-      {"1e999",
-       "number \"1\" 1 1:1\n"
-       "identifier \"e999\" 0 1:2\n"
-       "<eof> \"\" 0 1:6\n"},
       {"",
        "<eof> \"\" 0 1:1\n"},
   };
@@ -206,6 +198,7 @@ TEST(DslTokenPin, ErrorPrefixAndPosition) {
       {"%{ open", "DSL lex error at 1:8:"},
       {"x\n %{ a }", "DSL lex error at 2:8:"},
       {"\xff", "DSL lex error at 1:2:"},
+      {"1e999", "DSL lex error at 1:6:"},
   };
   for (const auto& [src, want] : lex_cases)
     EXPECT_EQ(error_prefix([&] { dsl_lex(src); }), want) << src;
@@ -225,6 +218,16 @@ TEST(DslTokenPin, ErrorPrefixAndPosition) {
   };
   for (const auto& [src, want] : parse_cases)
     EXPECT_EQ(error_prefix([&] { parse_aspects(src); }), want) << src;
+}
+
+TEST(DslParser, NumbersTakeAnExponent) {
+  const AspectLibrary lib =
+      parse_aspects("aspectdef A select fCall end condition x == 1e5 end end");
+  const Item& cond = lib.aspects.at(0).body.at(1);
+  ASSERT_EQ(cond.kind, Item::Kind::Condition);
+  ASSERT_EQ(cond.condition.expr->rhs->kind, DExprKind::Num);
+  EXPECT_EQ(cond.condition.expr->rhs->num_value, 1e5);
+  EXPECT_THROW(parse_aspects("aspectdef A condition x == 1e999 end end"), Error);
 }
 
 TEST(DslParser, ParsesFigure2Verbatim) {

@@ -259,3 +259,19 @@ INSTANTIATE_TEST_SUITE_P(FastSeeds, ShardedClusterProps,
                          ::testing::Range<u64>(1, 49));
 
 }  // namespace antarex::rtrm
+
+// ---------------------------------------------------------------------------
+// Front-end malformed-input sweep (fast slice).
+//
+// The mutation suite the nightly tier sweeps over 1000 seeds
+// (test_front_end_long.cpp) runs here over 48 seeds so every default test run
+// feeds both parsers byte-flipped, truncated, spliced and erased mini-C
+// programs and LARA aspects: each one parses or throws antarex::Error.
+// ---------------------------------------------------------------------------
+#include "front_end_props.hpp"
+
+namespace antarex {
+
+INSTANTIATE_TEST_SUITE_P(FastSeeds, FrontEndProps, ::testing::Range<u64>(1, 49));
+
+}  // namespace antarex

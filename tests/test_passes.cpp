@@ -298,6 +298,34 @@ TEST(Unroll, IterationLocalDeclsDoNotCollide) {
   EXPECT_EQ(run_int(*m, "f"), 6);
 }
 
+TEST(Unroll, FullUnrollRewritesInnerForHeaders) {
+  // The outer induction variable read in an inner loop's for-header: in the
+  // step, an expression statement, and in the index of an array-store init.
+  const char* src =
+      "int g(int* a, int v) { a[v] = a[v] + 1; return 0; }\n"
+      "int f(int* a) {\n"
+      "  int s = 0;\n"
+      "  for (int i = 0; i < 3; i++) {\n"
+      "    for (int j = 0; j < 1; g(a, i)) { j = j + 1; s = s + i; }\n"
+      "    for (a[i + 4] = 5 + i; s < 0; s = s + 1) { s = s + 1; }\n"
+      "  }\n"
+      "  return s;\n"
+      "}\n";
+  const auto run = [](const cir::Module& m) {
+    auto a = std::make_shared<std::vector<i64>>(8, 0);
+    const i64 ret = run_int(m, "f", {Value::from_int_array(a)});
+    return std::make_pair(ret, *a);
+  };
+  auto m = parse_module(src);
+  const auto before = run(*m);
+  EXPECT_EQ(before.second, (std::vector<i64>{1, 1, 1, 0, 5, 6, 7, 0}));
+  cir::Function* f = m->find("f");
+  ASSERT_TRUE(unroll_loop_full(*f, cir::collect_for_loops(*f)[0], 16));
+  EXPECT_EQ(cir::collect_for_loops(*f).size(), 6u) << to_source(*f);
+  EXPECT_TRUE(cir::check_module(*m).empty()) << to_source(*f);
+  EXPECT_EQ(run(*m), before);
+}
+
 TEST(Unroll, PassUnrollsNestedLoopsBottomUp) {
   auto m = parse_module(
       "int f() { int s = 0; for (int i = 0; i < 3; i++) { "

@@ -177,33 +177,8 @@ TEST(RunningStats, MergeWithEmptyIsIdentity) {
 }
 
 // --------------------------------------------------------------------------
-// Ewma / SlidingWindow / percentile
+// SlidingWindow / percentile
 // --------------------------------------------------------------------------
-
-TEST(Ewma, SeedsWithFirstValue) {
-  Ewma e(0.5);
-  EXPECT_TRUE(e.empty());
-  e.add(10.0);
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesToConstantInput) {
-  Ewma e(0.3);
-  for (int i = 0; i < 100; ++i) e.add(42.0);
-  EXPECT_NEAR(e.value(), 42.0, 1e-9);
-}
-
-TEST(Ewma, TracksStepChange) {
-  Ewma e(0.5);
-  e.add(0.0);
-  for (int i = 0; i < 20; ++i) e.add(100.0);
-  EXPECT_GT(e.value(), 99.0);
-}
-
-TEST(Ewma, RejectsInvalidAlpha) {
-  EXPECT_THROW(Ewma(0.0), Error);
-  EXPECT_THROW(Ewma(1.5), Error);
-}
 
 TEST(SlidingWindow, EvictsOldest) {
   SlidingWindow w(3);

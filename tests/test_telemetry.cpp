@@ -544,6 +544,19 @@ TEST_F(TelemetryTest, MonitorExposesStatsThroughRegistry) {
   EXPECT_NE(json.find("\"t.monitor_metric\":{\"count\":33"), std::string::npos);
 }
 
+TEST_F(TelemetryTest, SeriesEwmaSeedsWithFirstSampleThenFavoursRecentOnes) {
+  telemetry::Series s;
+  s.push(10.0);
+  EXPECT_DOUBLE_EQ(s.ewma(), 10.0);
+  s.push(30.0);
+  EXPECT_DOUBLE_EQ(s.ewma(), 15.0);  // 0.25 * 30 + 0.75 * 10
+  for (int i = 0; i < 200; ++i) s.push(42.0);
+  EXPECT_NEAR(s.ewma(), 42.0, 1e-9);
+  s.clear();
+  s.push(-4.0);
+  EXPECT_DOUBLE_EQ(s.ewma(), -4.0);  // clear() un-seeds it
+}
+
 // --------------------------------------------------------------------------
 // End-to-end: an instrumented cluster run produces a valid trace and
 // populated metrics (the same pathway examples/power_management uses).
