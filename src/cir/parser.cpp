@@ -8,9 +8,6 @@
 
 namespace antarex::cir {
 
-// A token's position, for scan::TokenStream.
-static std::pair<int, int> line_col(const Token& t) { return {t.loc.line, t.loc.col}; }
-
 namespace {
 
 class Parser : scan::TokenStream<Token, tok_kind_name> {

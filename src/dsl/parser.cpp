@@ -28,9 +28,6 @@ const AspectDef* AspectLibrary::find(const std::string& name) const {
   return nullptr;
 }
 
-// A token's position, for scan::TokenStream.
-static std::pair<int, int> line_col(const DToken& t) { return {t.line, t.col}; }
-
 namespace {
 
 class DslParser : scan::TokenStream<DToken, dtok_name> {

@@ -9,10 +9,9 @@
 
 namespace antarex::scan {
 
-/// A parser's view of its tokens. `line_col(token)`, found by argument-
-/// dependent lookup, gives a token's position; kName names a token kind in
-/// messages. Errors throw antarex::Error as "<prefix> at L:C: <message>", at
-/// the next token's position.
+/// A parser's view of its tokens; kName names a token kind in messages.
+/// Errors throw antarex::Error as "<prefix> at L:C: <message>", at the next
+/// token's position: its `loc` (mini-C) or its `line` and `col` (LARA).
 template <class Tok, const char* (*kName)(decltype(Tok::kind))>
 class TokenStream {
  public:
@@ -39,7 +38,15 @@ class TokenStream {
     return advance();
   }
   [[noreturn]] void fail(const std::string& msg) const {
-    const auto [line, col] = line_col(peek());
+    const Tok& t = peek();
+    int line = 0, col = 0;
+    if constexpr (requires { t.loc; }) {
+      line = t.loc.line;
+      col = t.loc.col;
+    } else {
+      line = t.line;
+      col = t.col;
+    }
     throw Error(std::string(prefix_) + " at " + std::to_string(line) + ":" +
                 std::to_string(col) + ": " + msg);
   }

@@ -94,6 +94,10 @@ TEST(Lexer, ScientificNotation) {
   EXPECT_EQ(toks[0].kind, TokKind::FloatLit);
   EXPECT_DOUBLE_EQ(toks[0].float_value, 1000.0);
   EXPECT_DOUBLE_EQ(toks[1].float_value, 0.025);
+  // One exponent per literal: "1e5e3" is 1e5 followed by the name e3.
+  const auto twice = lex("1e5e3");
+  EXPECT_EQ(twice[0].text, "1e5");
+  EXPECT_EQ(twice[1].kind, TokKind::Ident);
 }
 
 TEST(Lexer, RejectsMalformedInput) {
