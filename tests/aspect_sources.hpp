@@ -8,8 +8,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace antarex {
@@ -18,13 +19,6 @@ struct AspectSource {
   std::string origin;  ///< "<relative path>#<literal index>"
   std::string text;
 };
-
-inline std::string read_text_file(const std::filesystem::path& p) {
-  std::ifstream in(p, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 /// Needs ANTAREX_SOURCE_DIR (the repository root) as a compile definition.
 inline std::vector<AspectSource> workload_aspects() {
@@ -42,7 +36,8 @@ inline std::vector<AspectSource> workload_aspects() {
 
   std::vector<AspectSource> out;
   for (const auto& path : files) {
-    const std::string text = read_text_file(path);
+    std::ifstream in(path, std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(in), {}};
     const std::string rel = fs::relative(path, root).generic_string();
     if (path.extension() == ".lara") {
       out.push_back({rel, text});
